@@ -1,0 +1,48 @@
+"""Golden reports: fixed-seed CLI runs whose JSON must not change by a byte.
+
+A refactor or speed-up of any layer under these commands has to leave the
+reports identical.  After a deliberate report change, re-record them with
+`PYTHONPATH=src python tests/test_golden.py` and explain the diff.
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+from analytica import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name -> (argv without --out, expected exit code)
+CASES = {
+    "probe-hartogs": (["probe", "--builtin", "hartogs-f", "--spheres", "2", "--seed", "11"], 2),
+    "probe-rational": (["probe", "--expr", "1/(2 - x1 - x2*x3)", "--spheres", "2", "--seed", "2718"], 0),
+    "probe-polynomial": (
+        ["probe", "--expr", "x1^2 + x2*x3 - 3/4*x1*x3^2", "--spheres", "3", "--seed", "7"], 0
+    ),
+    "tower-geometric": (
+        ["tower", "--expr", "1/(1 - x1)", "--order", "8", "--eta", "1/2", "--seed", "5"], 0
+    ),
+    "counterexample-hartogs": (["counterexamples", "--name", "hartogs-f", "--seed", "5"], 2),
+    "counterexample-curve": (["counterexamples", "--name", "curve-g", "--seed", "5"], 2),
+}
+
+
+def produce(name, out):
+    argv, _ = CASES[name]
+    return cli.main(argv + ["--out", str(out)])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert produce(name, out) == CASES[name][1]
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        code = produce(case, GOLDEN / f"{case}.json")
+        print(f"{case}: exit {code}", file=sys.stderr)
