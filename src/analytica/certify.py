@@ -75,7 +75,13 @@ class PlaneReport:
     """Verdict for one plane: "pass", "fail" (finite disagreement or
     blow-up), or "pole" (a denominator vanished at a probed point).
     Pass always means the residual cleared the tolerance and no pole
-    was encountered."""
+    was encountered.
+
+    `falsifier` says what became of the denominator-valley falsifier:
+    "ran"; "skipped-cap" (the pulled-back denominator outgrew the size cap);
+    "skipped-zero-divisor" (a divisor pulled back to zero); "constant-
+    denominator" (no valleys to walk); or "off" (the exact route, scan=False,
+    or a fit that already failed).  It is not part of the JSON reports."""
 
     plane: AffinePlane2
     verdict: str
@@ -85,6 +91,7 @@ class PlaneReport:
     fit_degree: int
     window: float
     detail: str = ""
+    falsifier: str = "off"
 
     def __bool__(self) -> bool:
         return self.verdict == "pass"
@@ -96,7 +103,8 @@ class PlaneReport:
 
 def _exact_tensor_check(value_fn: Callable, degree: int, window: Fraction):
     """Interpolate value_fn on a (degree+1)^2 rational grid and re-check it
-    on held-out nodes.  Returns None on agreement, else a witness (s, t)."""
+    on held-out nodes.  Returns None on agreement, else the chart witness
+    (s, t) and the relative disagreement there."""
     d = degree
     w = frac(window)
     nodes = [Fraction(0)] if d == 0 else [w * Fraction(2 * i - d, d) for i in range(d + 1)]
@@ -120,8 +128,10 @@ def _exact_tensor_check(value_fn: Callable, degree: int, window: Fraction):
     check = [w * Fraction(2 * i - d, d + 1) + offset for i in range(d + 2)]
     for s in check:
         for t in check:
-            if predicted(s, t) != value_fn(s, t):
-                return (s, t)
+            actual = value_fn(s, t)
+            gap = predicted(s, t) - actual
+            if gap:
+                return (s, t), float(abs(gap)) / max(1.0, float(abs(actual)))
     return None
 
 
@@ -186,13 +196,14 @@ def _cheb_fit(f: FunctionOracle, plane: AffinePlane2, window: float, fit_degree:
 
 
 class _ScanCap(Exception):
-    pass
+    """The valley denominator cannot be built; args[0] is the falsifier
+    status to report ("skipped-cap" or "skipped-zero-divisor")."""
 
 
 def _poly2_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
     if out.shape[0] > cap or out.shape[1] > cap:
-        raise _ScanCap
+        raise _ScanCap("skipped-cap")
     for i in range(a.shape[0]):
         for j in range(a.shape[1]):
             c = a[i, j]
@@ -246,7 +257,7 @@ def _pullback_fraction(e: Expression, var_polys: list[np.ndarray], cap: int):
             n1, d1 = rec(node.left)
             n2, d2 = rec(node.right)
             if not np.any(n2):
-                raise _ScanCap
+                raise _ScanCap("skipped-zero-divisor")
             return norm((_poly2_mul(n1, d2, cap), _poly2_mul(d1, n2, cap)))
         if isinstance(node, Pow):
             n, d = rec(node.base)
@@ -264,29 +275,43 @@ def _pullback_fraction(e: Expression, var_polys: list[np.ndarray], cap: int):
     return rec(e)
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float, iters: int = 96) -> float:
+def _golden_min(
+    fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, iters: int = 96
+) -> np.ndarray:
+    """Golden-section minimisers of fn over the intervals [lo, hi], run
+    elementwise: fn maps an array of abscissae to an array of values, one
+    per interval.  Each element takes the branches and floating-point steps
+    of a scalar search, so its result does not depend on the batch."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - ratio * (b - a)
     d = a + ratio * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fn(d)
+        left = fc <= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        step = ratio * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = fn(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return 0.5 * (a + b)
 
 
-def _valley_scan(f: FunctionOracle, plane: AffinePlane2, window: float, grid_max: float):
+def _valley_scan(
+    f: FunctionOracle, plane: AffinePlane2, window: float, grid_max: float, status: list[str]
+):
     """Walk minima of |denominator| along lines with one chart coordinate
     pinned to +-window/2^k and probe the function there.  Returns None, or
     ("fail"|"pole", witness, magnitude) on a blow-up.  The blow-up bar does
-    not depend on the fit tolerance."""
+    not depend on the fit tolerance.
+
+    All lines are searched in one batched golden-section pass; the function
+    is then probed at the minimisers in line order, so the first hit is the
+    one a line-by-line walk would find.  The falsifier status is appended
+    to `status`: "ran", "skipped-cap", "skipped-zero-divisor" or
+    "constant-denominator"."""
     base = tuple(float(x) for x in plane.base_point)
     b1 = tuple(float(x) for x in plane.basis[0])
     b2 = tuple(float(x) for x in plane.basis[1])
@@ -295,38 +320,49 @@ def _valley_scan(f: FunctionOracle, plane: AffinePlane2, window: float, grid_max
     ]
     try:
         _, den = _pullback_fraction(f.expression, var_polys, cap=65)
-    except _ScanCap:
+    except _ScanCap as exc:
+        status.append(exc.args[0])
         return None
     if den.size == 1:
+        status.append("constant-denominator")
         return None
+    status.append("ran")
 
     blow = _BLOW_FACTOR * max(1.0, grid_max)
     pv = np.polynomial.polynomial.polyval2d
     grid = np.linspace(-window, window, 257)
-    for axis in (0, 1):
-        den_val = (lambda s, t: float(pv(s, t, den))) if axis == 0 else (
-            lambda s, t: float(pv(t, s, den))
-        )
-        for sign in (1.0, -1.0):
-            for k in range(_VALLEY_SCALES):
-                pinned = sign * window * 0.5**k
-                along = np.abs(pv(np.full_like(grid, pinned), grid, den)) if axis == 0 else np.abs(
-                    pv(grid, np.full_like(grid, pinned), den)
-                )
-                i = int(np.argmin(along))
-                lo = grid[max(i - 1, 0)]
-                hi = grid[min(i + 1, len(grid) - 1)]
-                u = _golden_min(lambda t: abs(den_val(pinned, t)), lo, hi)
-                st = (pinned, u) if axis == 0 else (u, pinned)
-                x = plane.point_at_float(st[0], st[1])
-                try:
-                    v = float(evaluate_oracle(f, x, mode="float"))
-                except PoleError:
-                    return ("pole", x, math.inf)
-                if not math.isfinite(v):
-                    return ("pole", x, math.inf)
-                if abs(v) > blow:
-                    return ("fail", x, abs(v))
+    lines = [
+        (axis, sign * window * 0.5**k)
+        for axis in (0, 1)
+        for sign in (1.0, -1.0)
+        for k in range(_VALLEY_SCALES)
+    ]
+    lo, hi = [], []
+    for axis, pinned in lines:
+        fixed = np.full_like(grid, pinned)
+        along = np.abs(pv(fixed, grid, den) if axis == 0 else pv(grid, fixed, den))
+        i = int(np.argmin(along))
+        lo.append(grid[max(i - 1, 0)])
+        hi.append(grid[min(i + 1, len(grid) - 1)])
+
+    on_s = np.array([axis == 0 for axis, _ in lines])
+    pins = np.array([pinned for _, pinned in lines])
+    minimisers = _golden_min(
+        lambda u: np.abs(pv(np.where(on_s, pins, u), np.where(on_s, u, pins), den)),
+        np.array(lo),
+        np.array(hi),
+    )
+    for (axis, pinned), u in zip(lines, minimisers):
+        s, t = (pinned, u) if axis == 0 else (u, pinned)
+        x = plane.point_at_float(s, t)
+        try:
+            v = float(evaluate_oracle(f, x, mode="float"))
+        except PoleError:
+            return ("pole", x, math.inf)
+        if not math.isfinite(v):
+            return ("pole", x, math.inf)
+        if abs(v) > blow:
+            return ("fail", x, abs(v))
     return None
 
 
@@ -364,8 +400,7 @@ def check_plane_analytic(
         w = frac(window)
         if w <= 0:
             raise CertifyError("window must be positive")
-        witness = _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, w)
-        if witness is not None:
+        if _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, w) is not None:
             raise CertifyError("declared polynomial degree bound is violated on this plane")
         return PlaneReport(plane, "pass", 0.0, None, "exact", bound, float(w))
 
@@ -383,15 +418,18 @@ def check_plane_analytic(
             plane, "fail", residual, witness, "float", fit_degree, wf,
             "fit does not reproduce held-out samples",
         )
+    falsifier = "off"
     if scan:
-        hit = _valley_scan(f, plane, wf, grid_max)
+        status: list[str] = []
+        hit = _valley_scan(f, plane, wf, grid_max, status)
+        falsifier = status[0]
         if hit is not None:
             verdict, where, magnitude = hit
             return PlaneReport(
                 plane, verdict, magnitude, where, "float", fit_degree, wf,
-                "blow-up along a denominator valley",
+                "blow-up along a denominator valley", falsifier,
             )
-    return PlaneReport(plane, "pass", residual, None, "float", fit_degree, wf)
+    return PlaneReport(plane, "pass", residual, None, "float", fit_degree, wf, "", falsifier)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +600,22 @@ def _scan_one(f, sphere, p, poly_degree, tol, fit_degree):
             x = tuple(di / q + pi for di, pi in zip(dp, p))
             return f.evaluate(x) * q**d
 
-        for name, h in (("origin-inversion", h_far), ("point-inversion", h_near)):
-            if _exact_tensor_check(h, 2 * d, Fraction(1)) is not None:
-                raise CertifyError(
-                    f"cleared pullback is not a polynomial of the expected degree ({name})"
+        parts = []
+        charts = (("origin-inversion", plane_far, h_far), ("point-inversion", plane_near, h_near))
+        for name, plane, h in charts:
+            # a guard value that breaks continuity shows up as a cleared
+            # pullback that is no polynomial: an honest failure, not an error
+            bad = _exact_tensor_check(h, 2 * d, Fraction(1))
+            if bad is None:
+                rep = PlaneReport(plane, "pass", 0.0, None, "exact", 2 * d, 1.0)
+            else:
+                (s, t), gap = bad
+                rep = PlaneReport(
+                    plane, "fail", gap, plane.point_at(s, t), "exact", 2 * d, 1.0,
+                    "cleared pullback is not a polynomial of the expected degree",
                 )
-        rep_far = PlaneReport(plane_far, "pass", 0.0, None, "exact", 2 * d, 1.0)
-        rep_near = PlaneReport(plane_near, "pass", 0.0, None, "exact", 2 * d, 1.0)
-        return SphereOutcome(sphere, (("origin-inversion", rep_far), ("point-inversion", rep_near)))
+            parts.append((name, rep))
+        return SphereOutcome(sphere, tuple(parts))
 
     margin_far = math.sqrt(float(norm_sq(plane_far.base_point)))
     margin_near = 1.0 / math.sqrt(float(norm_sq(sphere.c)))

@@ -146,24 +146,6 @@ class AffinePlane2:
 
 
 @dataclass(frozen=True)
-class AffineLine:
-    base_point: Vec
-    direction: Vec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base_point", vec(self.base_point))
-        d = vec(self.direction)
-        if all(x == 0 for x in d):
-            raise GeometryError("line direction must be nonzero")
-        if len(d) != len(self.base_point):
-            raise GeometryError("line dimension mismatch")
-        object.__setattr__(self, "direction", d)
-
-    def point_at(self, t) -> Vec:
-        return tuple(x + frac(t) * u for x, u in zip(self.base_point, self.direction))
-
-
-@dataclass(frozen=True)
 class Cone:
     """The open cone of directions within angular ratio theta of a 2-plane:
     points p with |orthogonal part of p| < theta * |p|.  The optional window
@@ -187,23 +169,6 @@ class Cone:
     @property
     def dimension(self) -> int:
         return self.axis.dimension
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: Vec
-    radius: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", vec(self.center))
-        r = frac(self.radius)
-        if r <= 0:
-            raise GeometryError("ball radius must be positive")
-        object.__setattr__(self, "radius", r)
-
-    def contains(self, p: Sequence) -> bool:
-        d = tuple(frac(x) - c for x, c in zip(_as_point(p), self.center))
-        return norm_sq(d) < self.radius * self.radius
 
 
 def _orth_component_sq(axis: VectorPlane2, p: Vec) -> Fraction:

@@ -224,50 +224,6 @@ def scan_report_to_data(report) -> dict:
     }
 
 
-def certify_report_to_data(report) -> dict:
-    return {
-        "kind": "certify",
-        "verdict": report.verdict,
-        "order": report.order,
-        "theta": report.theta,
-        "eta": report.eta,
-        "cone_residual": float(report.cone_residual),
-        "sweep_residuals": [float(r) for r in report.sweep_residuals],
-        "plane": {
-            "base": vector_to_data(report.plane.base_point),
-            "basis": [vector_to_data(b) for b in report.plane.basis],
-        },
-        "tower": [form_to_data(g) for g in report.tower.forms],
-        "findings": [
-            {
-                "kind": fi.kind,
-                "degree": fi.degree,
-                "witness": _witness_to_data(fi.witness),
-                "detail": fi.detail,
-            }
-            for fi in report.findings
-        ],
-        "plane_reports": [
-            {
-                "verdict": rep.verdict,
-                "residual": float(rep.residual),
-                "witness": _witness_to_data(rep.witness),
-                "mode": rep.mode,
-                "fit_degree": rep.fit_degree,
-                "window": float(rep.window),
-                "detail": rep.detail,
-            }
-            for rep in report.plane_reports
-        ],
-        "diagnostics": {
-            "per_degree_residual": list(report.per_degree_residual),
-            "cone_residuals": list(report.cone_residuals),
-            "line_radii": list(report.line_radii),
-        },
-        "config": dict(report.config),
-    }
-
-
 # ---------------------------------------------------------------------------
 # plot data
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from analytica.certify import (
@@ -12,6 +13,7 @@ from analytica.certify import (
     pullback_through_inversion,
     sample_spheres,
     sphere_scan,
+    _golden_min,
     _valley_scan,
 )
 from analytica.geometry import AffinePlane2, GeometryError, norm_sq
@@ -101,11 +103,85 @@ def test_tolerance_monotone():
 def test_valley_scan_finds_interior_blowup():
     # a denominator valley far sharper than the fit grid spacing
     f = oracle_from_text("1/((x1 - 1/64)^2 + x2^2 + 1/100000000000000)", 3)
-    hit = _valley_scan(f, XY, 0.1, 1.0)
+    status = []
+    hit = _valley_scan(f, XY, 0.1, 1.0, status)
+    assert status == ["ran"]
     assert hit is not None
     verdict, witness, magnitude = hit
     assert verdict in ("pole", "fail")
     assert magnitude > 1e6
+
+
+def test_valley_scan_reports_its_skips():
+    status = []
+    assert _valley_scan(oracle_from_text("(x1 + 1)/3", 3), XY, 0.1, 1.0, status) is None
+    assert status == ["constant-denominator"]
+    status = []
+    assert _valley_scan(oracle_from_text("1/(x3 - x3)", 3), XY, 0.1, 1.0, status) is None
+    assert status == ["skipped-zero-divisor"]
+
+
+def test_falsifier_status_on_plane_reports():
+    def statuses(f):
+        report = sphere_scan(f, count=1, seed=5)
+        return [rep.falsifier for _, rep in report.outcomes[0].parts]
+
+    # curve-g's pulled-back denominator outgrows the cap; the fit fails the
+    # other chart first, so its falsifier never runs
+    curve = statuses(builtin_counterexample("curve-g"))
+    assert curve[0] in ("skipped-cap", "skipped-zero-divisor")
+    assert curve[1] == "off"
+    assert statuses(oracle_from_text("1/(2 - x1 - x2*x3)", 3)) == ["ran", "ran"]
+    assert statuses(oracle_from_text("x1*x2", 3)) == ["off", "off"]
+    f = oracle_from_text("1/(2-x1)", 3)
+    assert check_plane_analytic(f, XY).falsifier == "ran"
+    assert check_plane_analytic(f, XY, scan=False).falsifier == "off"
+
+
+def _golden_min_scalar(fn, lo, hi, iters=96):
+    # the line-at-a-time search the batched minimiser must reproduce bit for bit
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda u, p, q: np.abs((u - p) * (u + q) + p * q),  # smooth valleys
+        lambda u, p, q: np.abs(u - p) + q,  # kinks
+        lambda u, p, q: u * 0.0 + q,  # constant: fc == fd throughout
+        lambda u, p, q: np.floor((u - p) * 8.0) ** 2,  # flat steps: frequent ties
+        lambda u, p, q: np.where(u > p, np.nan, u * u),  # NaN on part of the line
+        lambda u, p, q: u * np.nan,  # NaN everywhere
+    ],
+    ids=["smooth", "kinks", "constant", "steps", "nan-part", "nan"],
+)
+def test_batched_golden_min_matches_scalar_search(family):
+    rng = np.random.default_rng(2024)
+    lo = rng.uniform(-1.0, 1.0, 64)
+    hi = lo + rng.uniform(0.0, 0.5, 64)
+    hi[:4] = lo[:4]  # empty intervals
+    p = rng.uniform(-1.0, 1.0, 64)
+    q = rng.uniform(0.0, 1.0, 64)
+    batched = _golden_min(lambda u: family(u, p, q), lo, hi)
+    scalar = [
+        _golden_min_scalar(lambda u, j=j: family(u, p[j], q[j]), lo[j], hi[j])
+        for j in range(len(lo))
+    ]
+    assert np.array(scalar).tobytes() == batched.tobytes()
 
 
 def test_plane_translate_slices_of_hartogs():
@@ -213,6 +289,22 @@ def test_scan_with_explicit_spheres():
     assert report.checked == 2 and report.ok
     # auto resolves to the exact path for a polynomial
     assert report.config["mode"] == "exact"
+
+
+def test_exact_scan_reports_a_discontinuous_guard():
+    # x1^2 guarded to 1 at the origin is not even continuous there: the
+    # point-inversion chart covers 0 and its cleared pullback is no polynomial
+    f = oracle_from_text("x1^2", 3, guard=((0, 0, 0), 1))
+    report = sphere_scan(f, count=2, seed=3)
+    assert report.config["mode"] == "exact"
+    assert not report.ok and len(report.failures) == 2
+    for fl, outcome in zip(report.failures, report.outcomes):
+        rep = dict(outcome.parts)["point-inversion"]
+        assert fl.part == "point-inversion" and fl.verdict == "fail"
+        assert rep.mode == "exact" and rep.residual > 0
+        offset = tuple(w - b for w, b in zip(fl.witness, rep.plane.base_point))
+        assert rep.plane.direction_plane().contains(offset)
+        assert dict(outcome.parts)["origin-inversion"].verdict == "pass"
 
 
 def test_scan_mode_exact_requires_polynomial():

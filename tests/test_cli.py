@@ -113,6 +113,17 @@ def test_guard_flag(capsys):
     assert run(["probe", "--builtin", "curve-g", "--guard", "0,0,0=0", "--spheres", "1"]) == 1
 
 
+def test_discontinuous_guard_exits_as_a_failure(capsys):
+    code = run(["probe", "--expr", "x1^2", "--guard", "0,0,0=1", "--spheres", "2", "--seed", "1729"])
+    assert code == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["checked"] == 2 and data["passed"] == 0
+    for fl in data["failures"]:
+        assert fl["part"] == "point-inversion"
+        assert fl["verdict"] == "fail"
+        assert len(fl["witness"]) == 3
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 
