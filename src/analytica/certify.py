@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -329,7 +330,7 @@ def _valley_scan(
     status.append("ran")
 
     blow = _BLOW_FACTOR * max(1.0, grid_max)
-    pv = np.polynomial.polynomial.polyval2d
+    pv = np.polynomial.polynomial.polyval
     grid = np.linspace(-window, window, 257)
     lines = [
         (axis, sign * window * 0.5**k)
@@ -337,21 +338,29 @@ def _valley_scan(
         for sign in (1.0, -1.0)
         for k in range(_VALLEY_SCALES)
     ]
-    lo, hi = [], []
-    for axis, pinned in lines:
-        fixed = np.full_like(grid, pinned)
-        along = np.abs(pv(fixed, grid, den) if axis == 0 else pv(grid, fixed, den))
-        i = int(np.argmin(along))
-        lo.append(grid[max(i - 1, 0)])
-        hi.append(grid[min(i + 1, len(grid) - 1)])
-
     on_s = np.array([axis == 0 for axis, _ in lines])
+    on_t = ~on_s
     pins = np.array([pinned for _, pinned in lines])
-    minimisers = _golden_min(
-        lambda u: np.abs(pv(np.where(on_s, pins, u), np.where(on_s, u, pins), den)),
-        np.array(lo),
-        np.array(hi),
-    )
+
+    # polyval2d(s, t, den) is polyval(t, polyval(s, den), tensor=False).  The
+    # inner pass depends on s alone, so it runs once at the pinned s values
+    # and once on the s grid rather than once per line and step; every
+    # element still goes through polyval2d's floating-point operations.
+    at_pins = pv(pins, den)
+    at_grid = pv(grid, den)
+    along = np.empty((len(lines), grid.size))
+    along[on_s] = np.abs(pv(grid, at_pins[:, on_s]))
+    along[on_t] = np.abs(pv(pins[on_t], at_grid)).T
+    i = np.argmin(along, axis=1)
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, len(grid) - 1)]
+
+    def den_abs(u: np.ndarray) -> np.ndarray:
+        inner = at_pins.copy()
+        inner[:, on_t] = pv(u[on_t], den)
+        return np.abs(pv(np.where(on_s, u, pins), inner, tensor=False))
+
+    minimisers = _golden_min(den_abs, lo, hi)
     for (axis, pinned), u in zip(lines, minimisers):
         s, t = (pinned, u) if axis == 0 else (u, pinned)
         x = plane.point_at_float(s, t)
@@ -646,8 +655,13 @@ def sphere_scan(
 
     Every sphere is examined through two inversion charts so that the
     neighborhood of the origin is covered.  Results are deterministic for a
-    fixed seed and independent of `workers` (parallelism only reorders the
-    work, never the report).
+    fixed seed and independent of `workers`.
+
+    With `workers` > 1 the spheres go to a pool of that many threads, which
+    take turns: the checks hold the GIL nearly all the time, so running two
+    at once only interleaves them, at the price of thousands of GIL
+    hand-offs per second, more CPU time and a wall time that depends on how
+    the threads happen to be scheduled.
     """
     if not isinstance(f, FunctionOracle):
         raise CertifyError("the function must be an expression-backed oracle")
@@ -690,8 +704,14 @@ def sphere_scan(
         return i, _scan_one(f, sphere, p, poly_degree, tol, fit_degree)
 
     if workers > 1 and len(jobs) > 1:
+        turn = threading.Lock()
+
+        def run_in_turn(job):
+            with turn:
+                return run(job)
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            indexed = list(pool.map(run, jobs))
+            indexed = list(pool.map(run_in_turn, jobs))
     else:
         indexed = [run(j) for j in jobs]
     indexed.sort(key=lambda pair: pair[0])

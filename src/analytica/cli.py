@@ -402,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spheres", type=int, default=6, help="number of spheres to sample")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--fit-degree", type=int, default=12)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="pool threads for the sphere checks; they take turns, as the checks hold the GIL",
+    )
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_probe)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from analytica import certify
 from analytica.certify import (
     CertifyError,
     certify_near_plane,
@@ -184,6 +185,54 @@ def test_batched_golden_min_matches_scalar_search(family):
     assert np.array(scalar).tobytes() == batched.tobytes()
 
 
+@pytest.mark.parametrize(
+    "text, sphere_seed",
+    [(None, 5), ("1/(2 - x1 - x2*x3)", 5), ("x1/(x1^2 + x2^2 + x3^2 - 1/9)", 8)],
+    ids=["hartogs-f", "rational", "shell"],
+)
+def test_valley_scan_evaluates_the_denominator_like_polyval2d(monkeypatch, text, sphere_seed):
+    # the shared inner Horner pass must reproduce per-line polyval2d bit for bit
+    f = builtin_counterexample("hartogs-f") if text is None else oracle_from_text(text, 3)
+    sphere = sample_spheres(3, 1, random.Random(sphere_seed))[0]
+    g, plane = pullback_through_inversion(f, sphere)
+    dens, calls = [], []
+    pullback = certify._pullback_fraction
+    monkeypatch.setattr(
+        certify, "_pullback_fraction", lambda *a, **k: dens.append(pullback(*a, **k)) or dens[-1]
+    )
+    monkeypatch.setattr(
+        certify, "_golden_min", lambda fn, lo, hi: calls.append((fn, lo, hi)) or 0.5 * (lo + hi)
+    )
+    window = 0.05
+    status = []
+    _valley_scan(g, plane, window, 1.0, status)
+    assert status == ["ran"]
+    ((_, den),), ((fn, lo, hi),) = dens, calls
+    assert den.shape[0] > 2 and den.shape[1] > 2
+
+    pv2 = np.polynomial.polynomial.polyval2d
+    grid = np.linspace(-window, window, 257)
+    lines = [
+        (axis, sign * window * 0.5**k) for axis in (0, 1) for sign in (1.0, -1.0) for k in range(15)
+    ]
+    want_lo, want_hi = [], []
+    for axis, pinned in lines:
+        fixed = np.full_like(grid, pinned)
+        along = np.abs(pv2(fixed, grid, den) if axis == 0 else pv2(grid, fixed, den))
+        i = int(np.argmin(along))
+        want_lo.append(grid[max(i - 1, 0)])
+        want_hi.append(grid[min(i + 1, len(grid) - 1)])
+    assert np.array(want_lo).tobytes() == lo.tobytes()
+    assert np.array(want_hi).tobytes() == hi.tobytes()
+
+    on_s = np.array([axis == 0 for axis, _ in lines])
+    pins = np.array([pinned for _, pinned in lines])
+    rng = np.random.default_rng(7)
+    for u in (lo, hi, 0.5 * (lo + hi), rng.uniform(-window, window, len(lines))):
+        want = np.abs(pv2(np.where(on_s, pins, u), np.where(on_s, u, pins), den))
+        assert want.tobytes() == fn(u).tobytes()
+
+
 def test_plane_translate_slices_of_hartogs():
     f = builtin_counterexample("hartogs-f")
     for c in (Fraction(1, 10), Fraction(1, 2)):
@@ -279,6 +328,26 @@ def test_scan_reports_identical_across_workers():
     a = sphere_scan(f, count=4, seed=123, workers=1)
     b = sphere_scan(f, count=4, seed=123, workers=3)
     assert dumps(scan_report_to_data(a)) == dumps(scan_report_to_data(b))
+
+
+def test_scan_workers_take_turns(monkeypatch):
+    # the checks hold the GIL, so pool threads must not run them at once
+    running, most = [0], [0]
+    scan_one = certify._scan_one
+
+    def counted(*args):
+        running[0] += 1
+        most[0] = max(most[0], running[0])
+        try:
+            return scan_one(*args)
+        finally:
+            running[0] -= 1
+
+    monkeypatch.setattr(certify, "_scan_one", counted)
+    f = oracle_from_text("1/(2-x1)", 3)
+    report = sphere_scan(f, count=4, seed=5, workers=4)
+    assert report.checked == 4
+    assert most[0] == 1
 
 
 def test_scan_with_explicit_spheres():
