@@ -17,6 +17,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # name -> (argv without --out, expected exit code)
 CASES = {
     "probe-hartogs": (["probe", "--builtin", "hartogs-f", "--spheres", "2", "--seed", "11"], 2),
+    "probe-curve": (["probe", "--builtin", "curve-g", "--spheres", "2", "--seed", "11"], 2),
     "probe-rational": (["probe", "--expr", "1/(2 - x1 - x2*x3)", "--spheres", "2", "--seed", "2718"], 0),
     "probe-polynomial": (
         ["probe", "--expr", "x1^2 + x2*x3 - 3/4*x1*x3^2", "--spheres", "3", "--seed", "7"], 0
