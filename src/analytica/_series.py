@@ -9,7 +9,6 @@ denominator is known to be nonzero at 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,10 +126,6 @@ class RationalFunction:
     @classmethod
     def constant(cls, c) -> "RationalFunction":
         return cls(p_const(c), [ONE], reduce=False)
-
-    @classmethod
-    def variable(cls) -> "RationalFunction":
-        return cls([ZERO, ONE], [ONE], reduce=False)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RationalFunction":

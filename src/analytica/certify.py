@@ -21,6 +21,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +37,6 @@ from .geometry import (
     GeometryError,
     PoleError,
     SphereThroughOrigin,
-    VectorPlane2,
     invert_mu,
     invert_mu_centered,
     norm_sq,
@@ -48,16 +48,18 @@ from .oracle import (
     Add,
     Const,
     Div,
-    Expression,
     FunctionOracle,
     Mul,
     Neg,
     Pow,
+    Program,
     Sub,
     Var,
     degree_bound,
     evaluate_oracle,
+    fold,
     substitute,
+    to_float,
     translate,
 )
 from .taylor import build_tower, line_convergence_radius
@@ -222,58 +224,55 @@ def _poly2_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pullback_fraction(e: Expression, var_polys: list[np.ndarray], cap: int):
+def _pullback_fraction(e: Program, var_polys: list[np.ndarray], cap: int):
     """Float numerator/denominator coefficient arrays (in the chart
-    coordinates s, t) for an expression pulled back to a plane."""
+    coordinates s, t) for a compiled expression pulled back to a plane."""
     one = np.ones((1, 1))
+    mul = partial(_poly2_mul, cap=cap)
 
-    def norm(pair):
-        n, d = pair
+    def norm(n, d):
         m = max(float(np.max(np.abs(n))), float(np.max(np.abs(d))))
         if m > 1e120 or (0.0 < m < 1e-120):
             n = n / m
             d = d / m
         return n, d
 
-    def rec(node) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(node, Const):
-            return np.array([[float(node.value)]]), one
-        if isinstance(node, Var):
-            return var_polys[node.index - 1], one
-        if isinstance(node, Neg):
-            n, d = rec(node.arg)
-            return -n, d
-        if isinstance(node, (Add, Sub)):
-            n1, d1 = rec(node.left)
-            n2, d2 = rec(node.right)
-            t2 = _poly2_mul(n2, d1, cap)
-            if isinstance(node, Sub):
-                t2 = -t2
-            return norm((_poly2_add(_poly2_mul(n1, d2, cap), t2), _poly2_mul(d1, d2, cap)))
-        if isinstance(node, Mul):
-            n1, d1 = rec(node.left)
-            n2, d2 = rec(node.right)
-            return norm((_poly2_mul(n1, n2, cap), _poly2_mul(d1, d2, cap)))
-        if isinstance(node, Div):
-            n1, d1 = rec(node.left)
-            n2, d2 = rec(node.right)
-            if not np.any(n2):
-                raise _ScanCap("skipped-zero-divisor")
-            return norm((_poly2_mul(n1, d2, cap), _poly2_mul(d1, n2, cap)))
-        if isinstance(node, Pow):
-            n, d = rec(node.base)
-            rn, rd = one, one
-            k = node.exponent
-            while k:
-                if k & 1:
-                    rn, rd = norm((_poly2_mul(rn, n, cap), _poly2_mul(rd, d, cap)))
-                k >>= 1
-                if k:
-                    n, d = norm((_poly2_mul(n, n, cap), _poly2_mul(d, d, cap)))
-            return rn, rd
-        raise TypeError(f"not an expression node: {node!r}")
+    def add(negate):
+        def step(a, b):
+            (n1, d1), (n2, d2) = a, b
+            t2 = mul(n2, d1)
+            return norm(_poly2_add(mul(n1, d2), -t2 if negate else t2), mul(d1, d2))
 
-    return rec(e)
+        return step
+
+    def div(a, b):
+        (n1, d1), (n2, d2) = a, b
+        if not np.any(n2):
+            raise _ScanCap("skipped-zero-divisor")
+        return norm(mul(n1, d2), mul(d1, n2))
+
+    def power(a, k):
+        n, d = a
+        rn, rd = one, one
+        while k:
+            if k & 1:
+                rn, rd = norm(mul(rn, n), mul(rd, d))
+            k >>= 1
+            if k:
+                n, d = norm(mul(n, n), mul(d, d))
+        return rn, rd
+
+    algebra = {
+        Const: lambda v: (np.array([[to_float(v)]]), one),
+        Var: lambda i: (var_polys[i - 1], one),
+        Neg: lambda a: (-a[0], a[1]),
+        Add: add(False),
+        Sub: add(True),
+        Mul: lambda a, b: norm(mul(a[0], b[0]), mul(a[1], b[1])),
+        Div: div,
+        Pow: power,
+    }
+    return fold(e, algebra)[-1]
 
 
 def _golden_min(
@@ -320,7 +319,7 @@ def _valley_scan(
         np.array([[base[i], b2[i]], [b1[i], 0.0]]) for i in range(len(base))
     ]
     try:
-        _, den = _pullback_fraction(f.expression, var_polys, cap=65)
+        _, den = _pullback_fraction(f.program, var_polys, cap=65)
     except _ScanCap as exc:
         status.append(exc.args[0])
         return None
@@ -445,13 +444,6 @@ def check_plane_analytic(
 # sphere restrictions via inversions
 
 
-def _sum_of_squares(terms: list[Expression]) -> Expression:
-    acc: Expression = terms[0]
-    for t in terms[1:]:
-        acc = Add(acc, t)
-    return acc
-
-
 def pullback_through_inversion(f: FunctionOracle, sphere: SphereThroughOrigin):
     """The composition f(mu(y)) with mu(y) = y/|y|^2, together with the
     plane that mu maps the sphere onto.  The plane stays away from the
@@ -459,7 +451,7 @@ def pullback_through_inversion(f: FunctionOracle, sphere: SphereThroughOrigin):
     n = f.dimension
     if sphere.dimension != n:
         raise CertifyError("sphere and function dimensions differ")
-    q = _sum_of_squares([Pow(Var(i), 2) for i in range(1, n + 1)])
+    q = reduce(Add, [Pow(Var(i), 2) for i in range(1, n + 1)])
     mapping = {i: Div(Var(i), q) for i in range(1, n + 1)}
     expr = substitute(f.expression, mapping)
     guard = None
@@ -484,7 +476,7 @@ def pullback_through_centered_inversion(
     if not sphere.contains(p):
         raise CertifyError("the inversion center must lie on the sphere")
 
-    q = _sum_of_squares([Pow(Sub(Var(i), Const(p[i - 1])), 2) for i in range(1, n + 1)])
+    q = reduce(Add, [Pow(Sub(Var(i), Const(p[i - 1])), 2) for i in range(1, n + 1)])
     mapping = {
         i: Add(Div(Sub(Var(i), Const(p[i - 1])), q), Const(p[i - 1]))
         for i in range(1, n + 1)

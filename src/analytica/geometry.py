@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import _linalg as la
-from ._linalg import Fraction as _F  # noqa: F401  (re-export convenience)
 from ._linalg import InconsistentSystemError, Mat, SingularMatrixError, Vec, frac, vec
 
 

@@ -20,6 +20,8 @@ non-negative integers at parse time.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -253,172 +255,205 @@ def parse_expression(text: str, dimension: int) -> Expression:
 
 
 # ---------------------------------------------------------------------------
+# compiled programs
+
+# A program is a tuple of ops (kind, args, payload), operands first: kind is
+# the node class, args are the slots of its operands, and payload is the
+# constant, the variable index, the exponent, or None.
+Program = tuple
+
+
+def compile_expression(e: Expression) -> Program:
+    """The expression as a hash-consed post-order program, left operands
+    before right ones.  Structurally equal subtrees share one op, so the
+    |y|^2 that an inversion pullback repeats for every variable is one op.
+    This is the only place that dispatches on node types."""
+    ops: list = []
+    slots: dict = {}
+    seen: dict[int, int] = {}  # id(node) -> slot, for trees that share nodes
+
+    def visit(node) -> int:
+        slot = seen.get(id(node))
+        if slot is not None:
+            return slot
+        if isinstance(node, Const):
+            op = (Const, (), node.value)
+        elif isinstance(node, Var):
+            op = (Var, (), node.index)
+        elif isinstance(node, Neg):
+            op = (Neg, (visit(node.arg),), None)
+        elif isinstance(node, Pow):
+            op = (Pow, (visit(node.base),), node.exponent)
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            op = (type(node), (visit(node.left), visit(node.right)), None)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        slot = slots.get(op)
+        if slot is None:
+            slot = slots[op] = len(ops)
+            ops.append(op)
+        seen[id(node)] = slot
+        return slot
+
+    visit(e)
+    return tuple(ops)
+
+
+def fold(program: Program, algebra: dict) -> list:
+    """Run the program in an algebra.  algebra[kind] is called the way the
+    node class is: with the operand values, then the payload if there is
+    one.  Returns every op's value in program order; the root's is last."""
+    values: list = []
+    push = values.append
+    for kind, args, payload in program:
+        step = algebra[kind]
+        if len(args) == 2:
+            push(step(values[args[0]], values[args[1]]))
+        elif not args:
+            push(step(payload))
+        elif payload is None:
+            push(step(values[args[0]]))
+        else:
+            push(step(values[args[0]], payload))
+    return values
+
+
+# ---------------------------------------------------------------------------
 # printing
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
-def _level(e: Expression) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(e, Neg):
-        return _LEVEL_NEG
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    if isinstance(e, Const) and e.value.denominator != 1:
-        return _LEVEL_MUL  # prints as p/q
-    return _LEVEL_ATOM
+def _wrap(operand: tuple[str, int], minimum: int) -> str:
+    text, level = operand
+    return f"({text})" if level < minimum else text
+
+
+def _infix(symbol: str, level: int, right_minimum: int):
+    return lambda a, b: (f"{_wrap(a, level)} {symbol} {_wrap(b, right_minimum)}", level)
+
+
+_TEXT = {  # values: (text, precedence level); a p/q literal binds like a quotient
+    Const: lambda v: (str(v), _LEVEL_ATOM if v.denominator == 1 else _LEVEL_MUL),
+    Var: lambda i: (f"x{i}", _LEVEL_ATOM),
+    Neg: lambda a: ("-" + _wrap(a, _LEVEL_NEG), _LEVEL_NEG),
+    Add: _infix("+", _LEVEL_ADD, _LEVEL_MUL),
+    Sub: _infix("-", _LEVEL_ADD, _LEVEL_MUL),
+    Mul: _infix("*", _LEVEL_MUL, _LEVEL_NEG),
+    Div: _infix("/", _LEVEL_MUL, _LEVEL_NEG),
+    Pow: lambda a, k: (f"{_wrap(a, _LEVEL_ATOM)}^{k}", _LEVEL_POW),
+}
 
 
 def to_text(e: Expression) -> str:
     """Canonical rendering; parsing the output reproduces any parser-built
     tree.  Division is spaced ("a / b") so it never fuses with adjacent
     digits into a rational literal; only literals print as "p/q"."""
-
-    def wrap(child: Expression, minimum: int) -> str:
-        s = to_text(child)
-        return f"({s})" if _level(child) < minimum else s
-
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Neg):
-        return "-" + wrap(e.arg, _LEVEL_NEG)
-    if isinstance(e, Add):
-        return f"{wrap(e.left, _LEVEL_ADD)} + {wrap(e.right, _LEVEL_MUL)}"
-    if isinstance(e, Sub):
-        return f"{wrap(e.left, _LEVEL_ADD)} - {wrap(e.right, _LEVEL_MUL)}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.left, _LEVEL_MUL)} * {wrap(e.right, _LEVEL_NEG)}"
-    if isinstance(e, Div):
-        return f"{wrap(e.left, _LEVEL_MUL)} / {wrap(e.right, _LEVEL_NEG)}"
-    if isinstance(e, Pow):
-        return f"{wrap(e.base, _LEVEL_ATOM)}^{e.exponent}"
-    raise TypeError(f"not an expression node: {e!r}")
+    return fold(compile_expression(e), _TEXT)[-1][0]
 
 
 # ---------------------------------------------------------------------------
-# analysis and evaluation
+# analysis, substitution and evaluation
+
+def _defined(op):
+    return lambda *xs: None if None in xs else op(*xs)
+
+
+_CONSTANT = {  # values: the rational value, or None
+    Const: lambda v: v,
+    Var: lambda i: None,
+    Neg: _defined(operator.neg),
+    Add: _defined(operator.add),
+    Sub: _defined(operator.sub),
+    Mul: _defined(operator.mul),
+    Div: lambda a, b: None if a is None or not b else a / b,
+    Pow: _defined(operator.pow),
+}
+
+_DEGREE = {
+    Const: lambda v: 0,
+    Var: lambda i: 1,
+    Neg: lambda a: a,
+    Add: max,
+    Sub: max,
+    Mul: operator.add,
+    Div: lambda a, b: a,
+    Pow: operator.mul,
+}
+
 
 def constant_value(e: Expression) -> Fraction | None:
     """Fold to a rational constant, or None when variables occur or a
     constant subexpression divides by zero."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return None
-    if isinstance(e, Neg):
-        v = constant_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, Pow):
-        v = constant_value(e.base)
-        return None if v is None else v ** e.exponent
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a = constant_value(e.left)
-        b = constant_value(e.right)
-        if a is None or b is None:
-            return None
-        if isinstance(e, Add):
-            return a + b
-        if isinstance(e, Sub):
-            return a - b
-        if isinstance(e, Mul):
-            return a * b
-        if b == 0:
-            return None
-        return a / b
-    raise TypeError(f"not an expression node: {e!r}")
+    return fold(compile_expression(e), _CONSTANT)[-1]
 
 
 def degree_bound(e: Expression) -> int | None:
     """Total-degree bound when e is polynomial (all divisors fold to nonzero
     constants); None otherwise."""
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, Var):
-        return 1
-    if isinstance(e, Neg):
-        return degree_bound(e.arg)
-    if isinstance(e, Pow):
-        d = degree_bound(e.base)
-        return None if d is None else d * e.exponent
-    if isinstance(e, (Add, Sub)):
-        a, b = degree_bound(e.left), degree_bound(e.right)
-        return None if a is None or b is None else max(a, b)
-    if isinstance(e, Mul):
-        a, b = degree_bound(e.left), degree_bound(e.right)
-        return None if a is None or b is None else a + b
-    if isinstance(e, Div):
-        denom = constant_value(e.right)
-        if denom is None or denom == 0:
-            return None
-        return degree_bound(e.left)
-    raise TypeError(f"not an expression node: {e!r}")
+    program = compile_expression(e)
+    constants = fold(program, _CONSTANT)
+    if any(kind is Div and not constants[args[1]] for kind, args, _ in program):
+        return None
+    return fold(program, _DEGREE)[-1]
 
 
 def is_polynomial(e: Expression) -> bool:
     return degree_bound(e) is not None
 
 
-def _eval(e: Expression, point: Sequence, exact: bool):
-    if isinstance(e, Const):
-        return e.value if exact else float(e.value)
-    if isinstance(e, Var):
-        return point[e.index - 1]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, point, exact)
-    if isinstance(e, Add):
-        return _eval(e.left, point, exact) + _eval(e.right, point, exact)
-    if isinstance(e, Sub):
-        return _eval(e.left, point, exact) - _eval(e.right, point, exact)
-    if isinstance(e, Mul):
-        return _eval(e.left, point, exact) * _eval(e.right, point, exact)
-    if isinstance(e, Div):
-        denom = _eval(e.right, point, exact)
-        if denom == 0:
-            raise PoleError("division by zero", point)
-        return _eval(e.left, point, exact) / denom
-    if isinstance(e, Pow):
-        return _eval(e.base, point, exact) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def substitute(e: Expression, mapping: dict[int, Expression]) -> Expression:
     """Replace variables by expressions (indices absent from the mapping are
-    kept)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.index, e)
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping))
-    if isinstance(e, Add):
-        return Add(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Div):
-        return Div(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, mapping), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    kept).  Subexpressions shared in the program stay shared in the result."""
+    rebuild = {kind: kind for kind in (Const, Neg, Add, Sub, Mul, Div, Pow)}
+    return fold(compile_expression(e), {**rebuild, Var: lambda i: mapping.get(i, Var(i))})[-1]
+
+
+# Python's operators on the operand values: exact evaluation over Fractions,
+# and the base of the float and line algebras.  Evaluation stays scalar, op by
+# op.  A division by an exact zero raises ZeroDivisionError for Fractions and
+# floats alike.
+ARITHMETIC = {
+    Const: lambda v: v,
+    Neg: operator.neg,
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Pow: operator.pow,
+}
+
+
+def to_float(value) -> float:
+    """float(value), going to +-inf beyond binary64 range as a product does."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _float_pow(a: float, k: int) -> float:
+    try:
+        return a**k
+    except OverflowError:
+        return math.copysign(math.inf, a) if k % 2 else math.inf
+
+
+_FLOAT = {**ARITHMETIC, Const: to_float, Pow: _float_pow}
 
 
 @dataclass(frozen=True)
 class FunctionOracle:
     """A rational expression in n variables with an optional guard: a single
     point where the expression may be undefined but the function value is
-    pinned explicitly."""
+    pinned explicitly.  `program` holds the compiled expression."""
 
     expression: Expression
     dimension: int
     guard: tuple[tuple[Fraction, ...], Fraction] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "program", compile_expression(self.expression))
         if self.guard is not None:
             point, value = self.guard
             point = tuple(frac(x) for x in point)
@@ -447,16 +482,21 @@ def evaluate_oracle(f: FunctionOracle, point: Sequence, mode: str = "exact"):
             f"point has length {len(point)}, oracle dimension is {f.dimension}"
         )
     if mode == "exact":
-        p = tuple(frac(x) for x in point)
+        p = tuple(map(frac, point))
         if f.guard is not None and p == f.guard[0]:
             return f.guard[1]
-        return _eval(f.expression, p, exact=True)
-    if mode == "float":
-        p = tuple(float(x) for x in point)
-        if f.guard is not None and p == tuple(float(x) for x in f.guard[0]):
+        algebra = ARITHMETIC
+    elif mode == "float":
+        p = tuple(map(float, point))
+        if f.guard is not None and p == tuple(map(float, f.guard[0])):
             return float(f.guard[1])
-        return _eval(f.expression, p, exact=False)
-    raise OracleError(f"unknown evaluation mode {mode!r}")
+        algebra = _FLOAT
+    else:
+        raise OracleError(f"unknown evaluation mode {mode!r}")
+    try:
+        return fold(f.program, {**algebra, Var: lambda i: p[i - 1]})[-1]
+    except ZeroDivisionError:
+        raise PoleError("division by zero", p) from None
 
 
 def translate(f: FunctionOracle, base: Sequence) -> FunctionOracle:

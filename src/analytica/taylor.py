@@ -20,18 +20,7 @@ from ._linalg import Vec, vec
 from .forms import HomogeneousForm, TaylorTower, zero_form
 from .geometry import Cone, PoleError
 from .interpolation import ConeSampleSet, ReconstructionError, reconstruct_form_from_cone
-from .oracle import (
-    Add,
-    Const,
-    Div,
-    Expression,
-    FunctionOracle,
-    Mul,
-    Neg,
-    Pow,
-    Sub,
-    Var,
-)
+from .oracle import ARITHMETIC, Const, FunctionOracle, Program, Var, fold
 
 
 class TaylorError(ValueError):
@@ -55,40 +44,21 @@ class RadialJet:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def error_bound(self) -> float:
-        return max(self.bounds, default=0.0)
 
-    def series_coefficients(self) -> tuple:
-        """Taylor coefficients c_r = tau_r / r!."""
-        return tuple(c / math.factorial(r) for r, c in enumerate(self.coefficients))
-
-
-def _line_rational(e: Expression, base: Sequence[Fraction], direction: Sequence[Fraction]) -> rs.RationalFunction:
-    """Substitute x_i := base_i + t * direction_i, collapsing the expression
-    to a single rational function of t."""
-    if isinstance(e, Const):
-        return rs.RationalFunction.constant(e.value)
-    if isinstance(e, Var):
-        i = e.index - 1
-        return rs.RationalFunction.from_poly(rs.p_normalize([base[i], direction[i]]))
-    if isinstance(e, Neg):
-        return -_line_rational(e.arg, base, direction)
-    if isinstance(e, Add):
-        return _line_rational(e.left, base, direction) + _line_rational(e.right, base, direction)
-    if isinstance(e, Sub):
-        return _line_rational(e.left, base, direction) - _line_rational(e.right, base, direction)
-    if isinstance(e, Mul):
-        return _line_rational(e.left, base, direction) * _line_rational(e.right, base, direction)
-    if isinstance(e, Div):
-        den = _line_rational(e.right, base, direction)
-        try:
-            return _line_rational(e.left, base, direction) / den
-        except ZeroDivisionError:
-            raise PoleError("the whole line lies inside a zero divisor", tuple(base)) from None
-    if isinstance(e, Pow):
-        return _line_rational(e.base, base, direction) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+def _line_rational(
+    program: Program, base: Sequence[Fraction], direction: Sequence[Fraction]
+) -> rs.RationalFunction:
+    """Substitute x_i := base_i + t * direction_i in the program, collapsing
+    it to a single rational function of t."""
+    algebra = {
+        **ARITHMETIC,
+        Const: rs.RationalFunction.constant,
+        Var: lambda i: rs.RationalFunction.from_poly(rs.p_normalize([base[i - 1], direction[i - 1]])),
+    }
+    try:
+        return fold(program, algebra)[-1]
+    except ZeroDivisionError:
+        raise PoleError("the whole line lies inside a zero divisor", tuple(base)) from None
 
 
 def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: int) -> list[Fraction]:
@@ -104,7 +74,7 @@ def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: i
     p = vec(direction)
     if len(b) != f.dimension or len(p) != f.dimension:
         raise TaylorError("base or direction dimension mismatch")
-    r = _line_rational(f.expression, b, p)
+    r = _line_rational(f.program, b, p)
     try:
         coeffs = r.series(order)
     except ZeroDivisionError:

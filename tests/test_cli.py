@@ -124,6 +124,16 @@ def test_discontinuous_guard_exits_as_a_failure(capsys):
         assert len(fl["witness"]) == 3
 
 
+@pytest.mark.parametrize(
+    "expr", ["x1/(10^400 + x2)", "x1/(1" + "0" * 400 + " + x2)"], ids=["power", "literal"]
+)
+def test_probe_overflow_is_a_report_not_a_crash(expr, capsys):
+    # a constant beyond binary64 range evaluates to inf, as an overflowing product does
+    code = run(["probe", "--expr", expr, "--spheres", "1", "--seed", "1"])
+    assert code in (0, 2)
+    assert json.loads(capsys.readouterr().out)["checked"] == 1
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 

@@ -1,17 +1,30 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
 
+from analytica.certify import (
+    pullback_through_centered_inversion,
+    pullback_through_inversion,
+    sample_spheres,
+)
 from analytica.geometry import PoleError
 from analytica.oracle import (
+    Add,
     Const,
+    Div,
+    Mul,
+    Neg,
     OracleError,
     ParseError,
+    Pow,
+    Sub,
     Var,
     builtin_counterexample,
+    compile_expression,
     degree_bound,
     evaluate_oracle,
     is_polynomial,
@@ -203,3 +216,99 @@ def test_builtin_rejects_unknown_name_and_bad_dimension():
         builtin_counterexample("nope")
     with pytest.raises(OracleError):
         builtin_counterexample("curve-g", 4)
+
+
+# ---------------------------------------------------------------------------
+# the compiled program against the tree walker it replaced
+
+
+def _eval(e, point, exact: bool):
+    if isinstance(e, Const):
+        return e.value if exact else float(e.value)
+    if isinstance(e, Var):
+        return point[e.index - 1]
+    if isinstance(e, Neg):
+        return -_eval(e.arg, point, exact)
+    if isinstance(e, Add):
+        return _eval(e.left, point, exact) + _eval(e.right, point, exact)
+    if isinstance(e, Sub):
+        return _eval(e.left, point, exact) - _eval(e.right, point, exact)
+    if isinstance(e, Mul):
+        return _eval(e.left, point, exact) * _eval(e.right, point, exact)
+    if isinstance(e, Div):
+        denom = _eval(e.right, point, exact)
+        if denom == 0:
+            raise PoleError("division by zero", point)
+        return _eval(e.left, point, exact) / denom
+    if isinstance(e, Pow):
+        return _eval(e.base, point, exact) ** e.exponent
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+_PULLED_BACK = {
+    "hartogs-f": builtin_counterexample("hartogs-f"),
+    "curve-g": builtin_counterexample("curve-g"),
+    "rational": oracle_from_text("1/(2 - x1 - x2*x3)", 3),
+    "shell": oracle_from_text("x1/(x1^2 + x2^2 + x3^2 - 1/9)", 3),
+}
+
+
+def _pullback(name, chart):
+    rng = random.Random(311)
+    sphere = sample_spheres(3, 1, rng)[0]
+    f = _PULLED_BACK[name]
+    if chart == "origin":
+        return pullback_through_inversion(f, sphere)[0]
+    p = next(q for q in sphere.sample_points(4, rng) if any(q))
+    return pullback_through_centered_inversion(f, sphere, p)[0]
+
+
+def _outcome(evaluate, *args):
+    try:
+        return repr(evaluate(*args))
+    except PoleError as exc:
+        return ("pole", exc.point)
+
+
+@pytest.mark.parametrize("chart", ["origin", "point"])
+@pytest.mark.parametrize("name", sorted(_PULLED_BACK))
+def test_program_evaluates_like_the_tree_walker(name, chart):
+    g = _pullback(name, chart)
+    rng = random.Random(312)
+    for _ in range(1000):
+        p = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
+        assert _outcome(evaluate_oracle, g, p, "float") == _outcome(_eval, g.expression, p, False)
+    poles = 0
+    for _ in range(1000):
+        p = rand_point(rng, 3, bound=9)
+        want = _outcome(_eval, g.expression, p, True)
+        assert _outcome(evaluate_oracle, g, p) == want
+        poles += isinstance(want, tuple)
+    assert poles < 100
+
+
+def test_program_and_tree_walker_raise_the_same_pole():
+    g = _pullback("hartogs-f", "origin")  # |y|^2 divides every coordinate
+    for mode, zero in (("exact", Fraction(0)), ("float", 0.0)):
+        point = (zero,) * 3
+        with pytest.raises(PoleError) as new:
+            evaluate_oracle(g, point, mode=mode)
+        with pytest.raises(PoleError) as old:
+            _eval(g.expression, point, mode == "exact")
+        assert new.value.point == old.value.point == point
+        assert str(new.value) == str(old.value)
+
+
+def test_equal_subtrees_share_one_op():
+    program = compile_expression(parse_expression("x1^2 + x1^2", 1))
+    assert program == ((Var, (), 1), (Pow, (0,), 2), (Add, (1, 1), None))
+
+
+def test_inversion_pullback_holds_the_squared_norm_once():
+    g = _pullback("hartogs-f", "origin")
+    squared_norm = compile_expression(reduce(Add, [Pow(Var(i), 2) for i in (1, 2, 3)]))
+    assert g.program[: len(squared_norm)] == squared_norm
+    assert sum(1 for kind, _, payload in g.program if kind is Pow and payload == 2) == 3
+    divisors = [args[1] for kind, args, _ in g.program if kind is Div]
+    assert divisors.count(len(squared_norm) - 1) == 3
+    assert len(g.program) == 19  # the tree has 68 nodes
