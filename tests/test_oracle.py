@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from typing import Sequence
 
 import pytest
 import sympy
@@ -16,6 +17,7 @@ from analytica.oracle import (
     Add,
     Const,
     Div,
+    Expression,
     Mul,
     Neg,
     OracleError,
@@ -219,10 +221,10 @@ def test_builtin_rejects_unknown_name_and_bad_dimension():
 
 
 # ---------------------------------------------------------------------------
-# the compiled program against the tree walker it replaced
+# the compiled program against the tree walker it replaced (a verbatim copy)
 
 
-def _eval(e, point, exact: bool):
+def _eval(e: Expression, point: Sequence, exact: bool):
     if isinstance(e, Const):
         return e.value if exact else float(e.value)
     if isinstance(e, Var):
