@@ -13,6 +13,7 @@ import pytest
 from analytica import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+FORM_N4_D4 = str(pathlib.Path(__file__).parent / "data" / "form-n4-d4.json")
 
 # name -> (argv without --out, expected exit code)
 CASES = {
@@ -24,6 +25,13 @@ CASES = {
     ),
     "tower-geometric": (
         ["tower", "--expr", "1/(1 - x1)", "--order", "8", "--eta", "1/2", "--seed", "5"], 0
+    ),
+    "tower-polynomial": (
+        ["tower", "--expr", "x1^3 - 2*x1*x2 + 3/5*x2*x3^3 + 1", "--order", "6", "--seed", "9"], 0
+    ),
+    "cone-exact": (["reconstruct", "cone", "--input", FORM_N4_D4, "--seed", "3"], 0),
+    "cone-exact-low-degree": (
+        ["reconstruct", "cone", "--input", FORM_N4_D4, "--degree", "3", "--seed", "3"], 2
     ),
     "counterexample-hartogs": (["counterexamples", "--name", "hartogs-f", "--seed", "5"], 2),
     "counterexample-curve": (["counterexamples", "--name", "curve-g", "--seed", "5"], 2),
