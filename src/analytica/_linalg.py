@@ -126,6 +126,58 @@ def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
     return tuple(x)
 
 
+class Elimination:
+    """Forward elimination one row at a time, kept so it can solve.
+
+    `add` reduces a row against the rows kept so far, in the order they were
+    kept, and keeps it when something nonzero is left.  Each kept row stores
+    its lead column, its reduced form and the multipliers that reduced it, so
+    the kept rows factor as (unit lower triangular) x (reduced rows) and
+    `solve` only applies the multipliers to the right-hand side and
+    back-substitutes.  A reduced row is zero in the lead columns of the rows
+    kept before it.
+    """
+
+    def __init__(self) -> None:
+        self._kept: list[tuple[int, list[Fraction], list[tuple[int, Fraction]]]] = []
+
+    def add(self, row: Sequence[Fraction]) -> bool:
+        """Keep the row if it is independent of the kept rows."""
+        row = list(row)
+        multipliers = []
+        for k, (lead, piv, _) in enumerate(self._kept):
+            if row[lead] != 0:
+                f = row[lead] / piv[lead]
+                row = [a - f * b if b else a for a, b in zip(row, piv)]
+                multipliers.append((k, f))
+        lead = next((i for i, c in enumerate(row) if c != 0), None)
+        if lead is None:
+            return False
+        self._kept.append((lead, row, multipliers))
+        return True
+
+    def solve(self, b: Sequence) -> Vec:
+        """The unique x with (kept rows) x = b, entries of b in the order
+        their rows were kept.  The kept rows must form a square matrix."""
+        if len(b) != len(self._kept):
+            raise LinAlgError("right-hand side length mismatch")
+        ncols = len(self._kept[0][1]) if self._kept else 0
+        if len(self._kept) != ncols:
+            raise SingularMatrixError("kept rows do not form a square nonsingular matrix")
+        y: list[Fraction] = []
+        for (_, _, multipliers), v in zip(self._kept, b):
+            v = frac(v)
+            for k, f in multipliers:
+                v -= f * y[k]
+            y.append(v)
+        # x is zero in the lead columns not yet solved, so the full dot product
+        # only picks up the leads of rows kept later
+        x = [ZERO] * ncols
+        for (lead, row, _), v in zip(reversed(self._kept), reversed(y)):
+            x[lead] = (v - sum((a * c for a, c in zip(row, x) if a and c), ZERO)) / row[lead]
+        return tuple(x)
+
+
 def inverse(m: Mat) -> Mat:
     n = len(m)
     if any(len(r) != n for r in m):

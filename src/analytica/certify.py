@@ -82,9 +82,11 @@ class PlaneReport:
 
     `falsifier` says what became of the denominator-valley falsifier:
     "ran"; "skipped-cap" (the pulled-back denominator outgrew the size cap);
-    "skipped-zero-divisor" (a divisor pulled back to zero); "constant-
-    denominator" (no valleys to walk); or "off" (the exact route, scan=False,
-    or a fit that already failed).  It is not part of the JSON reports."""
+    "skipped-zero-divisor" (a divisor pulled back to zero);
+    "skipped-nonfinite" (a coefficient of the pullback overflowed or turned
+    NaN); "constant-denominator" (no valleys to walk); or "off" (the exact
+    route, scan=False, or a fit that already failed).  It is not part of the
+    JSON reports."""
 
     plane: AffinePlane2
     verdict: str
@@ -200,7 +202,8 @@ def _cheb_fit(f: FunctionOracle, plane: AffinePlane2, window: float, fit_degree:
 
 class _ScanCap(Exception):
     """The valley denominator cannot be built; args[0] is the falsifier
-    status to report ("skipped-cap" or "skipped-zero-divisor")."""
+    status to report ("skipped-cap", "skipped-zero-divisor" or
+    "skipped-nonfinite")."""
 
 
 def _poly2_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
@@ -226,7 +229,9 @@ def _poly2_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pullback_fraction(e: Program, var_polys: list[np.ndarray], cap: int):
     """Float numerator/denominator coefficient arrays (in the chart
-    coordinates s, t) for a compiled expression pulled back to a plane."""
+    coordinates s, t) for a compiled expression pulled back to a plane.
+    A coefficient that overflows or turns NaN (an infinite constant makes
+    every operation on it do so) raises _ScanCap("skipped-nonfinite")."""
     one = np.ones((1, 1))
     mul = partial(_poly2_mul, cap=cap)
 
@@ -272,7 +277,11 @@ def _pullback_fraction(e: Program, var_polys: list[np.ndarray], cap: int):
         Div: div,
         Pow: power,
     }
-    return fold(e, algebra)[-1]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return fold(e, algebra)[-1]
+    except FloatingPointError:
+        raise _ScanCap("skipped-nonfinite") from None
 
 
 def _golden_min(
@@ -310,11 +319,9 @@ def _valley_scan(
     All lines are searched in one batched golden-section pass; the function
     is then probed at the minimisers in line order, so the first hit is the
     one a line-by-line walk would find.  The falsifier status is appended
-    to `status`: "ran", "skipped-cap", "skipped-zero-divisor" or
-    "constant-denominator"."""
-    base = tuple(float(x) for x in plane.base_point)
-    b1 = tuple(float(x) for x in plane.basis[0])
-    b2 = tuple(float(x) for x in plane.basis[1])
+    to `status`: "ran", "skipped-cap", "skipped-zero-divisor",
+    "skipped-nonfinite" or "constant-denominator"."""
+    base, b1, b2 = plane.float_coordinates
     var_polys = [
         np.array([[base[i], b2[i]], [b1[i], 0.0]]) for i in range(len(base))
     ]

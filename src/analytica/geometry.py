@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -123,9 +124,15 @@ class AffinePlane2:
         b1, b2 = self.basis
         return tuple(x + frac(s) * u + frac(t) * v for x, u, v in zip(self.base_point, b1, b2))
 
-    def point_at_float(self, s: float, t: float) -> tuple[float, ...]:
+    @cached_property
+    def float_coordinates(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """The base point and the two directions as float tuples, converted once."""
         b1, b2 = self.basis
-        return tuple(float(x) + s * float(u) + t * float(v) for x, u, v in zip(self.base_point, b1, b2))
+        return tuple(map(float, self.base_point)), tuple(map(float, b1)), tuple(map(float, b2))
+
+    def point_at_float(self, s: float, t: float) -> tuple[float, ...]:
+        base, b1, b2 = self.float_coordinates
+        return tuple(x + s * u + t * v for x, u, v in zip(base, b1, b2))
 
     def direction_plane(self) -> VectorPlane2:
         return VectorPlane2(self.basis)

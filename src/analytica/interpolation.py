@@ -65,6 +65,14 @@ class ReconstructionError(InterpolationError):
     pass
 
 
+# cone sampling: points past degree + 1 drawn on each plane, doublings tried
+# when tilting a sample plane into the cone, and re-plans with two more
+# planes before a reconstruction gives up
+_EXTRA_PER_PLANE = 2
+_SCALE_DOUBLINGS = 64
+_MAX_RETRIES = 8
+
+
 # ---------------------------------------------------------------------------
 # one- and two-variable interpolation
 
@@ -389,10 +397,9 @@ class ConeSampleSet:
     work (for instance jets along rays) can be cached across degrees.
     """
 
-    def __init__(self, cone: Cone, rng: random.Random, scale_doublings: int = 64):
+    def __init__(self, cone: Cone, rng: random.Random):
         self.cone = cone
         self.rng = rng
-        self.scale_doublings = scale_doublings
         self._w1 = _integer_direction(cone.axis.basis[0])
         self._w2 = _integer_direction(cone.axis.basis[1])
         self._spans: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -431,7 +438,7 @@ class ConeSampleSet:
             if la.rank(la.mat((vec(self._w1), vec(self._w2), vec(u)))) != 3:
                 continue
             s = 1
-            for _ in range(self.scale_doublings):
+            for _ in range(_SCALE_DOUBLINGS):
                 b = tuple(s * mi + ui for mi, ui in zip(m, u))
                 if la.rank(la.mat((vec(a), vec(b)))) == 2 and plane_in_subcone(
                     self.cone, axis, VectorPlane2((vec(a), vec(b)))
@@ -462,17 +469,25 @@ class ConeSampleSet:
             stream.append(self._scale_into_window(raw))
         return stream[:count]
 
-    def plan(self, degree: int, extra_per_plane: int = 2) -> tuple[list[Vec], list[Vec]]:
+    def plan(self, degree: int) -> tuple[list[Vec], list[Vec], Callable[[Sequence], Vec]]:
         """Design points for one exactly-determined degree-`degree` solve,
-        plus held-out points for verification.
+        held-out points for verification, and the solve itself.
 
         Design points are picked greedily by exact rank of their monomial
-        rows, so the square system is nonsingular whenever enough planes are
-        available.  A single plane only ever contributes degree+1 useful
-        points (its restriction space is that small), and in dimension 3 the
-        product of the plane equations caps the usable rank, hence the two
-        lower bounds on the plane count.  Every skipped or surplus point is
-        held out for verification.
+        rows: each candidate row is reduced against the rows kept so far
+        (`_linalg.Elimination`) and kept when something is left, so the
+        square system is nonsingular whenever enough planes are available.
+        A single plane only ever contributes degree+1 useful points (its
+        restriction space is that small), and in dimension 3 the product of
+        the plane equations caps the usable rank, hence the two lower bounds
+        on the plane count.  Every skipped or surplus point is held out for
+        verification.
+
+        That reduction is also the factorization of the design matrix: the
+        returned `solve` maps the values at the design points, in design
+        order, to the monomial coefficients (in `monomial_basis` order) by
+        replaying it on the right-hand side and back-substituting.  It needs
+        a full design, len(design) == basis_size(n, degree).
         """
         n = self.dimension
         need = basis_size(n, degree)
@@ -482,28 +497,20 @@ class ConeSampleSet:
             planes = max(planes, degree + 1)
         self.ensure_planes(planes)
         basis = monomial_basis(n, degree)
-        streams = [self.points_on_plane(i, per + extra_per_plane) for i in range(planes)]
+        streams = [self.points_on_plane(i, per + _EXTRA_PER_PLANE) for i in range(planes)]
         design: list[Vec] = []
         held: list[Vec] = []
-        pivots: list[list[Fraction]] = []
-        for level in range(per + extra_per_plane):
+        elimination = la.Elimination()
+        for level in range(per + _EXTRA_PER_PLANE):
             for s in streams:
                 p = s[level]
-                if len(design) >= need:
-                    held.append(p)
-                    continue
-                row = [math.prod(x**e for x, e in zip(p, idx)) for idx in basis]
-                for piv in pivots:
-                    lead = next(i for i, c in enumerate(piv) if c != 0)
-                    if row[lead] != 0:
-                        factor = row[lead] / piv[lead]
-                        row = [a - factor * b for a, b in zip(row, piv)]
-                if any(c != 0 for c in row):
-                    pivots.append(row)
+                if len(design) < need and elimination.add(
+                    [math.prod(x**e for x, e in zip(p, idx)) for idx in basis]
+                ):
                     design.append(p)
                 else:
                     held.append(p)
-        return design, held
+        return design, held, elimination.solve
 
     def add_planes(self, count: int) -> None:
         self.ensure_planes(self.plane_count() + count)
@@ -537,15 +544,19 @@ def reconstruct_form_from_cone(
     rng: random.Random | None = None,
     seed: int | None = None,
     tol: float = 1e-9,
-    max_retries: int = 8,
 ) -> ReconstructionResult:
     """Recover the homogeneous form of the given degree from point values
     inside a cone.
 
     The solve uses exactly basis_size(n, degree) samples spread over 2-planes
     through the cone axis; every further generated sample is held out and
-    checked against the solution.  In exact mode the check is equality of
-    rationals; in float mode it is a relative residual against `tol`.
+    checked against the solution.  In exact mode the solve is the one that
+    `ConeSampleSet.plan` returns, so the elimination that chose the design
+    points is the only one, and the check is equality of rationals.  In
+    float mode the solve is a least-squares fit with a rank check, and the
+    check is a relative residual against `tol`.  A design that comes up
+    short, or a rank-deficient fit, re-plans on two more planes, at most
+    _MAX_RETRIES times.
     """
     if degree < 0:
         raise InterpolationError("degree must be nonnegative")
@@ -557,21 +568,14 @@ def reconstruct_form_from_cone(
         samples = ConeSampleSet(cone, rng)
     n = samples.dimension
     basis = monomial_basis(n, degree)
-
-    need = basis_size(n, degree)
-    for attempt in range(max_retries + 1):
-        design, held = samples.plan(degree)
+    need = len(basis)
+    for _ in range(_MAX_RETRIES + 1):
+        design, held, solve = samples.plan(degree)
         if len(design) < need:
             samples.add_planes(2)
             continue
         if mode == "exact":
-            rows = la.mat(tuple(math.prod(x**e for x, e in zip(p, idx)) for idx in basis) for p in design)
-            rhs = [frac(value_fn(p)) for p in design]
-            try:
-                coeffs = la.solve(rows, rhs)
-            except la.SingularMatrixError:
-                samples.add_planes(2)
-                continue
+            coeffs = solve([value_fn(p) for p in design])
             form = form_from_coefficients(n, degree, coeffs)
             worst = 0.0
             witness = None
@@ -609,4 +613,4 @@ def reconstruct_form_from_cone(
         ok = worst <= tol
         return ReconstructionResult(form, ok, worst, None if ok else witness, degree, mode, samples.plane_count())
 
-    raise ReconstructionError(f"sample matrix stayed singular after {max_retries} retries")
+    raise ReconstructionError(f"sample matrix stayed singular after {_MAX_RETRIES} retries")

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,33 @@ def test_valley_scan_reports_its_skips():
     status = []
     assert _valley_scan(oracle_from_text("1/(x3 - x3)", 3), XY, 0.1, 1.0, status) is None
     assert status == ["skipped-zero-divisor"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x1/(1" + "0" * 400 + " + x2)", "x1/(x2 + 1" + "0" * 300 + "*1" + "0" * 300 + ")"],
+    ids=["infinite-constant", "overflowing-product"],
+)
+def test_valley_scan_skips_a_nonfinite_denominator(text):
+    status = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _valley_scan(oracle_from_text(text, 3), XY, 0.1, 1.0, status) is None
+    assert status == ["skipped-nonfinite"]
+
+
+def test_plane_float_coordinates_match_point_at():
+    # converted once, with the arithmetic order of a per-call conversion
+    plane = AffinePlane2(
+        (Fraction(1, 3), Fraction(-2, 7), Fraction(5)),
+        ((1, Fraction(1, 9), 0), (0, 2, Fraction(-3, 11))),
+    )
+    assert plane.float_coordinates is plane.float_coordinates
+    for s, t in [(0.0, 0.0), (0.1, -0.37), (1e-7, 3.5)]:
+        expected = tuple(
+            float(x) + s * float(u) + t * float(v) for x, u, v in zip(plane.base_point, *plane.basis)
+        )
+        assert plane.point_at_float(s, t) == expected
 
 
 def test_falsifier_status_on_plane_reports():

@@ -23,6 +23,13 @@ CASES = {
     "probe-polynomial": (
         ["probe", "--expr", "x1^2 + x2*x3 - 3/4*x1*x3^2", "--spheres", "3", "--seed", "7"], 0
     ),
+    # constants beyond binary64 range: the valley falsifier skips the plane
+    "probe-overflow-literal": (
+        ["probe", "--expr", "x1/(1" + "0" * 400 + " + x2)", "--spheres", "1", "--seed", "1"], 0
+    ),
+    "probe-overflow-product": (
+        ["probe", "--expr", "x1/(x2 + 1" + "0" * 300 + "*1" + "0" * 300 + ")", "--spheres", "1", "--seed", "1"], 0
+    ),
     "tower-geometric": (
         ["tower", "--expr", "1/(1 - x1)", "--order", "8", "--eta", "1/2", "--seed", "5"], 0
     ),

@@ -1,14 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from analytica import _linalg as la
 from analytica.forms import (
     HomogeneousForm,
     basis_size,
     evaluate_form,
     linear_form,
     monomial,
+    monomial_basis,
     multiply,
     zero_form,
 )
@@ -163,12 +166,39 @@ def test_plan_produces_exact_rank_design():
         d = rng.randint(1, 4)
         cone = Cone(rand_axis_plane(rng, n), Fraction(1, 2), Fraction(1))
         samples = ConeSampleSet(cone, random.Random(rng.randrange(10**6)))
-        design, held = samples.plan(d)
+        design, held, _ = samples.plan(d)
         assert len(design) == basis_size(n, d)
         assert held
         for p in design + held:
             assert in_cone(cone, p)
             assert norm_sq(p) <= cone.window**2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_plan_solve_matches_a_full_elimination(n):
+    # la.solve on the rebuilt monomial matrix is the reference
+    rng = random.Random(414 + n)
+    for d in range(6):
+        cone = Cone(rand_axis_plane(rng, n), Fraction(1, 2), Fraction(1))
+        samples = ConeSampleSet(cone, random.Random(rng.randrange(10**6)))
+        design, _, solve = samples.plan(d)
+        basis = monomial_basis(n, d)
+        assert len(design) == len(basis)
+        rows = la.mat(tuple(math.prod(x**e for x, e in zip(p, idx)) for idx in basis) for p in design)
+        rhs = [rand_fraction(rng) for _ in design]
+        assert solve(rhs) == la.solve(rows, rhs)
+
+
+def test_elimination_keeps_only_independent_rows():
+    e = la.Elimination()
+    assert e.add(la.vec((0, 2, 1)))
+    assert e.add(la.vec((1, 1, 0)))
+    assert not e.add(la.vec((2, 4, 1)))  # 1 * first + 2 * second
+    with pytest.raises(la.SingularMatrixError):
+        e.solve((1, 2))
+    assert e.add(la.vec((1, 0, 0)))
+    rows = la.mat(((0, 2, 1), (1, 1, 0), (1, 0, 0)))
+    assert e.solve((3, -1, 5)) == la.solve(rows, la.vec((3, -1, 5)))
 
 
 def test_sample_streams_are_prefix_stable():
