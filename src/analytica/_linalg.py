@@ -1,13 +1,18 @@
 """Exact rational linear algebra on small dense matrices.
 
 Matrices are tuples of row tuples of Fraction, vectors are tuples of
-Fraction.  Everything is plain Gaussian elimination; the systems this
-package produces stay small (a few hundred rows at most), so exactness
-matters far more than asymptotics.
+Fraction.  `solve`, `rank`, `inverse` and `nullspace` are Gaussian
+elimination over Fractions; `Elimination`, which plans and solves the cone
+designs, eliminates integer rows fraction-free (Bareiss) and only
+back-substitutes in Fractions.  The systems this package produces stay
+small (a few hundred rows at most), so exactness matters far more than
+asymptotics.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -127,55 +132,77 @@ def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
 
 
 class Elimination:
-    """Forward elimination one row at a time, kept so it can solve.
+    """Fraction-free forward elimination one integer row at a time, kept so
+    it can solve.
 
     `add` reduces a row against the rows kept so far, in the order they were
-    kept, and keeps it when something nonzero is left.  Each kept row stores
-    its lead column, its reduced form and the multipliers that reduced it, so
-    the kept rows factor as (unit lower triangular) x (reduced rows) and
-    `solve` only applies the multipliers to the right-hand side and
-    back-substitutes.  A reduced row is zero in the lead columns of the rows
-    kept before it.
+    kept, with Bareiss's step (Bareiss, Math. Comp. 22, 1968): against the
+    k-th kept row, with lead column l and pivot p_k = piv[l],
+
+        row <- (p_k * row - row[l] * piv) // p_{k-1},    p_0 = 1.
+
+    Every division is exact, because each entry is then a minor of the rows
+    added.  The step rescales the row even when row[l] is 0; without that the
+    later divisions are not exact.  The reduced row is p_k times the row a
+    Fraction elimination leaves, so the same rows are kept with the same lead
+    columns, and a reduced row is zero in the lead columns of the rows kept
+    before it.
+
+    A row may stand for row / scale (the monomial row of a point q / D of
+    degree d is the row of q with scale D**d).  Each kept row stores its lead
+    column, reduced form, scale and the multipliers row[l] met at every step,
+    so `solve` replays the elimination on the right-hand side in integers and
+    back-substitutes once in Fractions.
     """
 
     def __init__(self) -> None:
-        self._kept: list[tuple[int, list[Fraction], list[tuple[int, Fraction]]]] = []
+        self._kept: list[tuple[int, list[int], int, list[int]]] = []
 
-    def add(self, row: Sequence[Fraction]) -> bool:
-        """Keep the row if it is independent of the kept rows."""
-        row = list(row)
+    def add(self, row: Sequence[int], scale: int = 1) -> bool:
+        """Keep the integer row if it is independent of the kept rows."""
+        row = list(map(operator.index, row))
         multipliers = []
-        for k, (lead, piv, _) in enumerate(self._kept):
-            if row[lead] != 0:
-                f = row[lead] / piv[lead]
-                row = [a - f * b if b else a for a, b in zip(row, piv)]
-                multipliers.append((k, f))
-        lead = next((i for i, c in enumerate(row) if c != 0), None)
+        prev = 1
+        for lead, piv, _, _ in self._kept:
+            p, m = piv[lead], row[lead]
+            if m:
+                row = [(p * a - m * b) // prev for a, b in zip(row, piv)]
+            elif p != prev:
+                row = [p * a // prev for a in row]
+            multipliers.append(m)
+            prev = p
+        lead = next((i for i, c in enumerate(row) if c), None)
         if lead is None:
             return False
-        self._kept.append((lead, row, multipliers))
+        self._kept.append((lead, row, scale, multipliers))
         return True
 
     def solve(self, b: Sequence) -> Vec:
-        """The unique x with (kept rows) x = b, entries of b in the order
-        their rows were kept.  The kept rows must form a square matrix."""
+        """The unique x with (kept rows / their scales) x = b, entries of b in
+        the order their rows were kept.  The kept rows must form a square
+        matrix."""
         if len(b) != len(self._kept):
             raise LinAlgError("right-hand side length mismatch")
         ncols = len(self._kept[0][1]) if self._kept else 0
         if len(self._kept) != ncols:
             raise SingularMatrixError("kept rows do not form a square nonsingular matrix")
-        y: list[Fraction] = []
-        for (_, _, multipliers), v in zip(self._kept, b):
-            v = frac(v)
-            for k, f in multipliers:
-                v -= f * y[k]
+        scaled = [frac(v) * scale for v, (_, _, scale, _) in zip(b, self._kept)]
+        den = common_denominator(scaled)
+        pivots = [piv[lead] for lead, piv, _, _ in self._kept]
+        y: list[int] = []
+        for (_, _, _, multipliers), v in zip(self._kept, scaled):
+            v = v.numerator * (den // v.denominator)
+            prev = 1
+            for p, m, yk in zip(pivots, multipliers, y):
+                v = (p * v - m * yk) // prev
+                prev = p
             y.append(v)
         # x is zero in the lead columns not yet solved, so the full dot product
         # only picks up the leads of rows kept later
         x = [ZERO] * ncols
-        for (lead, row, _), v in zip(reversed(self._kept), reversed(y)):
+        for (lead, row, _, _), v in zip(reversed(self._kept), reversed(y)):
             x[lead] = (v - sum((a * c for a, c in zip(row, x) if a and c), ZERO)) / row[lead]
-        return tuple(x)
+        return tuple(c / den for c in x)
 
 
 def inverse(m: Mat) -> Mat:
@@ -206,14 +233,5 @@ def nullspace(m: Mat) -> list[Vec]:
     return basis
 
 
-def lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return abs(a // gcd(a, b) * b) if a and b else abs(a or b)
-
-
 def common_denominator(entries: Iterable[Fraction]) -> int:
-    d = 1
-    for x in entries:
-        d = lcm(d, x.denominator)
-    return d or 1
+    return math.lcm(*(x.denominator for x in entries))

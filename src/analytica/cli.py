@@ -200,11 +200,11 @@ def _cmd_cone(args) -> int:
     return 0 if result.ok else 2
 
 
-def _diagnostic_lines(f, result, samples, eta: Fraction) -> list[dict]:
-    """Tabulate f and the tower's partial sums along the first few sample
+def _diagnostic_lines(f, result, directions, eta: Fraction) -> list[dict]:
+    """Tabulate f and the tower's partial sums along the given sample
     directions, for plotting.  Pole rows show f as nan."""
     lines = []
-    for p in samples.plan(2)[0][:3]:
+    for p in directions:
         rows = []
         for i in range(17):
             t = Fraction(i, 16) * eta
@@ -231,12 +231,12 @@ def _cmd_tower(args) -> int:
         f, cone, args.order, mode=args.mode, samples=samples, tol=args.tol,
         window=float(eta),
     )
+    pts = samples.plan(2)[0][:3]
     radii = []
     if result.ok and args.order >= 4:
-        pts = samples.plan(2)[0][:3]
         radii = [line_convergence_radius(result.tower, tuple(map(float, p))) for p in pts]
     data = tower_result_to_data(result, radii)
-    data["lines"] = _diagnostic_lines(f, result, samples, eta)
+    data["lines"] = _diagnostic_lines(f, result, pts, eta)
     _emit(args, data)
     return 0 if result.ok else 2
 

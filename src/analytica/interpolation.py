@@ -40,7 +40,6 @@ from .geometry import (
     Hyperplane,
     VectorPlane2,
     general_position,
-    norm_sq,
     plane_in_subcone,
 )
 
@@ -387,6 +386,38 @@ def _integer_direction(v: Vec) -> tuple[int, ...]:
     return tuple(x // max(g, 1) for x in ints)
 
 
+def _independent(*rows: tuple[int, ...]) -> bool:
+    elimination = la.Elimination()
+    return all(elimination.add(r) for r in rows)
+
+
+class _StreamPoint:
+    """A sample point p = q / den with q an integer vector, and the powers
+    q_i**e of its coordinates computed so far."""
+
+    __slots__ = ("point", "den", "powers")
+
+    def __init__(self, q: tuple[int, ...], den: int):
+        self.point = tuple(Fraction(x, den) for x in q)
+        self.den = den
+        self.powers = [[1, x] for x in q]
+
+    def monomial_row(self, degree: int) -> list[int]:
+        """The degree-`degree` monomials of q, in `monomial_basis` order."""
+        for table in self.powers:
+            while len(table) <= degree:
+                table.append(table[-1] * table[1])
+        return _monomials(self.powers, degree)
+
+
+def _monomials(powers: list[list[int]], degree: int) -> list[int]:
+    # monomial_basis order: the first exponent runs from degree down to 0
+    first = powers[0]
+    if len(powers) == 1:
+        return [first[degree]]
+    return [first[e] * m for e in range(degree, -1, -1) for m in _monomials(powers[1:], degree - e)]
+
+
 class ConeSampleSet:
     """Deterministic rational sample points on 2-planes inside a cone.
 
@@ -394,7 +425,8 @@ class ConeSampleSet:
     stream of points i*a + j*b over primitive (i, j) pairs, rescaled into
     the cone window when one is set.  Streams are prefix-stable: asking for
     more planes or more points never changes earlier ones, so per-point
-    work (for instance jets along rays) can be cached across degrees.
+    work (for instance jets along rays, and the integer form and coordinate
+    powers that `plan` uses) can be cached across degrees.
     """
 
     def __init__(self, cone: Cone, rng: random.Random):
@@ -403,7 +435,7 @@ class ConeSampleSet:
         self._w1 = _integer_direction(cone.axis.basis[0])
         self._w2 = _integer_direction(cone.axis.basis[1])
         self._spans: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._points: list[list[Vec]] = []
+        self._points: list[list[_StreamPoint]] = []
         self._pairs = direction_pairs(64)
 
     @property
@@ -435,29 +467,33 @@ class ConeSampleSet:
         axis = self.cone.axis
         for _ in range(32):
             u = tuple(self.rng.randint(-3, 3) for _ in range(n))
-            if la.rank(la.mat((vec(self._w1), vec(self._w2), vec(u)))) != 3:
+            if not _independent(self._w1, self._w2, u):
                 continue
             s = 1
             for _ in range(_SCALE_DOUBLINGS):
                 b = tuple(s * mi + ui for mi, ui in zip(m, u))
-                if la.rank(la.mat((vec(a), vec(b)))) == 2 and plane_in_subcone(
+                if _independent(a, b) and plane_in_subcone(
                     self.cone, axis, VectorPlane2((vec(a), vec(b)))
                 ):
                     return a, b
                 s *= 2
         raise ReconstructionError("could not tilt a sample plane into the cone")
 
-    def _scale_into_window(self, p: tuple[int, ...]) -> Vec:
-        q = vec(p)
+    def _scale_into_window(self, p: tuple[int, ...]) -> _StreamPoint:
+        """p / 2**k for the least k that brings |p / 2**k| to at most half the
+        window."""
         w = self.cone.window
         if w is None:
-            return q
-        bound = w * w / 4
-        while norm_sq(q) > bound:
-            q = tuple(x / 2 for x in q)
-        return q
+            return _StreamPoint(p, 1)
+        # |p|^2 / 4^k <= w^2 / 4, cleared of denominators
+        lhs = 4 * sum(x * x for x in p) * w.denominator**2
+        rhs = w.numerator**2
+        k = 0
+        while lhs > rhs << 2 * k:
+            k += 1
+        return _StreamPoint(p, 1 << k)
 
-    def points_on_plane(self, index: int, count: int) -> list[Vec]:
+    def _stream(self, index: int, count: int) -> list[_StreamPoint]:
         self.ensure_planes(index + 1)
         a, b = self._spans[index]
         stream = self._points[index]
@@ -477,7 +513,9 @@ class ConeSampleSet:
         rows: each candidate row is reduced against the rows kept so far
         (`_linalg.Elimination`) and kept when something is left, so the
         square system is nonsingular whenever enough planes are available.
-        A single plane only ever contributes degree+1 useful points (its
+        A candidate p = q / D enters as the integer monomial row of q with
+        scale D**degree, the same row up to a positive factor.  A single
+        plane only ever contributes degree+1 useful points (its
         restriction space is that small), and in dimension 3 the product of
         the plane equations caps the usable rank, hence the two lower bounds
         on the plane count.  Every skipped or surplus point is held out for
@@ -496,20 +534,17 @@ class ConeSampleSet:
         if n == 3:
             planes = max(planes, degree + 1)
         self.ensure_planes(planes)
-        basis = monomial_basis(n, degree)
-        streams = [self.points_on_plane(i, per + _EXTRA_PER_PLANE) for i in range(planes)]
+        streams = [self._stream(i, per + _EXTRA_PER_PLANE) for i in range(planes)]
         design: list[Vec] = []
         held: list[Vec] = []
         elimination = la.Elimination()
         for level in range(per + _EXTRA_PER_PLANE):
             for s in streams:
                 p = s[level]
-                if len(design) < need and elimination.add(
-                    [math.prod(x**e for x, e in zip(p, idx)) for idx in basis]
-                ):
-                    design.append(p)
+                if len(design) < need and elimination.add(p.monomial_row(degree), p.den**degree):
+                    design.append(p.point)
                 else:
-                    held.append(p)
+                    held.append(p.point)
         return design, held, elimination.solve
 
     def add_planes(self, count: int) -> None:

@@ -176,9 +176,10 @@ def test_plan_produces_exact_rank_design():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_plan_solve_matches_a_full_elimination(n):
-    # la.solve on the rebuilt monomial matrix is the reference
+    # la.solve on the rebuilt monomial matrix is the reference; in dimension 3
+    # the degrees run up to a tower's order
     rng = random.Random(414 + n)
-    for d in range(6):
+    for d in range(9 if n == 3 else 6):
         cone = Cone(rand_axis_plane(rng, n), Fraction(1, 2), Fraction(1))
         samples = ConeSampleSet(cone, random.Random(rng.randrange(10**6)))
         design, _, solve = samples.plan(d)
@@ -191,14 +192,75 @@ def test_plan_solve_matches_a_full_elimination(n):
 
 def test_elimination_keeps_only_independent_rows():
     e = la.Elimination()
-    assert e.add(la.vec((0, 2, 1)))
-    assert e.add(la.vec((1, 1, 0)))
-    assert not e.add(la.vec((2, 4, 1)))  # 1 * first + 2 * second
+    assert e.add((0, 2, 1))
+    assert e.add((1, 1, 0))
+    assert not e.add((2, 4, 1))  # 1 * first + 2 * second
     with pytest.raises(la.SingularMatrixError):
         e.solve((1, 2))
-    assert e.add(la.vec((1, 0, 0)))
+    assert e.add((1, 0, 0))
     rows = la.mat(((0, 2, 1), (1, 1, 0), (1, 0, 0)))
     assert e.solve((3, -1, 5)) == la.solve(rows, la.vec((3, -1, 5)))
+    with pytest.raises(TypeError):
+        la.Elimination().add(la.vec((1, 0, 0)))
+
+
+def test_elimination_rescales_on_a_zero_multiplier():
+    # pivots 2 then 1: the third row meets two zero multipliers, and only the
+    # rescaling (2 * row // 1, then 1 * row // 2) keeps the last division exact
+    e = la.Elimination()
+    assert e.add((2, 1, 0, 0))
+    assert e.add((1, 1, 0, 0))
+    assert e.add((0, 0, 3, 1))
+    assert e.add((1, 3, 5, 2))
+    rows = la.mat(((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 1), (1, 3, 5, 2)))
+    rhs = la.vec((Fraction(1, 3), -2, 7, Fraction(5, 4)))
+    assert e.solve(rhs) == la.solve(rows, rhs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bareiss_elimination_matches_a_fraction_reference(seed):
+    # sparse random rows (zero multipliers, negative pivots), integer
+    # combinations of earlier rows (dependent rows) and scales other than 1;
+    # the reference decides each row by the rank of the Fraction rows
+    rng = random.Random(4140 + seed)
+    ncols = rng.randint(6, 12)
+    e = la.Elimination()
+    rows: list[tuple[int, ...]] = []
+    kept: list[tuple[Fraction, ...]] = []
+    while len(kept) < ncols:
+        if rows and rng.random() < 0.3:
+            picks = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
+            weights = [rng.randint(-4, 4) for _ in picks]
+            row = tuple(sum(w * r[c] for w, r in zip(weights, picks)) for c in range(ncols))
+        else:
+            row = tuple(rng.choice((0, 0, 0, 0, rng.randint(-9, 9))) for _ in range(ncols))
+        rows.append(row)
+        scale = rng.choice((1, 2, 3, 4, 9, 16, 27, 1024))
+        scaled = tuple(Fraction(x, scale) for x in row)
+        independent = la.rank(la.mat(kept + [scaled])) > len(kept)
+        assert e.add(row, scale) == independent
+        if independent:
+            kept.append(scaled)
+    rhs = [rand_fraction(rng) for _ in kept]
+    assert e.solve(rhs) == la.solve(la.mat(kept), rhs)
+
+
+def test_window_scaling_matches_repeated_halving():
+    # the reference halves the Fraction point until it is within half the window
+    # the first three cases land exactly on the bound, after 1, 0 and 2 halvings
+    rng = random.Random(4150)
+    cases = [(Fraction(2), (0, -2, 0)), (Fraction(10), (3, 0, 4)), (Fraction(5, 2), (3, 0, 4))]
+    for _ in range(200):
+        window = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        cases.append((window, tuple(rng.randint(-10**6, 10**6) for _ in range(3))))
+    for window, p in cases:
+        cone = Cone(rand_axis_plane(rng, 3), Fraction(1, 2), window)
+        q = la.vec(p)
+        while norm_sq(q) > window * window / 4:
+            q = tuple(x / 2 for x in q)
+        point = ConeSampleSet(cone, random.Random(0))._scale_into_window(p)
+        assert point.point == q
+        assert tuple(x * point.den for x in q) == tuple(t[1] for t in point.powers)
 
 
 def test_sample_streams_are_prefix_stable():
