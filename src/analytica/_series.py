@@ -65,13 +65,6 @@ def p_pow(a: Poly, k: int) -> Poly:
     return out
 
 
-def p_eval(a: Poly, x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")

@@ -2,8 +2,10 @@
 2-spheres, and a certification routine for neighborhoods of a plane.
 
 The plane check has two routes.  Polynomial functions are verified exactly:
-the restriction is interpolated on a tensor grid of rational nodes and
-re-checked on held-out nodes, so the reported residual is exactly zero.
+the restriction is sampled on a tensor grid of rational nodes, and the tensor
+interpolant's values at held-out nodes (one cached integer Lagrange matrix
+per degree applied to the node values) must equal the restriction's there,
+compared in integers, so the reported residual is exactly zero.
 Everything else goes through a float route: a total-degree Chebyshev fit
 over a window, a held-out residual, and a falsifier that walks valleys of
 the pulled-back denominator looking for blow-ups the fit grid missed.
@@ -16,19 +18,19 @@ at a sphere point p (covering a neighborhood of 0 on the sphere).
 from __future__ import annotations
 
 import math
+import operator
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _linalg as la
 from ._linalg import frac, vec
-from ._series import p_eval
 from .forms import TaylorTower, tower_evaluate
 from .geometry import (
     AffinePlane2,
@@ -43,7 +45,7 @@ from .geometry import (
     sphere_to_plane,
     tidy_plane_basis,
 )
-from .interpolation import ConeSampleSet, lagrange_1d
+from .interpolation import ConeSampleSet
 from .oracle import (
     Add,
     Const,
@@ -106,36 +108,61 @@ class PlaneReport:
 # exact route: tensor interpolation of a known-polynomial restriction
 
 
+@lru_cache(maxsize=None)
+def _check_matrix(degree: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The Lagrange basis of the degree+1 interpolation nodes at the
+    degree+2 check nodes, as an integer matrix C over one denominator c:
+    C[a][i] = c * l_i(check_a).  Both node sets scale with the window, so C
+    does not depend on it."""
+    d = degree
+    # the nodes in units of window / (3d(d+1)), where all of them are
+    # integers; for d = 0 every product is empty and C is a column of ones
+    xs = [3 * (d + 1) * (2 * i - d) for i in range(d + 1)]
+    ys = [d * (6 * a - 3 * d + 1) for a in range(d + 2)]
+    basis = [
+        [
+            Fraction(
+                math.prod(y - xj for xj in xs if xj != xi),
+                math.prod(xi - xj for xj in xs if xj != xi),
+            )
+            for xi in xs
+        ]
+        for y in ys
+    ]
+    c = math.lcm(*(b.denominator for row in basis for b in row))
+    return tuple(tuple(b.numerator * (c // b.denominator) for b in row) for row in basis), c
+
+
 def _exact_tensor_check(value_fn: Callable, degree: int, window: Fraction):
-    """Interpolate value_fn on a (degree+1)^2 rational grid and re-check it
-    on held-out nodes.  Returns None on agreement, else the chart witness
-    (s, t) and the relative disagreement there."""
+    """Check that value_fn agrees on held-out nodes with its tensor
+    interpolant on a (degree+1)^2 rational grid.  Returns None on agreement,
+    else the first disagreeing chart point (s, t) in row-major order and the
+    relative disagreement there.
+
+    The interpolant is never built.  Its value at check nodes (s_a, t_b) is
+    sum_ij C[a][i] C[b][j] V[i][j] / (c^2 den), with C, c the cached Lagrange
+    matrix of `_check_matrix` and V the node values over their common
+    denominator den, and it is compared with value_fn by cross-multiplying,
+    so every prediction and comparison runs on integers."""
     d = degree
     w = frac(window)
     nodes = [Fraction(0)] if d == 0 else [w * Fraction(2 * i - d, d) for i in range(d + 1)]
     values = [[value_fn(s, t) for t in nodes] for s in nodes]
-
-    row_polys = [lagrange_1d(nodes, row) for row in values]
-    cols = []
-    for k in range(d + 1):
-        column = [rp[k] if k < len(rp) else Fraction(0) for rp in row_polys]
-        cols.append(lagrange_1d(nodes, column))
-
-    def predicted(s: Fraction, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        tp = Fraction(1)
-        for k in range(d + 1):
-            acc += p_eval(cols[k], s) * tp
-            tp *= t
-        return acc
+    den = math.lcm(*(v.denominator for row in values for v in row))
+    columns = list(zip(*([v.numerator * (den // v.denominator) for v in row] for row in values)))
+    cmat, c = _check_matrix(d)
+    scale = c * c * den
 
     offset = w * Fraction(1, 3 * (d + 1))
     check = [w * Fraction(2 * i - d, d + 1) + offset for i in range(d + 2)]
-    for s in check:
-        for t in check:
+    for s, cs in zip(check, cmat):
+        # c * den times the interpolant along s = s_a, at the t nodes
+        line = [sum(map(operator.mul, cs, col)) for col in columns]
+        for t, ct in zip(check, cmat):
+            predicted = sum(map(operator.mul, ct, line))
             actual = value_fn(s, t)
-            gap = predicted(s, t) - actual
-            if gap:
+            if predicted * actual.denominator != actual.numerator * scale:
+                gap = Fraction(predicted, scale) - actual
                 return (s, t), float(abs(gap)) / max(1.0, float(abs(actual)))
     return None
 

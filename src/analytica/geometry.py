@@ -176,15 +176,20 @@ class Cone:
     def dimension(self) -> int:
         return self.axis.dimension
 
+    @cached_property
+    def axis_dual(self) -> tuple[Vec, Vec]:
+        """Rows r1, r2 with (r1 . p, r2 . p) the coordinates, in the axis
+        basis, of p's projection onto the axis plane: the inverse axis Gram
+        matrix times the basis, computed once per cone."""
+        b = la.mat(self.axis.basis)
+        g = la.inverse(la.matmul(b, la.transpose(b)))
+        return tuple(tuple(gi[0] * u + gi[1] * v for u, v in zip(*b)) for gi in g)
 
-def _orth_component_sq(axis: VectorPlane2, p: Vec) -> Fraction:
-    """Squared norm of the component of p orthogonal to the axis plane."""
-    b = la.mat(axis.basis)
-    gram = la.matmul(b, la.transpose(b))
-    rhs = la.matvec(b, p)
-    coeffs = la.solve(gram, rhs)
-    proj_sq = la.dot(coeffs, rhs)
-    return norm_sq(p) - proj_sq
+    def orth_part(self, p: Vec) -> Vec:
+        """The component of p orthogonal to the axis plane."""
+        (r1, r2), (u, v) = self.axis_dual, self.axis.basis
+        c1, c2 = la.dot(r1, p), la.dot(r2, p)
+        return tuple(x - c1 * ui - c2 * vi for x, ui, vi in zip(p, u, v))
 
 
 def in_cone(cone: Cone, p: Sequence) -> bool:
@@ -196,7 +201,7 @@ def in_cone(cone: Cone, p: Sequence) -> bool:
     n2 = norm_sq(q)
     if n2 == 0:
         return True
-    orth2 = _orth_component_sq(cone.axis, q)
+    orth2 = norm_sq(cone.orth_part(q))
     return orth2 < cone.theta * cone.theta * n2
 
 
@@ -205,31 +210,19 @@ def plane_in_subcone(cone: Cone, axis: VectorPlane2, candidate: VectorPlane2) ->
     in at least a line.  Exact: the worst direction ratio is the largest
     generalized eigenvalue of a 2x2 rational pencil, compared against theta^2
     through its characteristic polynomial."""
-    if axis.span_key() != cone.axis.span_key():
+    if axis != cone.axis and axis.span_key() != cone.axis.span_key():
         raise GeometryError("axis argument does not span the cone axis")
     if candidate.dimension != cone.dimension:
         raise GeometryError("candidate plane dimension mismatch")
-    joint = la.mat(axis.basis + candidate.basis)
-    if la.rank(joint) > 3:
-        return False  # intersection with the axis is trivial
-
     w1, w2 = (vec(v) for v in candidate.basis)
-    b = la.mat(axis.basis)
-    gram_axis = la.matmul(b, la.transpose(b))
-
-    def orth_part(w: Vec) -> Vec:
-        coeffs = la.solve(gram_axis, la.matvec(b, w))
-        proj = tuple(
-            coeffs[0] * u + coeffs[1] * v for u, v in zip(axis.basis[0], axis.basis[1])
-        )
-        return tuple(x - y for x, y in zip(w, proj))
-
-    o1, o2 = orth_part(w1), orth_part(w2)
+    o1, o2 = cone.orth_part(w1), cone.orth_part(w2)
     m00, m01, m11 = la.dot(o1, o1), la.dot(o1, o2), la.dot(o2, o2)
+    c = m00 * m11 - m01 * m01
+    if c != 0:
+        return False  # independent orthogonal parts: it meets the axis only at 0
     g00, g01, g11 = la.dot(w1, w1), la.dot(w1, w2), la.dot(w2, w2)
     a = g00 * g11 - g01 * g01            # det G > 0 for a rank-2 basis
     bq = -(m00 * g11 + m11 * g00 - 2 * m01 * g01)
-    c = m00 * m11 - m01 * m01
     t = cone.theta * cone.theta
     # both generalized eigenvalues lie below t iff q(t) > 0 and t is right
     # of the parabola vertex

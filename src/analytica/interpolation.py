@@ -2,7 +2,7 @@
 
 Three reconstruction routes live here:
 
-* univariate and binary interpolation (`lagrange_1d`, `binary_form_from_lines`),
+* binary interpolation (`binary_form_from_lines`),
 * gluing hyperplane restrictions into one ambient form (`glue_hyperplanes`),
 * recovering a form from point samples on 2-planes inside a cone
   (`ConeSampleSet`, `reconstruct_form_from_cone`).
@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 
 from . import _linalg as la
 from ._linalg import Mat, Vec, frac, vec
-from ._series import Poly, p_add, p_mul, p_normalize
 from .forms import (
     DimensionMismatchError,
     HomogeneousForm,
@@ -73,36 +72,7 @@ _MAX_RETRIES = 8
 
 
 # ---------------------------------------------------------------------------
-# one- and two-variable interpolation
-
-
-def lagrange_1d(nodes: Sequence, values: Sequence) -> Poly:
-    """Coefficients (ascending) of the unique polynomial of degree
-    < len(nodes) through the given points.  Exact, via Newton's divided
-    differences."""
-    xs = [frac(x) for x in nodes]
-    ys = [frac(y) for y in values]
-    if len(xs) != len(ys):
-        raise InterpolationError("node and value counts differ")
-    if not xs:
-        raise InterpolationError("need at least one interpolation node")
-    if len(set(xs)) != len(xs):
-        raise InterpolationError("interpolation nodes must be distinct")
-
-    # divided difference table, kept as the top row only
-    table = list(ys)
-    coeffs = [table[0]]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - level):
-            table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-        coeffs.append(table[0])
-
-    poly: Poly = []
-    basis: Poly = [Fraction(1)]
-    for i, c in enumerate(coeffs):
-        poly = p_add(poly, [c * b for b in basis])
-        basis = p_mul(basis, [-xs[i], Fraction(1)])
-    return p_normalize(poly)
+# binary interpolation
 
 
 def binary_form_from_lines(degree: int, lines: Sequence[Sequence], values: Sequence) -> HomogeneousForm:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from analytica import certify
+from analytica._series import p_add, p_mul, p_normalize
 from analytica.certify import (
     CertifyError,
     certify_near_plane,
@@ -18,7 +19,7 @@ from analytica.certify import (
     _golden_min,
     _valley_scan,
 )
-from analytica.geometry import AffinePlane2, GeometryError, norm_sq
+from analytica.geometry import AffinePlane2, GeometryError, PoleError, norm_sq
 from analytica.jsonio import dumps, scan_report_to_data
 from analytica.oracle import builtin_counterexample, oracle_from_text
 
@@ -55,6 +56,133 @@ def test_declared_degree_bound_is_enforced():
     f = oracle_from_text("x1^4", 3)
     with pytest.raises(CertifyError):
         check_plane_analytic(f, XY, degree_hint=2)
+
+
+def _reference_tensor_check(value_fn, degree, window):
+    """The exact tensor check as it was before the cached Lagrange matrix:
+    Newton interpolation of every row, then of every coefficient column, and
+    a Fraction Horner pass at each check point."""
+
+    def newton(xs, ys):
+        table = list(ys)
+        coeffs = [table[0]]
+        for level in range(1, len(xs)):
+            for i in range(len(xs) - level):
+                table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
+            coeffs.append(table[0])
+        poly, basis = [], [Fraction(1)]
+        for i, c in enumerate(coeffs):
+            poly = p_add(poly, [c * b for b in basis])
+            basis = p_mul(basis, [-xs[i], Fraction(1)])
+        return p_normalize(poly)
+
+    def horner(a, x):
+        acc = Fraction(0)
+        for c in reversed(a):
+            acc = acc * x + c
+        return acc
+
+    d = degree
+    w = Fraction(window)
+    nodes = [Fraction(0)] if d == 0 else [w * Fraction(2 * i - d, d) for i in range(d + 1)]
+    values = [[value_fn(s, t) for t in nodes] for s in nodes]
+    row_polys = [newton(nodes, row) for row in values]
+    cols = [newton(nodes, [rp[k] if k < len(rp) else Fraction(0) for rp in row_polys]) for k in range(d + 1)]
+    offset = w * Fraction(1, 3 * (d + 1))
+    check = [w * Fraction(2 * i - d, d + 1) + offset for i in range(d + 2)]
+    for s in check:
+        for t in check:
+            actual = value_fn(s, t)
+            gap = sum((horner(cols[k], s) * t**k for k in range(d + 1)), Fraction(0)) - actual
+            if gap:
+                return (s, t), float(abs(gap)) / max(1.0, float(abs(actual)))
+    return None
+
+
+def _check_nodes(d, w):
+    return [w * Fraction(2 * i - d, d + 1) + w * Fraction(1, 3 * (d + 1)) for i in range(d + 2)]
+
+
+def _tensor_cases(rng, d):
+    """(value_fn factory, window, expect failure) for one degree: the exact
+    degree at windows 1 and 1/10, one degree too high, and a defect planted at
+    the first, a middle and the last check point."""
+
+    def rand_coeff():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 30))
+
+    def poly(total):
+        coeffs = {(i, j): rand_coeff() for i in range(total + 1) for j in range(total + 1 - i)}
+        coeffs[(total, 0)] = rand_coeff()  # reaches past a degree-d tensor grid when total > d
+        return coeffs
+
+    def factory(coeffs, defect=None):
+        def make(log):
+            def value_fn(s, t):
+                log.append((s, t))
+                v = sum((c * s**i * t**j for (i, j), c in coeffs.items()), Fraction(0))
+                return v + Fraction(1, 7) if (s, t) == defect else v
+
+            return value_fn
+
+        return make
+
+    last = d + 1
+    cases = [
+        (factory(poly(d)), Fraction(1), False),
+        (factory(poly(d)), Fraction(1, 10), False),
+        (factory(poly(d + 1)), rng.choice([Fraction(1), Fraction(1, 10)]), True),
+    ]
+    for a, b in ((0, 0), (last // 2, (last + 1) // 2), (last, last)):
+        w = rng.choice([Fraction(1), Fraction(1, 10)])
+        check = _check_nodes(d, w)
+        cases.append((factory(poly(d), (check[a], check[b])), w, True))
+    return cases
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_exact_tensor_check_matches_the_reference(d):
+    rng = random.Random(900 + d)
+    for make, w, fails in _tensor_cases(rng, d):
+        new = certify._exact_tensor_check(make([]), d, w)
+        assert new == _reference_tensor_check(make([]), d, w)
+        assert (new is not None) == fails
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, 7])
+def test_exact_tensor_check_calls_value_fn_like_the_reference(d):
+    rng = random.Random(950 + d)
+    for make, w, _ in _tensor_cases(rng, d):
+        new_log, ref_log = [], []
+        certify._exact_tensor_check(make(new_log), d, w)
+        _reference_tensor_check(make(ref_log), d, w)
+        assert new_log == ref_log
+
+
+def test_exact_tensor_check_raises_a_pole_at_a_check_point():
+    d, w = 3, Fraction(1, 10)
+    pole = _check_nodes(d, w)[2], _check_nodes(d, w)[1]
+
+    def value_fn(s, t):
+        if (s, t) == pole:
+            raise PoleError("denominator vanishes", (s, t))
+        return s * s - t
+
+    for check in (certify._exact_tensor_check, _reference_tensor_check):
+        with pytest.raises(PoleError):
+            check(value_fn, d, w)
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_check_matrix_is_the_lagrange_basis_at_the_check_nodes(d):
+    cmat, c = certify._check_matrix(d)
+    nodes = [Fraction(0)] if d == 0 else [Fraction(2 * i - d, d) for i in range(d + 1)]
+    assert len(cmat) == d + 2 and all(len(row) == d + 1 for row in cmat)
+    assert all(type(x) is int for row in cmat for x in row)
+    for row, y in zip(cmat, _check_nodes(d, Fraction(1))):
+        assert sum(row) == c
+        for k in range(d + 1):
+            assert sum(ci * x**k for ci, x in zip(row, nodes)) == c * y**k
 
 
 def test_parameter_validation():

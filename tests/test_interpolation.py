@@ -25,31 +25,11 @@ from analytica.interpolation import (
     direction_pairs,
     divide_by_linear,
     glue_hyperplanes,
-    lagrange_1d,
     reconstruct_form_from_cone,
     restriction_of,
 )
 
 from conftest import rand_axis_plane, rand_form, rand_fraction, rand_hyperplane_set, rand_point
-
-
-def test_lagrange_1d_interpolates():
-    rng = random.Random(401)
-    for _ in range(30):
-        k = rng.randint(1, 7)
-        nodes = []
-        while len(nodes) < k:
-            x = rand_fraction(rng, 12)
-            if x not in nodes:
-                nodes.append(x)
-        values = [rand_fraction(rng, 50) for _ in range(k)]
-        poly = lagrange_1d(nodes, values)
-        assert len(poly) <= k
-        for x, y in zip(nodes, values):
-            acc = Fraction(0)
-            for c in reversed(poly):
-                acc = acc * x + c
-            assert acc == y
 
 
 def test_binary_form_from_lines_recovers():
