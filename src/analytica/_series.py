@@ -1,9 +1,11 @@
 """Univariate polynomial and power-series arithmetic over Fraction.
 
 Polynomials are lists of coefficients in ascending degree with no
-trailing zeros.  Rational functions are reduced num/den pairs; Taylor
-coefficients come from power-series long division once the reduced
-denominator is known to be nonzero at 0.
+trailing zeros.  A power series truncated to n terms is such a list of
+at most n coefficients: `s_mul`, `s_div` and `s_pow` keep only the first
+n.  Rational functions are reduced num/den pairs; Taylor coefficients
+come from power-series long division once the reduced denominator is
+known to be nonzero at 0.
 """
 
 from __future__ import annotations
@@ -42,26 +44,51 @@ def p_sub(a: Poly, b: Poly) -> Poly:
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return p_normalize(out)
+    return s_mul(a, b, len(a) + len(b))
 
 
 def p_pow(a: Poly, k: int) -> Poly:
+    return s_pow(a, k, k * len(a) + 1)
+
+
+def s_mul(a: Poly, b: Poly, n: int) -> Poly:
+    """The first n terms of a * b; zero terms of either factor are skipped."""
+    if not a or not b:
+        return []
+    m = min(len(a) + len(b) - 1, n)
+    out = [ZERO] * m
+    for i, x in enumerate(a[:m]):
+        if x:
+            for j, y in enumerate(b[: m - i]):
+                if y:
+                    out[i + j] += x * y
+    return p_normalize(out)
+
+
+def s_div(a: Poly, b: Poly, n: int) -> Poly:
+    """The first n terms of a / b by long division; b[0] must be nonzero."""
+    inv0 = ONE / b[0]
+    out: Poly = []
+    for k in range(n):
+        acc = a[k] if k < len(a) else ZERO
+        for j in range(1, min(k, len(b) - 1) + 1):
+            if b[j]:
+                acc -= b[j] * out[k - j]
+        out.append(acc * inv0)
+    return p_normalize(out)
+
+
+def s_pow(a: Poly, k: int, n: int) -> Poly:
+    """The first n terms of a**k by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative exponent")
     out = [ONE]
-    base = list(a)
     while k:
         if k & 1:
-            out = p_mul(out, base)
+            out = s_mul(out, a, n)
         k >>= 1
         if k:
-            base = p_mul(base, base)
+            a = s_mul(a, a, n)
     return out
 
 
@@ -148,8 +175,6 @@ class RationalFunction:
         return RationalFunction(p_mul(self.num, other.den), p_mul(self.den, other.num))
 
     def __pow__(self, k: int) -> "RationalFunction":
-        if k < 0:
-            raise ValueError("negative exponent")
         return RationalFunction(p_pow(self.num, k), p_pow(self.den, k), reduce=False)
 
     def defined_at_zero(self) -> bool:
@@ -159,12 +184,5 @@ class RationalFunction:
         """Taylor coefficients [c_0 .. c_order] by long division."""
         if not self.defined_at_zero():
             raise ZeroDivisionError("denominator vanishes at 0")
-        num, den = self.num, self.den
-        inv0 = ONE / den[0]
-        out: list[Fraction] = []
-        for k in range(order + 1):
-            acc = num[k] if k < len(num) else ZERO
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[j] * out[k - j]
-            out.append(acc * inv0)
-        return out
+        out = s_div(self.num, self.den, order + 1)
+        return out + [ZERO] * (order + 1 - len(out))

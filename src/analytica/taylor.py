@@ -3,8 +3,12 @@
 A radial jet at a point p collects the derivatives d^r/dt^r f(t p) at t = 0.
 Summing the degree-r terms over enough directions pins down homogeneous
 forms T_r with f ~ sum T_r / r!, the Taylor tower of f.  Jets are computed
-exactly for expression-backed functions (univariate rational arithmetic
-along the ray) and by a guarded Chebyshev fit for black-box callables.
+exactly for expression-backed functions and by a guarded Chebyshev fit for
+black-box callables.  An exact jet folds the expression program in power
+series of t truncated after the jet's order (Taylor-mode arithmetic); only
+when some divisor vanishes at the base point does it collapse the program
+into one reduced rational function of t, which cancels removable
+singularities and locates poles.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from ._linalg import Vec, vec
 from .forms import HomogeneousForm, TaylorTower, zero_form
 from .geometry import Cone, PoleError
 from .interpolation import ConeSampleSet, ReconstructionError, reconstruct_form_from_cone
-from .oracle import ARITHMETIC, Const, FunctionOracle, Program, Var, fold
+from .oracle import ARITHMETIC, Add, Const, Div, FunctionOracle, Mul, Neg, Pow, Program, Sub, Var, fold
 
 
 class TaylorError(ValueError):
@@ -61,8 +65,43 @@ def _line_rational(
         raise PoleError("the whole line lies inside a zero divisor", tuple(base)) from None
 
 
+class _VanishingDivisor(ArithmeticError):
+    """A divisor's series has constant term 0, so series division cannot go on."""
+
+
+def _line_truncated(
+    program: Program, base: Sequence[Fraction], direction: Sequence[Fraction], n: int
+) -> rs.Poly:
+    """The first n Taylor coefficients at t = 0 of the program with
+    x_i := base_i + t * direction_i, folded in truncated power series.
+    Raises _VanishingDivisor at the first divisor whose constant term is 0."""
+
+    def divide(a: rs.Poly, b: rs.Poly) -> rs.Poly:
+        if not b or b[0] == 0:
+            raise _VanishingDivisor
+        return rs.s_div(a, b, n)
+
+    algebra = {
+        Const: rs.p_const,
+        Var: lambda i: rs.p_normalize([base[i - 1], direction[i - 1]][:n]),
+        Neg: rs.p_neg,
+        Add: rs.p_add,
+        Sub: rs.p_sub,
+        Mul: lambda a, b: rs.s_mul(a, b, n),
+        Div: divide,
+        Pow: lambda a, k: rs.s_pow(a, k, n),
+    }
+    return fold(program, algebra)[-1]
+
+
 def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: int) -> list[Fraction]:
     """Exact Taylor coefficients of t -> f(base + t * direction) at t = 0.
+
+    The program is folded in power series truncated to order + 1 terms.
+    When a divisor vanishes at the base point, the restriction is instead
+    reduced to one rational function of t (`_line_rational`) and expanded,
+    so a removable singularity cancels.  Both routes give the same exact
+    coefficients wherever the series route applies.
 
     Raises PoleError when the restriction has a pole at t = 0 or the line
     sits inside a zero of a divisor.  When the base point carries the
@@ -74,11 +113,15 @@ def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: i
     p = vec(direction)
     if len(b) != f.dimension or len(p) != f.dimension:
         raise TaylorError("base or direction dimension mismatch")
-    r = _line_rational(f.program, b, p)
     try:
-        coeffs = r.series(order)
-    except ZeroDivisionError:
-        raise PoleError("restriction to the line has a pole at its base point", tuple(b)) from None
+        coeffs = _line_truncated(f.program, b, p, order + 1)
+        coeffs = coeffs + [rs.ZERO] * (order + 1 - len(coeffs))
+    except _VanishingDivisor:
+        r = _line_rational(f.program, b, p)
+        try:
+            coeffs = r.series(order)
+        except ZeroDivisionError:
+            raise PoleError("restriction to the line has a pole at its base point", tuple(b)) from None
     if f.guard is not None and tuple(b) == tuple(f.guard[0]) and coeffs[0] != f.guard[1]:
         raise PoleError(
             "limit along the line disagrees with the declared value at the base point",
@@ -94,7 +137,6 @@ def radial_jet(
     *,
     mode: str = "auto",
     window: float = 1.0,
-    tol: float = 1e-9,
 ) -> RadialJet:
     """Jet of f along the ray through `point`.
 
@@ -117,13 +159,13 @@ def radial_jet(
         tau = tuple(c * math.factorial(r) for r, c in enumerate(coeffs))
         return RadialJet(p, tau, "exact", (0.0,) * (order + 1))
 
-    return _fitted_jet(f, point, order, window, tol)
+    return _fitted_jet(f, point, order, window)
 
 
 _GUARD_DEGREES = 4
 
 
-def _fitted_jet(fn: Callable, point: Sequence, order: int, window: float, tol: float) -> RadialJet:
+def _fitted_jet(fn: Callable, point: Sequence, order: int, window: float) -> RadialJet:
     import numpy as np
 
     p = tuple(float(x) for x in point)
@@ -233,7 +275,7 @@ def build_tower(
     def jet_at(p: Vec) -> RadialJet:
         j = jets.get(p)
         if j is None:
-            j = radial_jet(f, p, order, mode=jet_mode, window=window, tol=tol)
+            j = radial_jet(f, p, order, mode=jet_mode, window=window)
             jets[p] = j
         return j
 

@@ -5,8 +5,21 @@ from fractions import Fraction
 import pytest
 
 from analytica.forms import evaluate_form, monomial, tower_evaluate
-from analytica.geometry import Cone, VectorPlane2
-from analytica.oracle import builtin_counterexample, oracle_from_text
+from analytica import taylor
+from analytica.geometry import Cone, PoleError, VectorPlane2
+from analytica.oracle import (
+    Add,
+    Const,
+    Div,
+    FunctionOracle,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    builtin_counterexample,
+    oracle_from_text,
+)
 from analytica.taylor import (
     TaylorError,
     build_tower,
@@ -40,12 +53,145 @@ def test_line_series_of_rational_function():
     assert coeffs == [Fraction(1, 2) ** r for r in range(5)]
 
 
-def test_line_series_pole_at_base():
-    f = oracle_from_text("1/x1", 2)
-    from analytica.geometry import PoleError
+# ---------------------------------------------------------------------------
+# the series route and its rational fallback
 
-    with pytest.raises(PoleError):
+
+def rand_nonzero(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+
+def rand_program_oracle(rng, n):
+    """A random expression over x1..xn.  Operands are drawn from a pool of
+    the nodes built so far, so subexpressions are shared, and a rough
+    degree count keeps the rational reference route small."""
+    pool = [Var(i) for i in range(1, n + 1)] + [Const(rand_nonzero(rng)) for _ in range(2)]
+    degree = [1] * n + [0, 0]
+    for _ in range(rng.randint(4, 12)):
+        # the left operand is mostly the newest node, so the root uses most of the pool
+        i = len(pool) - 1 if rng.random() < 0.6 else rng.randrange(len(pool))
+        j = rng.randrange(len(pool))
+        a, b = pool[i], pool[j]
+        kind = rng.choice((Neg, Add, Sub, Mul, Div, Pow))
+        if kind is Neg:
+            node, d = Neg(a), degree[i]
+        elif kind is Pow:
+            k = rng.randint(0, 4)
+            node, d = Pow(a, k), degree[i] * k
+        else:
+            node, d = kind(a, b), degree[i] + degree[j]
+        if d <= 16:
+            pool.append(node)
+            degree.append(d)
+    return FunctionOracle(pool[-1], n)
+
+
+def rational_route(f, base, direction, order):
+    """The reference: one gcd-reduced rational function of t, expanded."""
+    return taylor._line_rational(f.program, base, direction).series(order)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_series_route_matches_the_rational_route(seed):
+    rng = random.Random(7100 + seed)
+    cases = fallbacks = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        f = rand_program_oracle(rng, n)
+        base = tuple(rand_nonzero(rng) for _ in range(n))
+        direction = tuple(rand_nonzero(rng) for _ in range(n))
+        order = rng.randint(0, 8)
+        cases += 1
+        try:
+            want = rational_route(f, base, direction, order)
+        except ZeroDivisionError:
+            with pytest.raises(PoleError):
+                line_series(f, base, direction, order)
+            fallbacks += 1
+            continue
+        try:
+            got = taylor._line_truncated(f.program, base, direction, order + 1)
+        except taylor._VanishingDivisor:
+            fallbacks += 1
+        else:
+            assert len(got) <= order + 1
+            assert got + [0] * (order + 1 - len(got)) == want, (seed, f.expression)
+        got = line_series(f, base, direction, order)
+        assert got == want, (seed, f.expression)
+        assert len(got) == order + 1 and all(type(c) is Fraction for c in got)
+    assert fallbacks < cases // 4  # the series route is the one under test
+
+
+@pytest.fixture
+def rational_calls(monkeypatch):
+    """Records each fallback to the rational route."""
+    calls = []
+    real = taylor._line_rational
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(taylor, "_line_rational", counting)
+    return calls
+
+
+def test_series_route_takes_no_fallback(rational_calls):
+    f = oracle_from_text("(2 + x1)/(3 - x2) + x1^3*x2", 2)
+    got = line_series(f, (0, 0), (Fraction(1, 3), Fraction(1, 5)), 6)
+    assert rational_calls == []
+    assert got == rational_route(f, (0, 0), (Fraction(1, 3), Fraction(1, 5)), 6)
+
+
+def test_removable_singularity_falls_back_and_cancels(rational_calls):
+    f = oracle_from_text("(x1^2 - x2^2)/(x1 - x2)", 2)
+    assert line_series(f, (0, 0), (1, 2), 5) == [0, 3, 0, 0, 0, 0]
+    assert len(rational_calls) == 1
+
+
+def test_line_series_pole_at_base(rational_calls):
+    f = oracle_from_text("1/x1", 2)
+    with pytest.raises(PoleError, match="pole at its base point"):
         line_series(f, (0, 0), (1, 0), 3)
+    assert len(rational_calls) == 1
+
+
+def test_line_inside_a_zero_divisor(rational_calls):
+    f = oracle_from_text("1/(x1 - x1)", 2)
+    with pytest.raises(PoleError, match="whole line lies inside a zero divisor"):
+        line_series(f, (1, 2), (3, 4), 3)
+    assert len(rational_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text, value, falls_back",
+    [("x1^2/x1", 1, True), ("1 + x1", 5, False)],
+)
+def test_guard_mismatch_at_the_base_point(rational_calls, text, value, falls_back):
+    f = oracle_from_text(text, 2, guard=((0, 0), value))
+    with pytest.raises(PoleError, match="disagrees with the declared value"):
+        line_series(f, (0, 0), (1, 1), 3)
+    assert bool(rational_calls) == falls_back
+    # off the guard point the guard is not consulted
+    assert line_series(f, (1, 0), (1, 1), 0)[0] == f.evaluate((1, 0))
+
+
+def test_guard_matching_the_limit_passes():
+    f = oracle_from_text("x1^2/x1", 2, guard=((0, 0), 0))
+    assert line_series(f, (0, 0), (1, 1), 3) == [0, 1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "expr, base",
+    [
+        (Pow(Var(1), -1), (Fraction(1),)),  # series route
+        (Pow(Div(Const(Fraction(1)), Var(1)), -2), (Fraction(0),)),  # after the fallback
+    ],
+)
+def test_line_series_rejects_a_negative_exponent(expr, base):
+    # the parser refuses negative exponents; only a tree built in code has one
+    with pytest.raises(ValueError, match="negative exponent"):
+        line_series(FunctionOracle(expr, 1), base, (Fraction(1),), 3)
 
 
 def test_radial_jet_matches_line_series():
