@@ -1,18 +1,24 @@
 """Analyticity verdicts for restrictions of a function to planes and
 2-spheres, and a certification routine for neighborhoods of a plane.
 
-The plane check has two routes.  Polynomial functions are verified exactly:
-the restriction is sampled on a tensor grid of rational nodes, and the tensor
-interpolant's values at held-out nodes (one cached integer Lagrange matrix
-per degree applied to the node values) must equal the restriction's there,
-compared in integers, so the reported residual is exactly zero.
+`check_plane_analytic` is the one chart check, and it has two routes.
+Polynomial functions (detected, or declared through an integer degree
+bound) are verified exactly: the restriction is sampled on a tensor grid of
+rational nodes, and the tensor interpolant's values at held-out nodes (one
+cached integer Lagrange matrix per degree applied to the node values) must
+equal the restriction's there, compared in integers.  Agreement is a pass
+with residual zero; a disagreement is a "fail" report carrying the first
+disagreeing point and the gap there.
 Everything else goes through a float route: a total-degree Chebyshev fit
 over a window, a held-out residual, and a falsifier that walks valleys of
 the pulled-back denominator looking for blow-ups the fit grid missed.
 
 Sphere restrictions are reduced to plane checks through inversions: one
 centered at the origin (covering the sphere away from 0) and one centered
-at a sphere point p (covering a neighborhood of 0 on the sphere).
+at a sphere point p (covering a neighborhood of 0 on the sphere).  For a
+polynomial f of degree d, each pullback g is cleared to g * q^d, with q
+the inversion's |y|^2 or |y - p|^2, and checked exactly with declared
+degree 2d.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .geometry import (
     GeometryError,
     PoleError,
     SphereThroughOrigin,
+    carrier_to_ambient,
     invert_mu,
     invert_mu_centered,
     norm_sq,
@@ -50,6 +57,7 @@ from .oracle import (
     Add,
     Const,
     Div,
+    Expression,
     FunctionOracle,
     Mul,
     Neg,
@@ -87,8 +95,13 @@ class PlaneReport:
     "skipped-zero-divisor" (a divisor pulled back to zero);
     "skipped-nonfinite" (a coefficient of the pullback overflowed or turned
     NaN); "constant-denominator" (no valleys to walk); or "off" (the exact
-    route, scan=False, or a fit that already failed).  It is not part of the
-    JSON reports."""
+    route, or a fit that already failed).  It is not part of the JSON
+    reports.
+
+    On the exact route `fit_degree` holds the degree bound that was checked
+    (2d for a sphere chart of a degree-d polynomial), and a "fail" carries
+    the first check point where the restriction left its tensor
+    interpolant, with the relative gap there as the residual."""
 
     plane: AffinePlane2
     verdict: str
@@ -416,22 +429,23 @@ def check_plane_analytic(
     fit_degree: int = 12,
     window=Fraction(1, 10),
     degree_hint="auto",
-    scan: bool = True,
 ) -> PlaneReport:
     """Is the restriction of f to the plane real-analytic over the window?
 
     Polynomial functions (detected automatically, or declared through an
-    integer `degree_hint`) are settled exactly with residual 0.  Otherwise a
-    Chebyshev fit of total degree `fit_degree` (plus guard terms) must
-    reproduce held-out samples within `tol` relative error, and a
-    denominator-valley falsifier gets a chance to disprove the fit's verdict.
+    integer `degree_hint`) are settled exactly: residual 0, or a "fail" with
+    a witness where the restriction is no polynomial of that degree.
+    Otherwise a Chebyshev fit of total degree `fit_degree` (plus guard
+    terms) must reproduce held-out samples within `tol` relative error, and
+    a denominator-valley falsifier gets a chance to disprove the fit's
+    verdict.
     A pass is a diagnostic at this window and resolution, never a proof.
     """
     if not isinstance(f, FunctionOracle):
         raise CertifyError("the function must be an expression-backed oracle")
     if plane.dimension != f.dimension:
         raise CertifyError("plane and function dimensions differ")
-    if tol <= 0:
+    if not tol > 0:
         raise CertifyError("tol must be positive")
     if fit_degree < 2:
         raise CertifyError("fit_degree must be at least 2")
@@ -442,9 +456,14 @@ def check_plane_analytic(
         w = frac(window)
         if w <= 0:
             raise CertifyError("window must be positive")
-        if _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, w) is not None:
-            raise CertifyError("declared polynomial degree bound is violated on this plane")
-        return PlaneReport(plane, "pass", 0.0, None, "exact", bound, float(w))
+        bad = _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, w)
+        if bad is None:
+            return PlaneReport(plane, "pass", 0.0, None, "exact", bound, float(w))
+        (s, t), gap = bad
+        return PlaneReport(
+            plane, "fail", gap, plane.point_at(s, t), "exact", bound, float(w),
+            "restriction is not a polynomial of the expected degree",
+        )
 
     wf = float(window)
     if not (wf > 0 and math.isfinite(wf)):
@@ -460,22 +479,28 @@ def check_plane_analytic(
             plane, "fail", residual, witness, "float", fit_degree, wf,
             "fit does not reproduce held-out samples",
         )
-    falsifier = "off"
-    if scan:
-        status: list[str] = []
-        hit = _valley_scan(f, plane, wf, grid_max, status)
-        falsifier = status[0]
-        if hit is not None:
-            verdict, where, magnitude = hit
-            return PlaneReport(
-                plane, verdict, magnitude, where, "float", fit_degree, wf,
-                "blow-up along a denominator valley", falsifier,
-            )
+    status: list[str] = []
+    hit = _valley_scan(f, plane, wf, grid_max, status)
+    falsifier = status[0]
+    if hit is not None:
+        verdict, where, magnitude = hit
+        return PlaneReport(
+            plane, verdict, magnitude, where, "float", fit_degree, wf,
+            "blow-up along a denominator valley", falsifier,
+        )
     return PlaneReport(plane, "pass", residual, None, "float", fit_degree, wf, "", falsifier)
 
 
 # ---------------------------------------------------------------------------
 # sphere restrictions via inversions
+
+
+def _inversion_square(n: int, center: Sequence | None = None) -> Expression:
+    """|y|^2, or |y - p|^2 for the inversion centered at p: the divisor of
+    an inversion pullback, and what the exact scan clears it with."""
+    if center is None:
+        return reduce(Add, [Pow(Var(i), 2) for i in range(1, n + 1)])
+    return reduce(Add, [Pow(Sub(Var(i), Const(center[i - 1])), 2) for i in range(1, n + 1)])
 
 
 def pullback_through_inversion(f: FunctionOracle, sphere: SphereThroughOrigin):
@@ -485,7 +510,7 @@ def pullback_through_inversion(f: FunctionOracle, sphere: SphereThroughOrigin):
     n = f.dimension
     if sphere.dimension != n:
         raise CertifyError("sphere and function dimensions differ")
-    q = reduce(Add, [Pow(Var(i), 2) for i in range(1, n + 1)])
+    q = _inversion_square(n)
     mapping = {i: Div(Var(i), q) for i in range(1, n + 1)}
     expr = substitute(f.expression, mapping)
     guard = None
@@ -510,7 +535,7 @@ def pullback_through_centered_inversion(
     if not sphere.contains(p):
         raise CertifyError("the inversion center must lie on the sphere")
 
-    q = reduce(Add, [Pow(Sub(Var(i), Const(p[i - 1])), 2) for i in range(1, n + 1)])
+    q = _inversion_square(n, p)
     mapping = {
         i: Add(Div(Sub(Var(i), Const(p[i - 1])), q), Const(p[i - 1]))
         for i in range(1, n + 1)
@@ -523,17 +548,25 @@ def pullback_through_centered_inversion(
     ns = norm_sq(p)
     z0 = tuple(x - x / ns for x in p)
     c2p = tuple(ci - 2 * pi for ci, pi in zip(sphere.c, p))
-    w = la.mat(sphere.basis)
     row = tuple(la.dot(c2p, v) for v in sphere.basis)
     kernel = la.nullspace((row,))
     if len(kernel) != 2:
         raise DegenerateSphereError("sphere direction space collapsed")
-
-    def to_ambient(u):
-        return tuple(u[0] * a + u[1] * b + u[2] * c for a, b, c in zip(*w))
-
-    d1, d2 = tidy_plane_basis(to_ambient(kernel[0]), to_ambient(kernel[1]))
+    d1, d2 = tidy_plane_basis(
+        carrier_to_ambient(kernel[0], sphere.basis), carrier_to_ambient(kernel[1], sphere.basis)
+    )
     return FunctionOracle(expr, n, guard), AffinePlane2(z0, (d1, d2))
+
+
+def _cleared(g: FunctionOracle, q: Expression, d: int) -> FunctionOracle:
+    """g * q^d, with a guard value scaled by q^d at its point.  For g the
+    pullback of a degree-d polynomial through the inversion with divisor q,
+    a polynomial of degree at most 2d (degree k goes to 2d - k)."""
+    guard = None
+    if g.guard is not None:
+        point, value = g.guard
+        guard = (point, value * FunctionOracle(q, g.dimension)(point) ** d)
+    return FunctionOracle(Mul(g.expression, Pow(q, d)), g.dimension, guard)
 
 
 def sample_spheres(dimension: int, count: int, rng: random.Random) -> list[SphereThroughOrigin]:
@@ -618,50 +651,19 @@ def _scan_one(f, sphere, p, poly_degree, tol, fit_degree):
     exact polynomial degree of f, or None for the float route."""
     g_far, plane_far = pullback_through_inversion(f, sphere)
     g_near, plane_near = pullback_through_centered_inversion(f, sphere, p)
+    check = partial(check_plane_analytic, tol=tol, fit_degree=fit_degree)
 
     if poly_degree is not None:
-        d = poly_degree
-
-        def h_far(s, t):
-            y = plane_far.point_at(s, t)
-            q = norm_sq(y)
-            x = tuple(yi / q for yi in y)
-            return f.evaluate(x) * q**d
-
-        def h_near(s, t):
-            y = plane_near.point_at(s, t)
-            dp = tuple(yi - pi for yi, pi in zip(y, p))
-            q = norm_sq(dp)
-            x = tuple(di / q + pi for di, pi in zip(dp, p))
-            return f.evaluate(x) * q**d
-
-        parts = []
-        charts = (("origin-inversion", plane_far, h_far), ("point-inversion", plane_near, h_near))
-        for name, plane, h in charts:
-            # a guard value that breaks continuity shows up as a cleared
-            # pullback that is no polynomial: an honest failure, not an error
-            bad = _exact_tensor_check(h, 2 * d, Fraction(1))
-            if bad is None:
-                rep = PlaneReport(plane, "pass", 0.0, None, "exact", 2 * d, 1.0)
-            else:
-                (s, t), gap = bad
-                rep = PlaneReport(
-                    plane, "fail", gap, plane.point_at(s, t), "exact", 2 * d, 1.0,
-                    "cleared pullback is not a polynomial of the expected degree",
-                )
-            parts.append((name, rep))
-        return SphereOutcome(sphere, tuple(parts))
-
-    margin_far = math.sqrt(float(norm_sq(plane_far.base_point)))
-    margin_near = 1.0 / math.sqrt(float(norm_sq(sphere.c)))
-    rep_far = check_plane_analytic(
-        g_far, plane_far, tol=tol, fit_degree=fit_degree,
-        window=_float_window(margin_far, plane_far.basis), degree_hint=None,
-    )
-    rep_near = check_plane_analytic(
-        g_near, plane_near, tol=tol, fit_degree=fit_degree,
-        window=_float_window(margin_near, plane_near.basis), degree_hint=None,
-    )
+        d, n = poly_degree, f.dimension
+        exact = partial(check, window=Fraction(1), degree_hint=2 * d)
+        rep_far = exact(_cleared(g_far, _inversion_square(n), d), plane_far)
+        rep_near = exact(_cleared(g_near, _inversion_square(n, p), d), plane_near)
+    else:
+        fit = partial(check, degree_hint=None)
+        margin_far = math.sqrt(float(norm_sq(plane_far.base_point)))
+        rep_far = fit(g_far, plane_far, window=_float_window(margin_far, plane_far.basis))
+        margin_near = 1.0 / math.sqrt(float(norm_sq(sphere.c)))
+        rep_near = fit(g_near, plane_near, window=_float_window(margin_near, plane_near.basis))
     return SphereOutcome(sphere, (("origin-inversion", rep_far), ("point-inversion", rep_near)))
 
 
@@ -697,6 +699,8 @@ def sphere_scan(
         raise CertifyError(f"unknown mode {mode!r}")
     if workers < 1:
         raise CertifyError("workers must be at least 1")
+    if not tol > 0:
+        raise CertifyError("tol must be positive")
     if spheres is None and count < 1:
         raise CertifyError("count must be at least 1")
     if rng is None:
@@ -839,7 +843,7 @@ def certify_near_plane(
         raise CertifyError("order must be nonnegative")
     if sweep < 0:
         raise CertifyError("sweep count must be nonnegative")
-    if tol <= 0:
+    if not tol > 0:
         raise CertifyError("tol must be positive")
     if mode not in ("auto", "exact", "float"):
         raise CertifyError(f"unknown mode {mode!r}")

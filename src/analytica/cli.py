@@ -341,8 +341,11 @@ def _cmd_invert(args) -> int:
     if args.sphere_json:
         with open(args.sphere_json) as fh:
             raw = json.load(fh)
-        c = tuple(Fraction(str(x)) for x in raw["c"])
-        basis = tuple(tuple(Fraction(str(x)) for x in row) for row in raw.get("basis", ()))
+        try:
+            c = tuple(Fraction(str(x)) for x in raw["c"])
+            basis = tuple(tuple(Fraction(str(x)) for x in row) for row in raw.get("basis", ()))
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad sphere file {args.sphere_json}: {exc!r}") from None
         if not basis:
             if len(c) != 3:
                 raise OracleError("a sphere in dimension > 3 needs an explicit basis")

@@ -351,7 +351,6 @@ def tower_evaluate(tower: TaylorTower, point: Sequence, order: int | None = None
     for r in range(top + 1):
         if r:
             fact *= r
-        val = evaluate_form(tower.forms[r], point)
-        term = val / fact if not isinstance(val, float) else val / fact
+        term = evaluate_form(tower.forms[r], point) / fact
         total = term if total is None else total + term
     return total if total is not None else ZERO

@@ -34,12 +34,14 @@ class PoleError(ZeroDivisionError):
         self.point = tuple(point) if point is not None else None
 
 
-def _as_point(p: Sequence) -> Vec:
-    return vec(p)
-
-
 def norm_sq(p: Sequence[Fraction]) -> Fraction:
     return la.dot(p, p)
+
+
+def carrier_to_ambient(u: Sequence, basis: Sequence[Sequence]) -> Vec:
+    """The ambient point u0*b0 + u1*b1 + u2*b2 with carrier coordinates u
+    in the 3-space spanned by the rows of basis."""
+    return tuple(u[0] * a + u[1] * b + u[2] * c for a, b, c in zip(*basis))
 
 
 def span_key(vectors: Sequence[Sequence]) -> tuple:
@@ -67,7 +69,7 @@ class Hyperplane:
         return len(self.normal)
 
     def contains(self, p: Sequence) -> bool:
-        return la.dot(self.normal, _as_point(p)) == 0
+        return la.dot(self.normal, vec(p)) == 0
 
     def chart(self) -> Mat:
         """Deterministic rational basis of the hyperplane, as an n x (n-1)
@@ -195,7 +197,7 @@ class Cone:
 def in_cone(cone: Cone, p: Sequence) -> bool:
     """True iff the direction of p lies strictly within the cone aperture.
     The origin is a member by convention."""
-    q = _as_point(p)
+    q = vec(p)
     if len(q) != cone.dimension:
         raise GeometryError("point dimension does not match the cone")
     n2 = norm_sq(q)
@@ -247,7 +249,7 @@ def general_position(hyperplanes: Sequence[Hyperplane], n: int | None = None) ->
 
 def invert_mu(x: Sequence) -> Vec:
     """The inversion x -> x / |x|^2; an involution away from the origin."""
-    p = _as_point(x)
+    p = vec(x)
     n2 = norm_sq(p)
     if n2 == 0:
         raise PoleError("inversion is undefined at the origin", p)
@@ -256,27 +258,13 @@ def invert_mu(x: Sequence) -> Vec:
 
 def invert_mu_centered(x: Sequence, center: Sequence) -> Vec:
     """Inversion centered at a point: mu_p(x) = mu(x - p) + p."""
-    p = _as_point(center)
-    q = _as_point(x)
+    p = vec(center)
+    q = vec(x)
     if len(p) != len(q):
         raise GeometryError("point and center dimensions disagree")
     diff = tuple(a - b for a, b in zip(q, p))
     inv = invert_mu(diff)
     return tuple(a + b for a, b in zip(inv, p))
-
-
-def level_surface_map(h, x: Sequence) -> Vec:
-    """Map x -> x / h(x) for a polynomial-valued function h.
-
-    Accepts anything with an .evaluate(point) method (forms, oracles) or a
-    plain callable.  Raises PoleError where h vanishes.
-    """
-    p = _as_point(x)
-    value = h.evaluate(p) if hasattr(h, "evaluate") else h(p)
-    value = frac(value)
-    if value == 0:
-        raise PoleError("level function vanishes at the point", p)
-    return tuple(c / value for c in p)
 
 
 def tidy_plane_basis(b1: Sequence, b2: Sequence) -> tuple[Vec, Vec]:
@@ -331,7 +319,7 @@ class SphereThroughOrigin:
         return len(self.c)
 
     def contains(self, p: Sequence) -> bool:
-        q = _as_point(p)
+        q = vec(p)
         if la.rank(la.mat(self.basis + (q,))) > 3:
             return False
         return norm_sq(q) == la.dot(self.c, q)
@@ -358,11 +346,7 @@ class SphereThroughOrigin:
             if numer == 0 or denom == 0:
                 continue
             t = numer / denom
-            u = tuple(t * x for x in m)
-            out.append(tuple(
-                u[0] * v0 + u[1] * v1 + u[2] * v2
-                for v0, v1, v2 in zip(*self.basis)
-            ))
+            out.append(carrier_to_ambient(tuple(t * x for x in m), self.basis))
         return out
 
 
@@ -382,14 +366,10 @@ def sphere_to_plane(sphere: SphereThroughOrigin) -> AffinePlane2:
     kernel = la.nullspace((a,))
     if len(kernel) != 2:
         raise DegenerateSphereError("sphere carrier space is degenerate")
-
-    def to_ambient(u: Vec) -> Vec:
-        return tuple(
-            u[0] * v0 + u[1] * v1 + u[2] * v2 for v0, v1, v2 in zip(*sphere.basis)
-        )
-
-    base = to_ambient(u0)
-    d1, d2 = tidy_plane_basis(to_ambient(kernel[0]), to_ambient(kernel[1]))
+    base = carrier_to_ambient(u0, sphere.basis)
+    d1, d2 = tidy_plane_basis(
+        carrier_to_ambient(kernel[0], sphere.basis), carrier_to_ambient(kernel[1], sphere.basis)
+    )
     return AffinePlane2(base, (d1, d2))
 
 
@@ -408,10 +388,7 @@ def plane_to_sphere(plane: AffinePlane2, carrier_basis: Sequence[Sequence]) -> S
 
     def carrier_coords(v: Vec) -> Vec:
         coords = la.solve(gram, la.matvec(w, v))
-        back = tuple(
-            coords[0] * a + coords[1] * b + coords[2] * c for a, b, c in zip(*w)
-        )
-        if back != tuple(v):
+        if carrier_to_ambient(coords, w) != tuple(v):
             raise GeometryError("plane does not lie inside the carrier space")
         return coords
 
@@ -422,6 +399,5 @@ def plane_to_sphere(plane: AffinePlane2, carrier_basis: Sequence[Sequence]) -> S
         a = la.solve(la.mat((k1, k2, ub)), (Fraction(0), Fraction(0), Fraction(1)))
     except (SingularMatrixError, InconsistentSystemError):
         raise GeometryError("plane passes through the origin; no sphere corresponds")
-    m = la.solve(gram, a)
-    c = tuple(m[0] * v0 + m[1] * v1 + m[2] * v2 for v0, v1, v2 in zip(*w))
+    c = carrier_to_ambient(la.solve(gram, a), w)
     return SphereThroughOrigin(c, tuple(tuple(r) for r in w))

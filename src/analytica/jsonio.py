@@ -113,7 +113,10 @@ def vector_to_data(v) -> list:
 
 
 def vector_from_data(data) -> tuple:
-    return tuple(frac(Fraction(x) if isinstance(x, str) else x) for x in data)
+    try:
+        return tuple(frac(Fraction(x) if isinstance(x, str) else x) for x in data)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad vector {data!r}: {exc!r}") from None
 
 
 def form_to_data(f: HomogeneousForm) -> dict:
@@ -125,9 +128,10 @@ def form_to_data(f: HomogeneousForm) -> dict:
 
 
 def form_from_data(data: dict) -> HomogeneousForm:
-    terms = {
-        tuple(t["exp"]): Fraction(t["num"], t.get("den", 1)) for t in data["terms"]
-    }
+    try:
+        terms = {tuple(t["exp"]): Fraction(t["num"], t.get("den", 1)) for t in data["terms"]}
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad form {data!r}: {exc!r}") from None
     return HomogeneousForm(data["n"], data["d"], terms)
 
 
@@ -149,12 +153,18 @@ def restrictions_to_data(restrictions) -> dict:
 
 
 def restrictions_from_data(data: dict) -> list[HyperplaneRestriction]:
-    out = []
-    for entry in data["restrictions"]:
-        plane = Hyperplane(vector_from_data(entry["normal"]))
-        chart = tuple(vector_from_data(row) for row in entry["chart"])
-        out.append(HyperplaneRestriction(plane, chart, form_from_data(entry["form"])))
-    return out
+    try:
+        entries = [(e["normal"], list(e["chart"]), e["form"]) for e in data["restrictions"]]
+    except TypeError as exc:
+        raise ValueError(f"bad restrictions data: {exc!r}") from None
+    return [
+        HyperplaneRestriction(
+            Hyperplane(vector_from_data(normal)),
+            tuple(vector_from_data(row) for row in chart),
+            form_from_data(form),
+        )
+        for normal, chart, form in entries
+    ]
 
 
 def tower_result_to_data(result, line_radii=()) -> dict:

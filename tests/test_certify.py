@@ -53,9 +53,22 @@ def test_polynomial_plane_check_is_exact():
 
 
 def test_declared_degree_bound_is_enforced():
+    # a violated bound is a failed check with a witness on the plane, not an error
     f = oracle_from_text("x1^4", 3)
-    with pytest.raises(CertifyError):
-        check_plane_analytic(f, XY, degree_hint=2)
+    rep = check_plane_analytic(f, XY, degree_hint=2)
+    assert rep.verdict == "fail" and rep.mode == "exact" and rep.fit_degree == 2
+    assert rep.residual > 0
+    assert rep.witness is not None and rep.witness[2] == 0
+    assert not bool(rep)
+
+
+def test_a_discontinuous_guard_fails_the_exact_plane_check():
+    # no bound is declared; x1^2 guarded to 1 at the origin is no polynomial on XY
+    f = oracle_from_text("x1^2", 3, guard=((0, 0, 0), 1))
+    rep = check_plane_analytic(f, XY)
+    assert rep.verdict == "fail" and rep.mode == "exact" and rep.fit_degree == 2
+    assert rep.residual > 0 and rep.witness is not None
+    assert check_plane_analytic(oracle_from_text("x1^2", 3, guard=((0, 0, 0), 0)), XY)
 
 
 def _reference_tensor_check(value_fn, degree, window):
@@ -186,11 +199,14 @@ def test_check_matrix_is_the_lagrange_basis_at_the_check_nodes(d):
 
 
 def test_parameter_validation():
-    f = oracle_from_text("x1", 3)
-    with pytest.raises(CertifyError):
-        check_plane_analytic(f, XY, tol=0.0)
-    with pytest.raises(CertifyError):
-        check_plane_analytic(f, XY, fit_degree=1)
+    # both routes: a polynomial (exact) and a rational function (float) whose
+    # fit fails at the default tol, so a NaN tol must not let it pass
+    for f in (oracle_from_text("x1", 3), oracle_from_text("1/(x1^2 + 1/10000)", 3)):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(CertifyError):
+                check_plane_analytic(f, XY, tol=tol)
+        with pytest.raises(CertifyError):
+            check_plane_analytic(f, XY, fit_degree=1)
 
 
 def test_rational_pass_and_report_fields():
@@ -292,7 +308,6 @@ def test_falsifier_status_on_plane_reports():
     assert statuses(oracle_from_text("x1*x2", 3)) == ["off", "off"]
     f = oracle_from_text("1/(2-x1)", 3)
     assert check_plane_analytic(f, XY).falsifier == "ran"
-    assert check_plane_analytic(f, XY, scan=False).falsifier == "off"
 
 
 def _golden_min_scalar(fn, lo, hi, iters=96):
@@ -432,6 +447,33 @@ def test_centered_pullback_identity():
             assert g.evaluate(y) == f.evaluate(x)
 
 
+def test_cleared_pullbacks_are_the_inverted_function_times_q_to_the_d():
+    # h = g * q^d must read f(mu(y)) * q(y)^d everywhere, the guard included,
+    # as the exact scan's tensor check sees it
+    rng = random.Random(607)
+    guard = ((1, 2, 3), 7)
+    f = oracle_from_text("x1*x2 - x3^3 + 1/2", 3, guard=guard)
+    for sphere in sample_spheres(3, 3, rng):
+        p = sphere.sample_points(1, rng)[0]
+        charts = [
+            (pullback_through_inversion(f, sphere)[0], None, certify.invert_mu),
+            (
+                pullback_through_centered_inversion(f, sphere, p)[0],
+                p,
+                lambda y, p=p: certify.invert_mu_centered(y, p),
+            ),
+        ]
+        for g, center, mu in charts:
+            h = certify._cleared(g, certify._inversion_square(3, center), 3)
+            shift = center or (0, 0, 0)
+            points = [rand_point(rng, 3, bound=6) for _ in range(4)] + [mu(guard[0])]
+            for y in points:
+                q = norm_sq(tuple(a - b for a, b in zip(y, shift)))
+                if q:
+                    assert h.evaluate(y) == f.evaluate(mu(y)) * q**3
+            assert h.guard[1] != guard[1]  # the guard value was scaled
+
+
 def test_centered_pullback_needs_sphere_point():
     rng = random.Random(604)
     f = oracle_from_text("x1", 3)
@@ -544,6 +586,15 @@ def test_scan_validation():
         sphere_scan(f, count=0, seed=1)
     with pytest.raises(CertifyError):
         sphere_scan(f, count=2, seed=1, workers=0)
+    # both routes check tol and fit_degree; tol before any sphere is drawn
+    for g in (f, oracle_from_text("1/(2-x1)", 3)):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(CertifyError):
+                sphere_scan(g, count=2, seed=1, tol=tol)
+            with pytest.raises(CertifyError):
+                sphere_scan(g, spheres=[], seed=1, tol=tol)
+        with pytest.raises(CertifyError):
+            sphere_scan(g, count=2, seed=1, fit_degree=1)
 
 
 # ---------------------------------------------------------------------------
@@ -587,3 +638,5 @@ def test_certify_validation():
         certify_near_plane(f, XY, theta=Fraction(2), seed=1)
     with pytest.raises(CertifyError):
         certify_near_plane(f, XY, eta=Fraction(0), seed=1)
+    with pytest.raises(CertifyError):
+        certify_near_plane(f, XY, tol=math.nan, seed=1)

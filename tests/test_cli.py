@@ -124,6 +124,17 @@ def test_discontinuous_guard_exits_as_a_failure(capsys):
         assert len(fl["witness"]) == 3
 
 
+@pytest.mark.parametrize("expr", ["x1^2 + x2*x3", "1/(2-x1)"], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "flags", [["--tol", "-1"], ["--tol", "nan"], ["--fit-degree", "1"]], ids=["tol-1", "tol-nan", "fit-1"]
+)
+def test_probe_rejects_bad_fit_settings_on_both_routes(expr, flags, capsys):
+    assert run(["probe", "--expr", expr, "--spheres", "1", "--seed", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("analytica: error:")
+
+
 @pytest.mark.parametrize(
     "expr", ["x1/(10^400 + x2)", "x1/(1" + "0" * 400 + " + x2)"], ids=["power", "literal"]
 )
@@ -193,6 +204,40 @@ def test_cone_wrong_degree_is_diagnosed(tmp_path, capsys):
     assert code == 2
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False and data["witness"]
+
+
+def _restrictions_with_normal(normal):
+    data = restrictions_to_data([restriction_of(LINEAR, Hyperplane((1, 1, 1)))])
+    data["restrictions"][0]["normal"] = normal
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["reconstruct", "cone"], {"n": 3, "d": 1, "terms": [{"exp": [1, 0, 0], "num": 1, "den": 0}]}),
+        (["reconstruct", "cone"], [[1, 0, 0], 1]),
+        (["reconstruct", "cone"], {"n": 3, "d": 1, "terms": [{"exp": [1, 0, 0], "num": "1"}]}),
+        (["reconstruct", "glue"], _restrictions_with_normal(["1/0", "1", "1"])),
+        (["reconstruct", "glue"], _restrictions_with_normal("1,1,1")),
+        (["reconstruct", "glue"], [1, 2]),
+        (["invert"], {"c": ["1/0", "0", "0"]}),
+        (["invert"], ["1/2", "0", "0"]),
+        (["invert"], {"c": ["1/2", "0", "0"], "basis": 3}),
+    ],
+    ids=[
+        "cone-zero-den", "cone-form-is-a-list", "cone-string-num", "glue-normal-1/0",
+        "glue-normal-is-a-string", "glue-data-is-a-list", "sphere-c-1/0", "sphere-is-a-list",
+        "sphere-basis-is-a-number",
+    ],
+)
+def test_malformed_input_file_is_a_usage_error(command, data, tmp_path, capsys):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(data))
+    flag = "--sphere-json" if command == ["invert"] else "--input"
+    assert run([*command, flag, str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analytica: error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

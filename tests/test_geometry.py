@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from analytica.certify import sample_spheres
-from analytica.forms import linear_form
 from analytica.geometry import (
     AffinePlane2,
     Cone,
@@ -18,7 +17,6 @@ from analytica.geometry import (
     in_cone,
     invert_mu,
     invert_mu_centered,
-    level_surface_map,
     norm_sq,
     plane_in_subcone,
     plane_to_sphere,
@@ -70,13 +68,6 @@ def test_centered_inversion_matches_translation():
         shifted = invert_mu(tuple(a - b for a, b in zip(x, c)))
         assert got == tuple(a + b for a, b in zip(shifted, c))
         assert invert_mu_centered(got, c) == x
-
-
-def test_level_surface_map_scales_by_value():
-    f = linear_form((1, 1, 0))
-    assert level_surface_map(f, (1, 1, 5)) == (Fraction(1, 2), Fraction(1, 2), Fraction(5, 2))
-    with pytest.raises(PoleError):
-        level_surface_map(f, (1, -1, 0))
 
 
 def test_plane_point_at():
