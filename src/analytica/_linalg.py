@@ -1,12 +1,16 @@
 """Exact rational linear algebra on small dense matrices.
 
 Matrices are tuples of row tuples of Fraction, vectors are tuples of
-Fraction.  `solve`, `rank`, `inverse` and `nullspace` are Gaussian
-elimination over Fractions; `Elimination`, which plans and solves the cone
-designs, eliminates integer rows fraction-free (Bareiss) and only
-back-substitutes in Fractions.  The systems this package produces stay
-small (a few hundred rows at most), so exactness matters far more than
-asymptotics.
+Fraction.  There is one elimination, `Elimination`: it reduces integer rows
+fraction-free (Bareiss) and back-substitutes once in Fractions.  The cone
+designs are planned and solved on it directly; `rank`, `solve`, `inverse`,
+`nullspace` and `rref` clear each Fraction row to integers
+(`clear_denominators`), add it, and read their answer off the kept rows.
+Each answer (a rank, a unique solution or inverse, the kernel basis with
+one free column set to 1, the reduced row echelon form) is unique, so it is
+the same Fraction that Gauss-Jordan elimination gives.  The systems this
+package produces stay small (a few hundred rows at most), so exactness
+matters far more than asymptotics.
 """
 
 from __future__ import annotations
@@ -73,62 +77,12 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    rows = [list(r) for r in m]
-    rows, pivots = _echelon(rows)
-    return tuple(tuple(r) for r in rows), tuple(pivots)
-
-
-def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
-
-
-def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
-    """Solve a x = b exactly for the unique x.
-
-    Accepts square or overdetermined systems.  Raises SingularMatrixError
-    when the columns are dependent and InconsistentSystemError when no
-    solution exists.
-    """
-    if len(a) != len(b):
-        raise LinAlgError("right-hand side length mismatch")
-    ncols = len(a[0]) if a else 0
-    rows = [list(r) + [frac(x)] for r, x in zip(a, b)]
-    rows, pivots = _echelon(rows)
-    if ncols in pivots:
-        raise InconsistentSystemError("system has no solution")
-    if len(pivots) < ncols:
-        raise SingularMatrixError("system is rank-deficient")
-    x = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][ncols]
-    return tuple(x)
+def clear_denominators(entries: Iterable) -> tuple[list[int], int]:
+    """Integers k_i and their least common denominator den with
+    entries[i] == k_i / den, for rational (Fraction or int) entries."""
+    entries = list(entries)
+    den = math.lcm(*(x.denominator for x in entries))
+    return [x.numerator * (den // x.denominator) for x in entries], den
 
 
 class Elimination:
@@ -146,7 +100,8 @@ class Elimination:
     later divisions are not exact.  The reduced row is p_k times the row a
     Fraction elimination leaves, so the same rows are kept with the same lead
     columns, and a reduced row is zero in the lead columns of the rows kept
-    before it.
+    before it.  The lead columns are therefore distinct and, sorted, are the
+    pivot columns of the reduced row echelon form.
 
     A row may stand for row / scale (the monomial row of a point q / D of
     degree d is the row of q with scale D**d).  Each kept row stores its lead
@@ -157,6 +112,11 @@ class Elimination:
 
     def __init__(self) -> None:
         self._kept: list[tuple[int, list[int], int, list[int]]] = []
+
+    @property
+    def leads(self) -> list[int]:
+        """The lead column of each kept row, in the order they were kept."""
+        return [lead for lead, _, _, _ in self._kept]
 
     def add(self, row: Sequence[int], scale: int = 1) -> bool:
         """Keep the integer row if it is independent of the kept rows."""
@@ -177,6 +137,16 @@ class Elimination:
         self._kept.append((lead, row, scale, multipliers))
         return True
 
+    def back_substitute(self, values: Sequence, x: list) -> list:
+        """Fill x in the lead columns so that (reduced row) . x = value for
+        every kept row, with x's other entries given and its lead entries 0.
+        Rows are solved last kept first: a row is zero in the lead columns
+        of the rows kept before it, which are still 0 in x, so the full dot
+        product only picks up the leads of rows kept later."""
+        for (lead, row, _, _), v in zip(reversed(self._kept), reversed(values)):
+            x[lead] = (v - sum((a * c for a, c in zip(row, x) if a and c), ZERO)) / row[lead]
+        return x
+
     def solve(self, b: Sequence) -> Vec:
         """The unique x with (kept rows / their scales) x = b, entries of b in
         the order their rows were kept.  The kept rows must form a square
@@ -186,52 +156,87 @@ class Elimination:
         ncols = len(self._kept[0][1]) if self._kept else 0
         if len(self._kept) != ncols:
             raise SingularMatrixError("kept rows do not form a square nonsingular matrix")
-        scaled = [frac(v) * scale for v, (_, _, scale, _) in zip(b, self._kept)]
-        den = common_denominator(scaled)
+        scaled, den = clear_denominators(frac(v) * scale for v, (_, _, scale, _) in zip(b, self._kept))
         pivots = [piv[lead] for lead, piv, _, _ in self._kept]
         y: list[int] = []
         for (_, _, _, multipliers), v in zip(self._kept, scaled):
-            v = v.numerator * (den // v.denominator)
             prev = 1
             for p, m, yk in zip(pivots, multipliers, y):
                 v = (p * v - m * yk) // prev
                 prev = p
             y.append(v)
-        # x is zero in the lead columns not yet solved, so the full dot product
-        # only picks up the leads of rows kept later
-        x = [ZERO] * ncols
-        for (lead, row, _, _), v in zip(reversed(self._kept), reversed(y)):
-            x[lead] = (v - sum((a * c for a, c in zip(row, x) if a and c), ZERO)) / row[lead]
-        return tuple(c / den for c in x)
+        return tuple(c / den for c in self.back_substitute(y, [ZERO] * ncols))
+
+
+def _eliminate(rows: Iterable[Sequence]) -> Elimination:
+    """An elimination of the rational rows, each cleared to integers."""
+    e = Elimination()
+    for r in rows:
+        e.add(*clear_denominators(r))
+    return e
+
+
+def _kernel(e: Elimination, ncols: int) -> dict[int, Vec]:
+    """The kernel vector of each free column f, in column order: 1 at f and
+    0 at the other free columns."""
+    zeros = [0] * len(e.leads)
+    leads = set(e.leads)
+    return {
+        f: tuple(e.back_substitute(zeros, [ONE if c == f else ZERO for c in range(ncols)]))
+        for f in range(ncols)
+        if f not in leads
+    }
+
+
+def rank(m: Mat) -> int:
+    return len(_eliminate(m).leads)
+
+
+def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
+    """Solve a x = b exactly for the unique x.
+
+    Accepts square or overdetermined systems.  Raises InconsistentSystemError
+    when no solution exists, else SingularMatrixError when the columns are
+    dependent.
+    """
+    if len(a) != len(b):
+        raise LinAlgError("right-hand side length mismatch")
+    ncols = len(a[0]) if a else 0
+    e = _eliminate((*r, frac(x)) for r, x in zip(a, b))
+    # a kept row that leads in the b column reads 0 = nonzero
+    if ncols in e.leads:
+        raise InconsistentSystemError("system has no solution")
+    if len(e.leads) < ncols:
+        raise SingularMatrixError("system is rank-deficient")
+    return tuple(e.back_substitute([row[ncols] for _, row, _, _ in e._kept], [ZERO] * ncols))
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
     if any(len(r) != n for r in m):
         raise LinAlgError("inverse of a non-square matrix")
-    aug = [list(r) + list(identity(n)[i]) for i, r in enumerate(m)]
-    aug, pivots = _echelon(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
+    e = _eliminate(m)
+    if len(e.leads) < n:
         raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+    return transpose(tuple(e.solve(unit) for unit in identity(n)))
 
 
 def nullspace(m: Mat) -> list[Vec]:
     """Basis of the kernel of m, deterministic (free variables in column order)."""
     if not m:
         return []
-    ncols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [ZERO] * ncols
-        v[fcol] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][fcol]
-        basis.append(tuple(v))
-    return basis
+    return list(_kernel(_eliminate(m), len(m[0])).values())
 
 
-def common_denominator(entries: Iterable[Fraction]) -> int:
-    return math.lcm(*(x.denominator for x in entries))
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form, and their pivot
+    columns.  Row i is 1 at pivot i and 0 at the other pivots; at a free
+    column f it is minus the i-th pivot's entry of f's kernel vector."""
+    ncols = len(m[0]) if m else 0
+    e = _eliminate(m)
+    pivots = sorted(e.leads)
+    rows = [[ONE if c == p else ZERO for c in range(ncols)] for p in pivots]
+    for f, v in _kernel(e, ncols).items():
+        for row, p in zip(rows, pivots):
+            row[f] = -v[p]
+    return tuple(map(tuple, rows)), tuple(pivots)

@@ -132,18 +132,15 @@ def _check_matrix(degree: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     # integers; for d = 0 every product is empty and C is a column of ones
     xs = [3 * (d + 1) * (2 * i - d) for i in range(d + 1)]
     ys = [d * (6 * a - 3 * d + 1) for a in range(d + 2)]
-    basis = [
-        [
-            Fraction(
-                math.prod(y - xj for xj in xs if xj != xi),
-                math.prod(xi - xj for xj in xs if xj != xi),
-            )
-            for xi in xs
-        ]
+    basis, c = la.clear_denominators(
+        Fraction(
+            math.prod(y - xj for xj in xs if xj != xi),
+            math.prod(xi - xj for xj in xs if xj != xi),
+        )
         for y in ys
-    ]
-    c = math.lcm(*(b.denominator for row in basis for b in row))
-    return tuple(tuple(b.numerator * (c // b.denominator) for b in row) for row in basis), c
+        for xi in xs
+    )
+    return tuple(tuple(basis[a : a + d + 1]) for a in range(0, len(basis), d + 1)), c
 
 
 def _exact_tensor_check(value_fn: Callable, degree: int, window: Fraction):
@@ -160,9 +157,8 @@ def _exact_tensor_check(value_fn: Callable, degree: int, window: Fraction):
     d = degree
     w = frac(window)
     nodes = [Fraction(0)] if d == 0 else [w * Fraction(2 * i - d, d) for i in range(d + 1)]
-    values = [[value_fn(s, t) for t in nodes] for s in nodes]
-    den = math.lcm(*(v.denominator for row in values for v in row))
-    columns = list(zip(*([v.numerator * (den // v.denominator) for v in row] for row in values)))
+    values, den = la.clear_denominators(value_fn(s, t) for s in nodes for t in nodes)
+    columns = [values[j :: d + 1] for j in range(d + 1)]
     cmat, c = _check_matrix(d)
     scale = c * c * den
 
@@ -456,7 +452,13 @@ def check_plane_analytic(
         w = frac(window)
         if w <= 0:
             raise CertifyError("window must be positive")
-        bad = _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, w)
+        try:
+            bad = _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, w)
+        except PoleError as exc:
+            return PlaneReport(
+                plane, "pole", math.inf, exc.point, "exact", bound, float(w),
+                "denominator vanishes at a probed point",
+            )
         if bad is None:
             return PlaneReport(plane, "pass", 0.0, None, "exact", bound, float(w))
         (s, t), gap = bad
@@ -673,7 +675,6 @@ def sphere_scan(
     *,
     count: int = 6,
     seed: int | None = None,
-    rng: random.Random | None = None,
     tol: float = 1e-9,
     fit_degree: int = 12,
     workers: int = 1,
@@ -703,8 +704,7 @@ def sphere_scan(
         raise CertifyError("tol must be positive")
     if spheres is None and count < 1:
         raise CertifyError("count must be at least 1")
-    if rng is None:
-        rng = random.Random(0 if seed is None else seed)
+    rng = random.Random(0 if seed is None else seed)
 
     poly_degree = degree_bound(f.expression)
     if mode == "exact" and poly_degree is None:
@@ -818,7 +818,6 @@ def certify_near_plane(
     eta: Fraction = Fraction(1, 10),
     tol: float = 1e-9,
     seed: int | None = None,
-    rng: random.Random | None = None,
     sweep: int = 3,
     fit_degree: int = 12,
     mode: str = "auto",
@@ -850,13 +849,11 @@ def certify_near_plane(
     eta = frac(eta)
     if eta <= 0:
         raise CertifyError("eta must be positive")
-    if rng is None:
-        rng = random.Random(0 if seed is None else seed)
 
     origin = plane.base_point
     f_loc = translate(f, origin)
     cone = Cone(plane.direction_plane(), frac(theta), eta)
-    samples = ConeSampleSet(cone, rng)
+    samples = ConeSampleSet(cone, random.Random(0 if seed is None else seed))
     tower_mode = "float" if mode == "float" else "exact"
     tres = build_tower(f_loc, cone, order, mode=tower_mode, samples=samples, tol=tol)
 

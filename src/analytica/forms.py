@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._linalg import common_denominator, frac
+from ._linalg import clear_denominators, frac
 
 MultiIndex = tuple[int, ...]
 
@@ -81,6 +81,10 @@ class HomogeneousForm:
     coefficients: dict[MultiIndex, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name, least in (("dimension", 1), ("degree", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise FormError(f"{name} must be an integer of at least {least}, got {value!r}")
         object.__setattr__(
             self, "coefficients", _validate_terms(self.dimension, self.degree, self.coefficients)
         )
@@ -238,12 +242,11 @@ def compose_linear(f: HomogeneousForm, matrix: Sequence[Sequence]) -> Homogeneou
     if f.is_zero:
         return zero_form(k, f.degree)
 
-    den_f = common_denominator(f.coefficients.values())
-    int_coeffs = {idx: int(c * den_f) for idx, c in f.coefficients.items()}
-    col_den = [common_denominator(rows[i][j] for i in range(n)) for j in range(k)]
-    int_cols = [
-        [int(rows[i][j] * col_den[j]) for j in range(k)] for i in range(n)
-    ]
+    coeffs, den_f = clear_denominators(f.coefficients.values())
+    int_coeffs = dict(zip(f.coefficients, coeffs))
+    cols = [clear_denominators(col) for col in zip(*rows)]
+    col_den = [den for _, den in cols]
+    int_cols = list(zip(*(col for col, _ in cols)))
 
     maxes = [0] * n
     for idx in int_coeffs:
@@ -298,11 +301,9 @@ def multiply(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
         raise DimensionMismatchError("cannot multiply forms of different dimensions")
     if f.is_zero or g.is_zero:
         return zero_form(f.dimension, f.degree + g.degree)
-    den_f = common_denominator(f.coefficients.values())
-    den_g = common_denominator(g.coefficients.values())
-    fi = {i: int(c * den_f) for i, c in f.coefficients.items()}
-    gi = {i: int(c * den_g) for i, c in g.coefficients.items()}
-    prod = _int_mul(fi, gi)
+    fi, den_f = clear_denominators(f.coefficients.values())
+    gi, den_g = clear_denominators(g.coefficients.values())
+    prod = _int_mul(dict(zip(f.coefficients, fi)), dict(zip(g.coefficients, gi)))
     den = den_f * den_g
     return HomogeneousForm(
         f.dimension, f.degree + g.degree, {i: Fraction(v, den) for i, v in prod.items() if v}

@@ -44,12 +44,6 @@ def carrier_to_ambient(u: Sequence, basis: Sequence[Sequence]) -> Vec:
     return tuple(u[0] * a + u[1] * b + u[2] * c for a, b, c in zip(*basis))
 
 
-def span_key(vectors: Sequence[Sequence]) -> tuple:
-    """Canonical key identifying the linear span of the given vectors."""
-    reduced, pivots = la.rref(la.mat(vectors))
-    return tuple(reduced[i] for i in range(len(pivots)))
-
-
 @dataclass(frozen=True)
 class Hyperplane:
     """A linear hyperplane {x : normal . x = 0}, normal canonicalized so its
@@ -100,9 +94,6 @@ class VectorPlane2:
         m = la.mat(self.basis + (vec(p),))
         return la.rank(m) <= 2
 
-    def span_key(self) -> tuple:
-        return span_key(self.basis)
-
 
 @dataclass(frozen=True)
 class AffinePlane2:
@@ -148,9 +139,6 @@ class AffinePlane2:
         return tuple(
             x + coeffs[0] * u + coeffs[1] * v for x, u, v in zip(self.base_point, b1, b2)
         )
-
-    def canonical(self) -> tuple:
-        return (span_key(self.basis), self.closest_point_to_origin())
 
 
 @dataclass(frozen=True)
@@ -207,13 +195,11 @@ def in_cone(cone: Cone, p: Sequence) -> bool:
     return orth2 < cone.theta * cone.theta * n2
 
 
-def plane_in_subcone(cone: Cone, axis: VectorPlane2, candidate: VectorPlane2) -> bool:
+def plane_in_subcone(cone: Cone, candidate: VectorPlane2) -> bool:
     """True iff candidate is a 2-plane inside the cone meeting the axis plane
     in at least a line.  Exact: the worst direction ratio is the largest
     generalized eigenvalue of a 2x2 rational pencil, compared against theta^2
     through its characteristic polynomial."""
-    if axis != cone.axis and axis.span_key() != cone.axis.span_key():
-        raise GeometryError("axis argument does not span the cone axis")
     if candidate.dimension != cone.dimension:
         raise GeometryError("candidate plane dimension mismatch")
     w1, w2 = (vec(v) for v in candidate.basis)
@@ -327,8 +313,7 @@ class SphereThroughOrigin:
     def canonical(self) -> tuple:
         """Span of the carrier space plus the action of c on its canonical
         basis; two spheres are the same set iff these agree."""
-        reduced, pivots = la.rref(la.mat(self.basis))
-        rows = tuple(reduced[i] for i in range(len(pivots)))
+        rows = la.rref(la.mat(self.basis))[0]
         return (rows, tuple(la.dot(self.c, r) for r in rows))
 
     def sample_points(self, count: int, rng) -> list[Vec]:

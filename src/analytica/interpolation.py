@@ -348,12 +348,9 @@ def direction_pairs(count: int) -> list[tuple[int, int]]:
 
 
 def _integer_direction(v: Vec) -> tuple[int, ...]:
-    den = la.common_denominator(v)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    return tuple(x // max(g, 1) for x in ints)
+    ints, _ = la.clear_denominators(v)
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def _independent(*rows: tuple[int, ...]) -> bool:
@@ -434,7 +431,6 @@ class ConeSampleSet:
         if n == 2:
             return a, m
 
-        axis = self.cone.axis
         for _ in range(32):
             u = tuple(self.rng.randint(-3, 3) for _ in range(n))
             if not _independent(self._w1, self._w2, u):
@@ -442,9 +438,7 @@ class ConeSampleSet:
             s = 1
             for _ in range(_SCALE_DOUBLINGS):
                 b = tuple(s * mi + ui for mi, ui in zip(m, u))
-                if _independent(a, b) and plane_in_subcone(
-                    self.cone, axis, VectorPlane2((vec(a), vec(b)))
-                ):
+                if _independent(a, b) and plane_in_subcone(self.cone, VectorPlane2((vec(a), vec(b)))):
                     return a, b
                 s *= 2
         raise ReconstructionError("could not tilt a sample plane into the cone")
@@ -546,7 +540,6 @@ def reconstruct_form_from_cone(
     *,
     mode: str = "exact",
     samples: ConeSampleSet | None = None,
-    rng: random.Random | None = None,
     seed: int | None = None,
     tol: float = 1e-9,
 ) -> ReconstructionResult:
@@ -568,9 +561,7 @@ def reconstruct_form_from_cone(
     if mode not in ("exact", "float"):
         raise InterpolationError(f"unknown mode {mode!r}")
     if samples is None:
-        if rng is None:
-            rng = random.Random(0 if seed is None else seed)
-        samples = ConeSampleSet(cone, rng)
+        samples = ConeSampleSet(cone, random.Random(0 if seed is None else seed))
     n = samples.dimension
     basis = monomial_basis(n, degree)
     need = len(basis)

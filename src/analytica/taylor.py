@@ -241,7 +241,6 @@ def build_tower(
     *,
     mode: str = "auto",
     samples: ConeSampleSet | None = None,
-    rng: random.Random | None = None,
     seed: int | None = None,
     tol: float = 1e-9,
     window: float = 1.0,
@@ -264,9 +263,7 @@ def build_tower(
     if mode == "exact" and not exact_ok:
         raise TaylorError("exact towers need an expression-backed oracle")
     if samples is None:
-        if rng is None:
-            rng = random.Random(0 if seed is None else seed)
-        samples = ConeSampleSet(cone, rng)
+        samples = ConeSampleSet(cone, random.Random(0 if seed is None else seed))
     n = samples.dimension
 
     jets: dict[tuple, RadialJet] = {}

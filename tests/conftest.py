@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from analytica.forms import HomogeneousForm, monomial_basis
 from analytica.geometry import Hyperplane, VectorPlane2
@@ -60,6 +62,23 @@ def rand_axis_plane(rng, n, bound=5):
         b2 = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
         if rank(mat((b1, b2))) == 2:
             return VectorPlane2((b1, b2))
+
+
+def to_domain(m, ncols=0):
+    """A matrix of Fractions or ints as a sympy DomainMatrix over QQ, the
+    independent reference for the exact linear algebra; ncols is only read
+    when m has no rows."""
+    rows = [[QQ(x.numerator, x.denominator) for x in r] for r in m]
+    return DomainMatrix(rows, (len(rows), len(rows[0]) if rows else ncols), QQ)
+
+
+def from_domain(d):
+    return tuple(tuple(Fraction(int(x.numerator), int(x.denominator)) for x in r) for r in d.to_list())
+
+
+def reference_solve(a, b):
+    """The unique x with a x = b, by sympy's LU solve."""
+    return tuple(r[0] for r in from_domain(to_domain(a).lu_solve(to_domain([(v,) for v in b]))))
 
 
 @pytest.fixture

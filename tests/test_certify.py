@@ -71,6 +71,15 @@ def test_a_discontinuous_guard_fails_the_exact_plane_check():
     assert check_plane_analytic(oracle_from_text("x1^2", 3, guard=((0, 0, 0), 0)), XY)
 
 
+def test_a_pole_on_the_exact_route_is_a_pole_report():
+    # a declared bound sends a rational function down the exact route, where
+    # the denominator vanishes at the grid node (1/10, -1/10) of the window
+    rep = check_plane_analytic(oracle_from_text("1/(x1-1/10)", 3), XY, degree_hint=2)
+    assert rep.verdict == "pole" and rep.mode == "exact" and rep.residual == math.inf
+    assert rep.witness == (Fraction(1, 10), Fraction(-1, 10), 0)
+    assert not bool(rep)
+
+
 def _reference_tensor_check(value_fn, degree, window):
     """The exact tensor check as it was before the cached Lagrange matrix:
     Newton interpolation of every row, then of every coefficient column, and

@@ -213,31 +213,37 @@ def _restrictions_with_normal(normal):
 
 
 @pytest.mark.parametrize(
-    "command, data",
+    "command, data, names",
     [
-        (["reconstruct", "cone"], {"n": 3, "d": 1, "terms": [{"exp": [1, 0, 0], "num": 1, "den": 0}]}),
-        (["reconstruct", "cone"], [[1, 0, 0], 1]),
-        (["reconstruct", "cone"], {"n": 3, "d": 1, "terms": [{"exp": [1, 0, 0], "num": "1"}]}),
-        (["reconstruct", "glue"], _restrictions_with_normal(["1/0", "1", "1"])),
-        (["reconstruct", "glue"], _restrictions_with_normal("1,1,1")),
-        (["reconstruct", "glue"], [1, 2]),
-        (["invert"], {"c": ["1/0", "0", "0"]}),
-        (["invert"], ["1/2", "0", "0"]),
-        (["invert"], {"c": ["1/2", "0", "0"], "basis": 3}),
+        (["reconstruct", "cone"], {"n": 3, "d": 1, "terms": [{"exp": [1, 0, 0], "num": 1, "den": 0}]}, None),
+        (["reconstruct", "cone"], [[1, 0, 0], 1], None),
+        (["reconstruct", "cone"], {"n": 3, "d": 1, "terms": [{"exp": [1, 0, 0], "num": "1"}]}, None),
+        (["reconstruct", "cone"], {"n": 3, "d": 2.0, "terms": [{"exp": [2, 0, 0], "num": 1}]}, "degree"),
+        (["reconstruct", "cone"], {"n": "3", "d": 1, "terms": [{"exp": [1, 0, 0], "num": 1}]}, "dimension"),
+        (["reconstruct", "cone"], {"n": 0, "d": 1, "terms": []}, "dimension"),
+        (["reconstruct", "glue"], _restrictions_with_normal(["1/0", "1", "1"]), None),
+        (["reconstruct", "glue"], _restrictions_with_normal("1,1,1"), None),
+        (["reconstruct", "glue"], [1, 2], None),
+        (["invert"], {"c": ["1/0", "0", "0"]}, None),
+        (["invert"], ["1/2", "0", "0"], None),
+        (["invert"], {"c": ["1/2", "0", "0"], "basis": 3}, None),
     ],
     ids=[
-        "cone-zero-den", "cone-form-is-a-list", "cone-string-num", "glue-normal-1/0",
+        "cone-zero-den", "cone-form-is-a-list", "cone-string-num", "cone-float-degree",
+        "cone-string-dimension", "cone-zero-dimension", "glue-normal-1/0",
         "glue-normal-is-a-string", "glue-data-is-a-list", "sphere-c-1/0", "sphere-is-a-list",
         "sphere-basis-is-a-number",
     ],
 )
-def test_malformed_input_file_is_a_usage_error(command, data, tmp_path, capsys):
+def test_malformed_input_file_is_a_usage_error(command, data, names, tmp_path, capsys):
     src = tmp_path / "input.json"
     src.write_text(json.dumps(data))
     flag = "--sphere-json" if command == ["invert"] else "--input"
     assert run([*command, flag, str(src)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("analytica: error:") and "Traceback" not in err
+    if names is not None:
+        assert names in err
 
 
 # ---------------------------------------------------------------------------

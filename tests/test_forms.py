@@ -82,6 +82,16 @@ def test_degree_validation():
         HomogeneousForm(2, 2, {(1, 1, 0): Fraction(1)})
 
 
+@pytest.mark.parametrize(
+    "n, d, field",
+    [(-1, 1, "dimension"), (0, 1, "dimension"), ("3", 1, "dimension"), (True, 1, "dimension"),
+     (3, 1.5, "degree"), (3, -1, "degree"), (3, 2.0, "degree"), (3, False, "degree")],
+)
+def test_dimension_and_degree_must_be_integers_in_range(n, d, field):
+    with pytest.raises(FormError, match=field):
+        HomogeneousForm(n, d)
+
+
 def test_linear_and_constant_constructors():
     f = linear_form((1, 2, 3))
     assert evaluate_form(f, (1, 1, 1)) == 6

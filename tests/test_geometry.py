@@ -121,7 +121,7 @@ def test_plane_in_subcone_contains_axis():
         n = rng.randint(3, 4)
         axis = rand_axis_plane(rng, n)
         cone = Cone(axis, Fraction(1, 2), Fraction(1))
-        assert plane_in_subcone(cone, axis, axis)
+        assert plane_in_subcone(cone, axis)
 
 
 def test_general_position_detects_repeats():

@@ -29,7 +29,15 @@ from analytica.interpolation import (
     restriction_of,
 )
 
-from conftest import rand_axis_plane, rand_form, rand_fraction, rand_hyperplane_set, rand_point
+from conftest import (
+    rand_axis_plane,
+    rand_form,
+    rand_fraction,
+    rand_hyperplane_set,
+    rand_point,
+    reference_solve,
+    to_domain,
+)
 
 
 def test_binary_form_from_lines_recovers():
@@ -156,8 +164,8 @@ def test_plan_produces_exact_rank_design():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_plan_solve_matches_a_full_elimination(n):
-    # la.solve on the rebuilt monomial matrix is the reference; in dimension 3
-    # the degrees run up to a tower's order
+    # sympy's solve of the rebuilt monomial matrix is the reference; in
+    # dimension 3 the degrees run up to a tower's order
     rng = random.Random(414 + n)
     for d in range(9 if n == 3 else 6):
         cone = Cone(rand_axis_plane(rng, n), Fraction(1, 2), Fraction(1))
@@ -167,7 +175,7 @@ def test_plan_solve_matches_a_full_elimination(n):
         assert len(design) == len(basis)
         rows = la.mat(tuple(math.prod(x**e for x, e in zip(p, idx)) for idx in basis) for p in design)
         rhs = [rand_fraction(rng) for _ in design]
-        assert solve(rhs) == la.solve(rows, rhs)
+        assert solve(rhs) == reference_solve(rows, rhs)
 
 
 def test_elimination_keeps_only_independent_rows():
@@ -178,8 +186,8 @@ def test_elimination_keeps_only_independent_rows():
     with pytest.raises(la.SingularMatrixError):
         e.solve((1, 2))
     assert e.add((1, 0, 0))
-    rows = la.mat(((0, 2, 1), (1, 1, 0), (1, 0, 0)))
-    assert e.solve((3, -1, 5)) == la.solve(rows, la.vec((3, -1, 5)))
+    rows = ((0, 2, 1), (1, 1, 0), (1, 0, 0))
+    assert e.solve((3, -1, 5)) == reference_solve(rows, (3, -1, 5))
     with pytest.raises(TypeError):
         la.Elimination().add(la.vec((1, 0, 0)))
 
@@ -192,16 +200,16 @@ def test_elimination_rescales_on_a_zero_multiplier():
     assert e.add((1, 1, 0, 0))
     assert e.add((0, 0, 3, 1))
     assert e.add((1, 3, 5, 2))
-    rows = la.mat(((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 1), (1, 3, 5, 2)))
+    rows = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 3, 1), (1, 3, 5, 2))
     rhs = la.vec((Fraction(1, 3), -2, 7, Fraction(5, 4)))
-    assert e.solve(rhs) == la.solve(rows, rhs)
+    assert e.solve(rhs) == reference_solve(rows, rhs)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_bareiss_elimination_matches_a_fraction_reference(seed):
     # sparse random rows (zero multipliers, negative pivots), integer
     # combinations of earlier rows (dependent rows) and scales other than 1;
-    # the reference decides each row by the rank of the Fraction rows
+    # sympy's rank of the Fraction rows decides each row
     rng = random.Random(4140 + seed)
     ncols = rng.randint(6, 12)
     e = la.Elimination()
@@ -217,12 +225,12 @@ def test_bareiss_elimination_matches_a_fraction_reference(seed):
         rows.append(row)
         scale = rng.choice((1, 2, 3, 4, 9, 16, 27, 1024))
         scaled = tuple(Fraction(x, scale) for x in row)
-        independent = la.rank(la.mat(kept + [scaled])) > len(kept)
+        independent = to_domain(kept + [scaled]).rank() > len(kept)
         assert e.add(row, scale) == independent
         if independent:
             kept.append(scaled)
     rhs = [rand_fraction(rng) for _ in kept]
-    assert e.solve(rhs) == la.solve(la.mat(kept), rhs)
+    assert e.solve(rhs) == reference_solve(kept, rhs)
 
 
 def test_window_scaling_matches_repeated_halving():
