@@ -445,31 +445,28 @@ def check_plane_analytic(
         raise CertifyError("tol must be positive")
     if fit_degree < 2:
         raise CertifyError("fit_degree must be at least 2")
+    wf = to_float(window)
+    if not (wf > 0 and math.isfinite(wf)):
+        raise CertifyError("window must be positive and finite")
     bound = degree_bound(f.expression) if degree_hint == "auto" else degree_hint
     if bound is not None:
         if bound < 0:
             raise CertifyError("degree_hint must be nonnegative")
-        w = frac(window)
-        if w <= 0:
-            raise CertifyError("window must be positive")
         try:
-            bad = _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, w)
+            bad = _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, window)
         except PoleError as exc:
             return PlaneReport(
-                plane, "pole", math.inf, exc.point, "exact", bound, float(w),
+                plane, "pole", math.inf, exc.point, "exact", bound, wf,
                 "denominator vanishes at a probed point",
             )
         if bad is None:
-            return PlaneReport(plane, "pass", 0.0, None, "exact", bound, float(w))
+            return PlaneReport(plane, "pass", 0.0, None, "exact", bound, wf)
         (s, t), gap = bad
         return PlaneReport(
-            plane, "fail", gap, plane.point_at(s, t), "exact", bound, float(w),
+            plane, "fail", gap, plane.point_at(s, t), "exact", bound, wf,
             "restriction is not a polynomial of the expected degree",
         )
 
-    wf = float(window)
-    if not (wf > 0 and math.isfinite(wf)):
-        raise CertifyError("window must be positive and finite")
     status, residual, witness, grid_max = _cheb_fit(f, plane, wf, fit_degree)
     if status == "pole":
         return PlaneReport(
@@ -702,6 +699,8 @@ def sphere_scan(
         raise CertifyError("workers must be at least 1")
     if not tol > 0:
         raise CertifyError("tol must be positive")
+    if fit_degree < 2:
+        raise CertifyError("fit_degree must be at least 2")
     if spheres is None and count < 1:
         raise CertifyError("count must be at least 1")
     rng = random.Random(0 if seed is None else seed)
@@ -844,6 +843,8 @@ def certify_near_plane(
         raise CertifyError("sweep count must be nonnegative")
     if not tol > 0:
         raise CertifyError("tol must be positive")
+    if fit_degree < 2:
+        raise CertifyError("fit_degree must be at least 2")
     if mode not in ("auto", "exact", "float"):
         raise CertifyError(f"unknown mode {mode!r}")
     eta = frac(eta)

@@ -257,7 +257,7 @@ def emit_plot_data(data: dict, directory: str) -> list[str]:
     columns t,f,T (the function and the partial sums along t*p); scan
     reports yield a single file of per-sphere residuals, header-only when
     nothing was checked; counterexample reports yield one file per value
-    series (t,value)."""
+    series (t,value); other reports yield none."""
     os.makedirs(directory, exist_ok=True)
     written: list[str] = []
     kind = data.get("kind")
@@ -275,14 +275,5 @@ def emit_plot_data(data: dict, directory: str) -> list[str]:
         for series in data.get("series", ()):
             path = os.path.join(directory, f"{series['label']}.csv")
             _write_csv(path, "t,value", series["rows"])
-            written.append(path)
-    else:
-        diag = data.get("diagnostics", {})
-        for key in ("per_degree_residual", "cone_residuals", "line_radii"):
-            series = diag.get(key, data.get(key))
-            if not series:
-                continue
-            path = os.path.join(directory, f"{key}.csv")
-            _write_csv(path, "index,value", ((i, float(v)) for i, v in enumerate(series)))
             written.append(path)
     return written

@@ -410,9 +410,9 @@ def substitute(e: Expression, mapping: dict[int, Expression]) -> Expression:
 
 
 # Python's operators on the operand values: exact evaluation over Fractions,
-# and the base of the float and line algebras.  Evaluation stays scalar, op by
-# op.  A division by an exact zero raises ZeroDivisionError for Fractions and
-# floats alike.
+# and the base of the float algebra.  Evaluation stays scalar, op by op.  A
+# division by an exact zero raises ZeroDivisionError for Fractions and floats
+# alike.
 ARITHMETIC = {
     Const: lambda v: v,
     Neg: operator.neg,

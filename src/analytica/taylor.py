@@ -6,9 +6,9 @@ forms T_r with f ~ sum T_r / r!, the Taylor tower of f.  Jets are computed
 exactly for expression-backed functions and by a guarded Chebyshev fit for
 black-box callables.  An exact jet folds the expression program in power
 series of t truncated after the jet's order (Taylor-mode arithmetic); only
-when some divisor vanishes at the base point does it collapse the program
-into one reduced rational function of t, which cancels removable
-singularities and locates poles.
+when some divisor vanishes at the base point does it fold the program into
+one unreduced numerator/denominator pair of polynomials in t, which cancels
+removable singularities and locates poles without taking a gcd.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ._linalg import Vec, vec
 from .forms import HomogeneousForm, TaylorTower, zero_form
 from .geometry import Cone, PoleError
 from .interpolation import ConeSampleSet, ReconstructionError, reconstruct_form_from_cone
-from .oracle import ARITHMETIC, Add, Const, Div, FunctionOracle, Mul, Neg, Pow, Program, Sub, Var, fold
+from .oracle import Add, Const, Div, FunctionOracle, Mul, Neg, Pow, Program, Sub, Var, fold
 
 
 class TaylorError(ValueError):
@@ -47,22 +47,6 @@ class RadialJet:
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
-
-
-def _line_rational(
-    program: Program, base: Sequence[Fraction], direction: Sequence[Fraction]
-) -> rs.RationalFunction:
-    """Substitute x_i := base_i + t * direction_i in the program, collapsing
-    it to a single rational function of t."""
-    algebra = {
-        **ARITHMETIC,
-        Const: rs.RationalFunction.constant,
-        Var: lambda i: rs.RationalFunction.from_poly(rs.p_normalize([base[i - 1], direction[i - 1]])),
-    }
-    try:
-        return fold(program, algebra)[-1]
-    except ZeroDivisionError:
-        raise PoleError("the whole line lies inside a zero divisor", tuple(base)) from None
 
 
 class _VanishingDivisor(ArithmeticError):
@@ -94,13 +78,45 @@ def _line_truncated(
     return fold(program, algebra)[-1]
 
 
+def _line_fraction(
+    program: Program, base: Sequence[Fraction], direction: Sequence[Fraction]
+) -> tuple[rs.Poly, rs.Poly]:
+    """The program with x_i := base_i + t * direction_i as one unreduced
+    (numerator, denominator) pair of polynomials in t.  No gcd is taken:
+    `line_series` cancels only the power of t that matters at t = 0."""
+
+    def cross(combine):
+        return lambda a, b: (
+            combine(rs.p_mul(a[0], b[1]), rs.p_mul(b[0], a[1])),
+            rs.p_mul(a[1], b[1]),
+        )
+
+    def divide(a, b):
+        if not b[0]:
+            raise PoleError("the whole line lies inside a zero divisor", tuple(base))
+        return rs.p_mul(a[0], b[1]), rs.p_mul(a[1], b[0])
+
+    algebra = {
+        Const: lambda c: (rs.p_const(c), [rs.ONE]),
+        Var: lambda i: (rs.p_normalize([base[i - 1], direction[i - 1]]), [rs.ONE]),
+        Neg: lambda a: (rs.p_neg(a[0]), a[1]),
+        Add: cross(rs.p_add),
+        Sub: cross(rs.p_sub),
+        Mul: lambda a, b: (rs.p_mul(a[0], b[0]), rs.p_mul(a[1], b[1])),
+        Div: divide,
+        Pow: lambda a, k: (rs.p_pow(a[0], k), rs.p_pow(a[1], k)),
+    }
+    return fold(program, algebra)[-1]
+
+
 def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: int) -> list[Fraction]:
     """Exact Taylor coefficients of t -> f(base + t * direction) at t = 0.
 
     The program is folded in power series truncated to order + 1 terms.
     When a divisor vanishes at the base point, the restriction is instead
-    reduced to one rational function of t (`_line_rational`) and expanded,
-    so a removable singularity cancels.  Both routes give the same exact
+    folded into one unreduced fraction of t (`_line_fraction`); the lowest
+    power t^v of its denominator is cancelled and the rest expanded, so a
+    removable singularity cancels.  Both routes give the same exact
     coefficients wherever the series route applies.
 
     Raises PoleError when the restriction has a pole at t = 0 or the line
@@ -115,13 +131,15 @@ def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: i
         raise TaylorError("base or direction dimension mismatch")
     try:
         coeffs = _line_truncated(f.program, b, p, order + 1)
-        coeffs = coeffs + [rs.ZERO] * (order + 1 - len(coeffs))
     except _VanishingDivisor:
-        r = _line_rational(f.program, b, p)
-        try:
-            coeffs = r.series(order)
-        except ZeroDivisionError:
-            raise PoleError("restriction to the line has a pole at its base point", tuple(b)) from None
+        coeffs = None
+    if coeffs is None:  # outside the handler, so its PoleErrors carry no _VanishingDivisor context
+        num, den = _line_fraction(f.program, b, p)
+        v = next(i for i, c in enumerate(den) if c)
+        if any(num[:v]):
+            raise PoleError("restriction to the line has a pole at its base point", tuple(b))
+        coeffs = rs.s_div(num[v:], den[v:], order + 1)
+    coeffs = coeffs + [rs.ZERO] * (order + 1 - len(coeffs))
     if f.guard is not None and tuple(b) == tuple(f.guard[0]) and coeffs[0] != f.guard[1]:
         raise PoleError(
             "limit along the line disagrees with the declared value at the base point",

@@ -216,6 +216,9 @@ def test_parameter_validation():
                 check_plane_analytic(f, XY, tol=tol)
         with pytest.raises(CertifyError):
             check_plane_analytic(f, XY, fit_degree=1)
+        for window in (0, -1, math.inf, math.nan):
+            with pytest.raises(CertifyError, match="window must be positive and finite"):
+                check_plane_analytic(f, XY, window=window)
 
 
 def test_rational_pass_and_report_fields():
@@ -595,7 +598,7 @@ def test_scan_validation():
         sphere_scan(f, count=0, seed=1)
     with pytest.raises(CertifyError):
         sphere_scan(f, count=2, seed=1, workers=0)
-    # both routes check tol and fit_degree; tol before any sphere is drawn
+    # both routes check tol and fit_degree, before any sphere is drawn
     for g in (f, oracle_from_text("1/(2-x1)", 3)):
         for tol in (0.0, -1.0, math.nan):
             with pytest.raises(CertifyError):
@@ -604,6 +607,8 @@ def test_scan_validation():
                 sphere_scan(g, spheres=[], seed=1, tol=tol)
         with pytest.raises(CertifyError):
             sphere_scan(g, count=2, seed=1, fit_degree=1)
+        with pytest.raises(CertifyError, match="fit_degree"):
+            sphere_scan(g, spheres=[], seed=1, fit_degree=1)
 
 
 # ---------------------------------------------------------------------------
@@ -649,3 +654,7 @@ def test_certify_validation():
         certify_near_plane(f, XY, eta=Fraction(0), seed=1)
     with pytest.raises(CertifyError):
         certify_near_plane(f, XY, tol=math.nan, seed=1)
+    # fit_degree is checked even when no swept plane would use it
+    for sweep in (0, 3):
+        with pytest.raises(CertifyError, match="fit_degree"):
+            certify_near_plane(f, XY, sweep=sweep, fit_degree=1, seed=1)

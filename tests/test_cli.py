@@ -188,12 +188,18 @@ def test_cone_round_trip(tmp_path):
     src = tmp_path / "form.json"
     src.write_text(dumps(form_to_data(form)) + "\n")
     out = tmp_path / "rec.json"
-    code = run(["reconstruct", "cone", "--input", str(src), "--seed", "5", "--out", str(out)])
+    plots = tmp_path / "plots"
+    code = run([
+        "reconstruct", "cone", "--input", str(src), "--seed", "5", "--out", str(out),
+        "--plot-dir", str(plots),
+    ])
     assert code == 0
     data = read_json(out)
     assert data["ok"] is True and data["mode"] == "exact"
     assert data["max_residual"] == 0
     assert data["form"] == json.loads(dumps(form_to_data(form)))
+    # a cone report has no plottable series
+    assert list(plots.iterdir()) == []
 
 
 def test_cone_wrong_degree_is_diagnosed(tmp_path, capsys):

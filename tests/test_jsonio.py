@@ -223,10 +223,3 @@ def test_emit_counterexample_series(tmp_path):
     lines = read_lines(paths[0])
     assert lines[0] == "t,value"
     assert lines[1] == "0.10000000000000001,333.33333333333331"
-
-
-def test_emit_fallback_diagnostics(tmp_path):
-    data = {"diagnostics": {"per_degree_residual": [0.0, 1e-12], "line_radii": [2.0]}}
-    paths = emit_plot_data(data, str(tmp_path))
-    names = sorted(p.rsplit("/", 1)[1] for p in paths)
-    assert names == ["line_radii.csv", "per_degree_residual.csv"]

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from analytica.forms import evaluate_form, monomial, tower_evaluate
 from analytica import taylor
 from analytica.geometry import Cone, PoleError, VectorPlane2
 from analytica.oracle import (
+    ARITHMETIC,
     Add,
     Const,
     Div,
@@ -18,6 +20,7 @@ from analytica.oracle import (
     Sub,
     Var,
     builtin_counterexample,
+    fold,
     oracle_from_text,
 )
 from analytica.taylor import (
@@ -54,19 +57,20 @@ def test_line_series_of_rational_function():
 
 
 # ---------------------------------------------------------------------------
-# the series route and its rational fallback
+# the series route and its fraction fallback
 
 
 def rand_nonzero(rng):
     return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
 
 
-def rand_program_oracle(rng, n):
-    """A random expression over x1..xn.  Operands are drawn from a pool of
-    the nodes built so far, so subexpressions are shared, and a rough
-    degree count keeps the rational reference route small."""
-    pool = [Var(i) for i in range(1, n + 1)] + [Const(rand_nonzero(rng)) for _ in range(2)]
-    degree = [1] * n + [0, 0]
+def rand_program_oracle(rng, n, constants=2):
+    """A random expression over x1..xn and that many random constants.
+    Operands are drawn from a pool of the nodes built so far, so
+    subexpressions are shared, and a rough degree count keeps the exact
+    restrictions small."""
+    pool = [Var(i) for i in range(1, n + 1)] + [Const(rand_nonzero(rng)) for _ in range(constants)]
+    degree = [1] * n + [0] * constants
     for _ in range(rng.randint(4, 12)):
         # the left operand is mostly the newest node, so the root uses most of the pool
         i = len(pool) - 1 if rng.random() < 0.6 else rng.randrange(len(pool))
@@ -86,53 +90,92 @@ def rand_program_oracle(rng, n):
     return FunctionOracle(pool[-1], n)
 
 
-def rational_route(f, base, direction, order):
-    """The reference: one gcd-reduced rational function of t, expanded."""
-    return taylor._line_rational(f.program, base, direction).series(order)
+T = sympy.symbols("t")
+QT = sympy.QQ.frac_field(T)
+
+
+def sympy_route(f, base, direction, order):
+    """The reference: the restriction as one element of sympy's field QQ(t),
+    which cancels every common factor, expanded to `order` through the
+    inverse of its denominator modulo t^(order+1).  Raises the PoleErrors
+    line_series raises, with the same messages."""
+
+    def q(x):
+        return QT.from_sympy(sympy.Rational(x.numerator, x.denominator))
+
+    def divide(a, b):
+        if not b:
+            raise PoleError("the whole line lies inside a zero divisor", base)
+        return a / b
+
+    t = QT.from_sympy(T)
+    algebra = {
+        **ARITHMETIC,
+        Const: q,
+        Var: lambda i: q(base[i - 1]) + q(direction[i - 1]) * t,
+        Div: divide,
+        Pow: lambda a, k: a**k if k else QT.one,  # sympy refuses 0**0; Python reads 1
+    }
+    r = fold(f.program, algebra)[-1]
+    num, den = (sympy.Poly(p.as_expr(), T, domain=sympy.QQ) for p in (r.numer, r.denom))
+    if den.eval(0) == 0:
+        raise PoleError("restriction to the line has a pole at its base point", base)
+    tn = sympy.Poly(T ** (order + 1), T, domain=sympy.QQ)
+    series = (num * sympy.invert(den, tn)).rem(tn)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(series.all_coeffs())]
+    return coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
+
+
+def outcome(route, f, base, direction, order):
+    """The coefficients, or the type, message and point of the error."""
+    try:
+        return route(f, base, direction, order)
+    except PoleError as exc:
+        return type(exc), str(exc), exc.point
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_series_route_matches_the_rational_route(seed):
     rng = random.Random(7100 + seed)
-    cases = fallbacks = 0
-    for _ in range(40):
+    series = fallbacks = 0
+    for case in range(40):
         n = rng.randint(1, 3)
-        f = rand_program_oracle(rng, n)
-        base = tuple(rand_nonzero(rng) for _ in range(n))
+        if case % 2:
+            # half the bases at 0; without constants most divisors vanish there
+            f = rand_program_oracle(rng, n, constants=0)
+            base = (Fraction(0),) * n
+        else:
+            f = rand_program_oracle(rng, n)
+            base = tuple(rand_nonzero(rng) for _ in range(n))
         direction = tuple(rand_nonzero(rng) for _ in range(n))
         order = rng.randint(0, 8)
-        cases += 1
-        try:
-            want = rational_route(f, base, direction, order)
-        except ZeroDivisionError:
-            with pytest.raises(PoleError):
-                line_series(f, base, direction, order)
-            fallbacks += 1
-            continue
+        want = outcome(sympy_route, f, base, direction, order)
         try:
             got = taylor._line_truncated(f.program, base, direction, order + 1)
         except taylor._VanishingDivisor:
             fallbacks += 1
         else:
+            series += 1
             assert len(got) <= order + 1
             assert got + [0] * (order + 1 - len(got)) == want, (seed, f.expression)
-        got = line_series(f, base, direction, order)
+        got = outcome(line_series, f, base, direction, order)
         assert got == want, (seed, f.expression)
-        assert len(got) == order + 1 and all(type(c) is Fraction for c in got)
-    assert fallbacks < cases // 4  # the series route is the one under test
+        if isinstance(got, list):
+            assert len(got) == order + 1 and all(type(c) is Fraction for c in got)
+    assert series >= 20 and fallbacks >= 8  # both routes are under test
 
 
 @pytest.fixture
 def rational_calls(monkeypatch):
-    """Records each fallback to the rational route."""
+    """Records each fallback to the fraction route."""
     calls = []
-    real = taylor._line_rational
+    real = taylor._line_fraction
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(taylor, "_line_rational", counting)
+    monkeypatch.setattr(taylor, "_line_fraction", counting)
     return calls
 
 
@@ -140,12 +183,30 @@ def test_series_route_takes_no_fallback(rational_calls):
     f = oracle_from_text("(2 + x1)/(3 - x2) + x1^3*x2", 2)
     got = line_series(f, (0, 0), (Fraction(1, 3), Fraction(1, 5)), 6)
     assert rational_calls == []
-    assert got == rational_route(f, (0, 0), (Fraction(1, 3), Fraction(1, 5)), 6)
+    assert got == sympy_route(f, (0, 0), (Fraction(1, 3), Fraction(1, 5)), 6)
 
 
 def test_removable_singularity_falls_back_and_cancels(rational_calls):
     f = oracle_from_text("(x1^2 - x2^2)/(x1 - x2)", 2)
     assert line_series(f, (0, 0), (1, 2), 5) == [0, 3, 0, 0, 0, 0]
+    assert len(rational_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # two divisors vanish at the base point
+        ("x1^2/x1 + x2^3/x2^2", [0, 3, 0, 0, 0, 0]),
+        # numerator and denominator share the factor t - 1 as well as t
+        ("(x1^2 - 1)*x2/((x1 - 1)*x1)", [2, 2, 0, 0, 0, 0]),
+        # a shared 1 + 2t survives the cancellation of t; long division absorbs it
+        ("(x1 + x1*x2)/(x2 + x2^2) + 1/(1 - x1)", [Fraction(3, 2), 1, 1, 1, 1, 1]),
+    ],
+)
+def test_fallback_cancels_only_the_power_of_t(rational_calls, text, want):
+    f = oracle_from_text(text, 2)
+    base, direction = (Fraction(0),) * 2, (Fraction(1), Fraction(2))
+    assert line_series(f, base, direction, 5) == want == sympy_route(f, base, direction, 5)
     assert len(rational_calls) == 1
 
 
