@@ -6,12 +6,9 @@ and analyticity verdicts on planes and 2-spheres through the origin.
 
 from .certify import (
     CertifyError,
-    CertifyFinding,
-    CertifyReport,
     PlaneReport,
     ScanFailure,
     ScanReport,
-    certify_near_plane,
     check_plane_analytic,
     pullback_through_centered_inversion,
     pullback_through_inversion,
@@ -24,7 +21,6 @@ from .forms import (
     HomogeneousForm,
     TaylorTower,
     basis_size,
-    coefficient_vector,
     compose_linear,
     constant_form,
     evaluate_form,
@@ -62,7 +58,6 @@ from .interpolation import (
     InterpolationError,
     ReconstructionError,
     ReconstructionResult,
-    binary_form_from_lines,
     check_compatibility,
     divide_by_linear,
     glue_hyperplanes,
@@ -76,7 +71,6 @@ from .oracle import (
     builtin_counterexample,
     degree_bound,
     evaluate_oracle,
-    is_polynomial,
     oracle_from_text,
     parse_expression,
     substitute,

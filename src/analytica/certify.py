@@ -1,5 +1,5 @@
 """Analyticity verdicts for restrictions of a function to planes and
-2-spheres, and a certification routine for neighborhoods of a plane.
+2-spheres.
 
 `check_plane_analytic` is the one chart check, and it has two routes.
 Polynomial functions (detected, or declared through an integer degree
@@ -37,10 +37,8 @@ import numpy as np
 
 from . import _linalg as la
 from ._linalg import frac, vec
-from .forms import TaylorTower, tower_evaluate
 from .geometry import (
     AffinePlane2,
-    Cone,
     DegenerateSphereError,
     GeometryError,
     PoleError,
@@ -52,7 +50,6 @@ from .geometry import (
     sphere_to_plane,
     tidy_plane_basis,
 )
-from .interpolation import ConeSampleSet
 from .oracle import (
     Add,
     Const,
@@ -70,9 +67,7 @@ from .oracle import (
     fold,
     substitute,
     to_float,
-    translate,
 )
-from .taylor import build_tower, line_convergence_radius
 
 _FIT_GUARD = 4
 _VALLEY_SCALES = 15
@@ -767,190 +762,4 @@ def sphere_scan(
         tuple(skipped),
         config,
         outcomes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# certification near a plane
-
-
-@dataclass(frozen=True)
-class CertifyFinding:
-    kind: str  # "jet-pole" | "held-out" | "singular" | "cone-pole" | "cone-residual" | "plane"
-    degree: int | None
-    witness: tuple | None
-    detail: str
-
-
-@dataclass(frozen=True)
-class CertifyReport:
-    """Certification evidence near a plane.  `cone_residual` is the worst
-    disagreement between the tower and the function on samples of the cone
-    window; `sweep_residuals` are the residuals of the swept plane checks.
-    A pass requires every residual within tolerance and no findings."""
-
-    verdict: str
-    plane: AffinePlane2
-    tower: TaylorTower
-    order: int
-    theta: Fraction
-    eta: Fraction
-    cone_residual: float
-    sweep_residuals: tuple[float, ...]
-    per_degree_residual: tuple[float, ...]
-    findings: tuple[CertifyFinding, ...]
-    plane_reports: tuple[PlaneReport, ...]
-    cone_residuals: tuple[float, ...]
-    line_radii: tuple[float, ...]
-    config: dict
-
-    def __bool__(self) -> bool:
-        return self.verdict == "pass"
-
-
-def certify_near_plane(
-    f: FunctionOracle,
-    plane: AffinePlane2,
-    *,
-    order: int = 8,
-    theta: Fraction = Fraction(3, 10),
-    eta: Fraction = Fraction(1, 10),
-    tol: float = 1e-9,
-    seed: int | None = None,
-    sweep: int = 3,
-    fit_degree: int = 12,
-    mode: str = "auto",
-) -> CertifyReport:
-    """Certify that f behaves analytically in a cone-shaped neighborhood of
-    the plane's base point, fattened along the plane's directions.
-
-    The base point of the plane is the expansion origin.  The evidence: a
-    Taylor tower of the given order assembled from radial jets inside the
-    cone of aperture theta and window eta (with held-out verification at
-    each degree), agreement of the tower with f at scaled-down cone points,
-    and analyticity checks on a sweep of nearby planes, each spanned by a
-    fixed line of the plane at distance eta/2 from the origin and a
-    perturbed off-plane point.  Violations are reported as findings with
-    witnesses; configuration errors raise CertifyError.
-    """
-    if not isinstance(f, FunctionOracle):
-        raise CertifyError("the function must be an expression-backed oracle")
-    if plane.dimension != f.dimension:
-        raise CertifyError("plane and function dimensions differ")
-    if order < 0:
-        raise CertifyError("order must be nonnegative")
-    if sweep < 0:
-        raise CertifyError("sweep count must be nonnegative")
-    if not tol > 0:
-        raise CertifyError("tol must be positive")
-    if fit_degree < 2:
-        raise CertifyError("fit_degree must be at least 2")
-    if mode not in ("auto", "exact", "float"):
-        raise CertifyError(f"unknown mode {mode!r}")
-    eta = frac(eta)
-    if eta <= 0:
-        raise CertifyError("eta must be positive")
-
-    origin = plane.base_point
-    f_loc = translate(f, origin)
-    cone = Cone(plane.direction_plane(), frac(theta), eta)
-    samples = ConeSampleSet(cone, random.Random(0 if seed is None else seed))
-    tower_mode = "float" if mode == "float" else "exact"
-    tres = build_tower(f_loc, cone, order, mode=tower_mode, samples=samples, tol=tol)
-
-    findings: list[CertifyFinding] = [
-        CertifyFinding(fl.kind, fl.degree, fl.point, fl.detail) for fl in tres.failures
-    ]
-
-    cone_residuals: list[float] = []
-    if tres.ok:
-        pts = samples.plan(min(order, 2))[0][:4]
-        poly_degree = degree_bound(f_loc.expression)
-        must_vanish = tres.mode == "exact" and poly_degree is not None and poly_degree <= order
-        # sample depths are well inside the window so that an order-R tower
-        # of a function analytic at scale eta can actually reach tol
-        for p in pts:
-            for lam in (Fraction(1, 16), Fraction(1, 64)):
-                x = tuple(lam * xi for xi in p)
-                try:
-                    fv = f_loc.evaluate(x)
-                except PoleError as exc:
-                    findings.append(
-                        CertifyFinding("cone-pole", None, exc.point, "pole inside the cone window")
-                    )
-                    break
-                tv = tower_evaluate(tres.tower, x)
-                r = abs(float(fv - tv)) / max(1.0, abs(float(fv)))
-                cone_residuals.append(r)
-                disagree = (fv != tv) if must_vanish else (r > tol)
-                if disagree:
-                    findings.append(
-                        CertifyFinding(
-                            "cone-residual", None, tuple(map(float, x)),
-                            "tower does not agree with the function inside the cone window",
-                        )
-                    )
-
-    plane_reports: list[PlaneReport] = []
-    if tres.ok and sweep > 0 and f.dimension >= 3:
-        b1, b2 = plane.basis
-        n = f.dimension
-        fl1 = math.sqrt(float(norm_sq(b1)))
-        c1 = eta / (2 * Fraction(math.ceil(fl1 * 16), 16))
-        base = tuple(c1 * x for x in b1)
-        off_axis = next(
-            e for e in (tuple(1 if t == j else 0 for t in range(n)) for j in range(n))
-            if la.rank(la.mat((b1, b2, vec(e)))) == 3
-        )
-        for k in range(sweep):
-            delta = eta / 2 ** (k + 3)
-            pk = tuple(delta * x for x in vec(off_axis))
-            second = tuple(a - b for a, b in zip(pk, base))
-            qk = AffinePlane2(base, (b2, second))
-            bmax = max(math.sqrt(float(norm_sq(b))) for b in qk.basis)
-            rep = check_plane_analytic(
-                f_loc, qk, tol=tol, fit_degree=fit_degree,
-                window=float(eta) / (16.0 * max(1.0, bmax)),
-            )
-            plane_reports.append(rep)
-            if rep.verdict != "pass":
-                findings.append(
-                    CertifyFinding(
-                        "plane", None, rep.witness, f"sweep plane {k}: {rep.verdict}"
-                    )
-                )
-
-    line_radii: tuple[float, ...] = ()
-    if tres.ok and order >= 4:
-        pts = samples.plan(2)[0]
-        line_radii = tuple(
-            line_convergence_radius(tres.tower, tuple(map(float, p))) for p in pts[:3]
-        )
-
-    verdict = "pass" if not findings else "fail"
-    config = {
-        "order": order,
-        "theta": frac(theta),
-        "eta": eta,
-        "tol": tol,
-        "sweep": sweep,
-        "fit_degree": fit_degree,
-        "mode": tres.mode,
-        "seed": seed,
-    }
-    return CertifyReport(
-        verdict,
-        plane,
-        tres.tower,
-        order,
-        frac(theta),
-        eta,
-        max(cone_residuals, default=0.0),
-        tuple(rep.residual for rep in plane_reports),
-        tres.per_degree_residual,
-        tuple(findings),
-        tuple(plane_reports),
-        tuple(cone_residuals),
-        line_radii,
-        config,
     )

@@ -125,8 +125,11 @@ def _emit(args, data: dict) -> None:
     else:
         print(text)
     plot_dir = getattr(args, "plot_dir", None)
-    if plot_dir:
-        emit_plot_data(data, plot_dir)
+    if plot_dir and not emit_plot_data(data, plot_dir):
+        print(
+            f"analytica: note: the report has no plot data; nothing written to {plot_dir}",
+            file=sys.stderr,
+        )
 
 
 def _default_axis(dimension: int) -> VectorPlane2:

@@ -191,12 +191,6 @@ def evaluate_form(f: HomogeneousForm, point: Sequence) -> Fraction:
     return total
 
 
-def coefficient_vector(f: HomogeneousForm, basis: Sequence[MultiIndex] | None = None) -> tuple[Fraction, ...]:
-    if basis is None:
-        basis = monomial_basis(f.dimension, f.degree)
-    return tuple(f.coefficients.get(idx, ZERO) for idx in basis)
-
-
 def form_from_coefficients(n: int, d: int, coeffs: Sequence, basis: Sequence[MultiIndex] | None = None) -> HomogeneousForm:
     if basis is None:
         basis = monomial_basis(n, d)

@@ -127,9 +127,6 @@ class AffinePlane2:
         base, b1, b2 = self.float_coordinates
         return tuple(x + s * u + t * v for x, u, v in zip(base, b1, b2))
 
-    def direction_plane(self) -> VectorPlane2:
-        return VectorPlane2(self.basis)
-
     def closest_point_to_origin(self) -> Vec:
         b = la.mat(self.basis)          # 2 x n, rows are directions
         gram = la.matmul(b, la.transpose(b))

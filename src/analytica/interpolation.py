@@ -1,8 +1,7 @@
 """Exact recovery of forms from lower-dimensional data.
 
-Three reconstruction routes live here:
+Two reconstruction routes live here:
 
-* binary interpolation (`binary_form_from_lines`),
 * gluing hyperplane restrictions into one ambient form (`glue_hyperplanes`),
 * recovering a form from point samples on 2-planes inside a cone
   (`ConeSampleSet`, `reconstruct_form_from_cone`).
@@ -69,51 +68,6 @@ class ReconstructionError(InterpolationError):
 _EXTRA_PER_PLANE = 2
 _SCALE_DOUBLINGS = 64
 _MAX_RETRIES = 8
-
-
-# ---------------------------------------------------------------------------
-# binary interpolation
-
-
-def binary_form_from_lines(degree: int, lines: Sequence[Sequence], values: Sequence) -> HomogeneousForm:
-    """The unique binary form of the given degree taking the prescribed
-    values at the prescribed directions.
-
-    At least degree + 1 pairwise non-proportional directions are required;
-    any further samples are checked exactly against the solved form and a
-    disagreement raises InterpolationError.
-    """
-    if degree < 0:
-        raise InterpolationError("degree must be nonnegative")
-    dirs = [vec(l) for l in lines]
-    vals = [frac(v) for v in values]
-    if len(dirs) != len(vals):
-        raise InterpolationError("direction and value counts differ")
-    if len(dirs) < degree + 1:
-        raise InterpolationError(f"need at least {degree + 1} directions for degree {degree}")
-    for p in dirs:
-        if len(p) != 2:
-            raise InterpolationError("directions must be 2-vectors")
-        if p[0] == 0 and p[1] == 0:
-            raise InterpolationError("the zero vector is not a direction")
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            if dirs[i][0] * dirs[j][1] == dirs[i][1] * dirs[j][0]:
-                raise InterpolationError(f"directions {i} and {j} are proportional")
-
-    basis = monomial_basis(2, degree)
-
-    def row(p: Vec) -> tuple[Fraction, ...]:
-        return tuple(p[0] ** e0 * p[1] ** e1 for e0, e1 in basis)
-
-    square = la.mat(row(p) for p in dirs[: degree + 1])
-    coeffs = la.solve(square, vals[: degree + 1])
-    for p, v in zip(dirs[degree + 1 :], vals[degree + 1 :]):
-        if la.dot(row(p), coeffs) != v:
-            raise InterpolationError(
-                "sample values are not consistent with a single form of this degree"
-            )
-    return form_from_coefficients(2, degree, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +514,8 @@ def reconstruct_form_from_cone(
         raise InterpolationError("degree must be nonnegative")
     if mode not in ("exact", "float"):
         raise InterpolationError(f"unknown mode {mode!r}")
+    if not tol > 0:
+        raise InterpolationError("tol must be positive")
     if samples is None:
         samples = ConeSampleSet(cone, random.Random(0 if seed is None else seed))
     n = samples.dimension
@@ -606,7 +562,9 @@ def reconstruct_form_from_cone(
             if r > worst:
                 worst = r
                 witness = p
-        ok = worst <= tol
-        return ReconstructionResult(form, ok, worst, None if ok else witness, degree, mode, samples.plane_count())
+        ok = bool(worst <= tol)
+        return ReconstructionResult(
+            form, ok, float(worst), None if ok else witness, degree, mode, samples.plane_count()
+        )
 
     raise ReconstructionError(f"sample matrix stayed singular after {_MAX_RETRIES} retries")

@@ -257,23 +257,23 @@ def emit_plot_data(data: dict, directory: str) -> list[str]:
     columns t,f,T (the function and the partial sums along t*p); scan
     reports yield a single file of per-sphere residuals, header-only when
     nothing was checked; counterexample reports yield one file per value
-    series (t,value); other reports yield none."""
-    os.makedirs(directory, exist_ok=True)
-    written: list[str] = []
+    series (t,value); other reports yield none.  The directory is created
+    only when a file is written."""
     kind = data.get("kind")
+    tables = []
     if kind == "tower":
-        for i, line in enumerate(data.get("lines", ())):
-            path = os.path.join(directory, f"line_{i}.csv")
-            _write_csv(path, "t,f,T", line["rows"])
-            written.append(path)
+        lines = data.get("lines", ())
+        tables = [(f"line_{i}.csv", "t,f,T", line["rows"]) for i, line in enumerate(lines)]
     elif kind == "sphere-scan":
-        path = os.path.join(directory, "spheres.csv")
         rows = [(i, float(r)) for i, r in enumerate(data.get("residuals", ()))]
-        _write_csv(path, "index,residual", rows)
-        written.append(path)
+        tables = [("spheres.csv", "index,residual", rows)]
     elif kind == "counterexample":
-        for series in data.get("series", ()):
-            path = os.path.join(directory, f"{series['label']}.csv")
-            _write_csv(path, "t,value", series["rows"])
-            written.append(path)
+        tables = [(f"{s['label']}.csv", "t,value", s["rows"]) for s in data.get("series", ())]
+    if tables:
+        os.makedirs(directory, exist_ok=True)
+    written: list[str] = []
+    for name, header, rows in tables:
+        path = os.path.join(directory, name)
+        _write_csv(path, header, rows)
+        written.append(path)
     return written

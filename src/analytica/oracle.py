@@ -398,10 +398,6 @@ def degree_bound(e: Expression) -> int | None:
     return fold(program, _DEGREE)[-1]
 
 
-def is_polynomial(e: Expression) -> bool:
-    return degree_bound(e) is not None
-
-
 def substitute(e: Expression, mapping: dict[int, Expression]) -> Expression:
     """Replace variables by expressions (indices absent from the mapping are
     kept).  Subexpressions shared in the program stay shared in the result."""

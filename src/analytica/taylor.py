@@ -275,6 +275,8 @@ def build_tower(
         raise TaylorError("order must be nonnegative")
     if mode not in ("auto", "exact", "float"):
         raise TaylorError(f"unknown tower mode {mode!r}")
+    if not tol > 0:
+        raise TaylorError("tol must be positive")
     exact_ok = isinstance(f, FunctionOracle)
     if mode == "auto":
         mode = "exact" if exact_ok else "float"

@@ -10,7 +10,6 @@ from analytica import certify
 from analytica._series import p_add, p_mul, p_normalize
 from analytica.certify import (
     CertifyError,
-    certify_near_plane,
     check_plane_analytic,
     pullback_through_centered_inversion,
     pullback_through_inversion,
@@ -19,7 +18,7 @@ from analytica.certify import (
     _golden_min,
     _valley_scan,
 )
-from analytica.geometry import AffinePlane2, GeometryError, PoleError, norm_sq
+from analytica.geometry import AffinePlane2, PoleError, VectorPlane2, norm_sq
 from analytica.jsonio import dumps, scan_report_to_data
 from analytica.oracle import builtin_counterexample, oracle_from_text
 
@@ -582,7 +581,7 @@ def test_exact_scan_reports_a_discontinuous_guard():
         assert fl.part == "point-inversion" and fl.verdict == "fail"
         assert rep.mode == "exact" and rep.residual > 0
         offset = tuple(w - b for w, b in zip(fl.witness, rep.plane.base_point))
-        assert rep.plane.direction_plane().contains(offset)
+        assert VectorPlane2(rep.plane.basis).contains(offset)
         assert dict(outcome.parts)["origin-inversion"].verdict == "pass"
 
 
@@ -609,52 +608,3 @@ def test_scan_validation():
             sphere_scan(g, count=2, seed=1, fit_degree=1)
         with pytest.raises(CertifyError, match="fit_degree"):
             sphere_scan(g, spheres=[], seed=1, fit_degree=1)
-
-
-# ---------------------------------------------------------------------------
-# certification near a plane
-
-
-def test_certify_polynomial_near_plane():
-    f = oracle_from_text("x1^2 + x2*x3", 3)
-    rep = certify_near_plane(f, AffinePlane2((0, 0, 0), (E2, E3)), seed=7)
-    assert rep.verdict == "pass"
-    assert rep.cone_residual == 0.0
-    assert rep.config["mode"] == "exact"
-    assert bool(rep)
-
-
-def test_certify_translated_slice_of_hartogs():
-    f = builtin_counterexample("hartogs-f")
-    plane = AffinePlane2((Fraction(0), Fraction(0), Fraction(1, 10)), (E1, E2))
-    rep = certify_near_plane(f, plane, seed=7)
-    assert rep.verdict == "pass"
-    assert rep.cone_residual <= 1e-9
-    assert rep.sweep_residuals and all(r <= 1e-9 for r in rep.sweep_residuals)
-    assert len(rep.tower.forms) == rep.order + 1
-
-
-def test_certify_curve_counterexample_fails():
-    g = builtin_counterexample("curve-g")
-    rep = certify_near_plane(g, XY, seed=7)
-    assert rep.verdict == "fail"
-    assert rep.findings
-    kinds = {fi.kind for fi in rep.findings}
-    assert kinds & {"held-out", "jet-pole", "cone-residual", "singular", "plane"}
-    assert not bool(rep)
-
-
-def test_certify_validation():
-    f = oracle_from_text("x1", 3)
-    with pytest.raises(CertifyError):
-        certify_near_plane(f, XY, order=-1, seed=1)
-    with pytest.raises((CertifyError, GeometryError)):
-        certify_near_plane(f, XY, theta=Fraction(2), seed=1)
-    with pytest.raises(CertifyError):
-        certify_near_plane(f, XY, eta=Fraction(0), seed=1)
-    with pytest.raises(CertifyError):
-        certify_near_plane(f, XY, tol=math.nan, seed=1)
-    # fit_degree is checked even when no swept plane would use it
-    for sweep in (0, 3):
-        with pytest.raises(CertifyError, match="fit_degree"):
-            certify_near_plane(f, XY, sweep=sweep, fit_degree=1, seed=1)

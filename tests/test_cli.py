@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,9 @@ from analytica.forms import HomogeneousForm
 from analytica.geometry import Hyperplane
 from analytica.interpolation import restriction_of
 from analytica.jsonio import dumps, form_to_data, restrictions_to_data
+
+
+FORM_N4_D4 = str(pathlib.Path(__file__).parent / "data" / "form-n4-d4.json")
 
 
 def run(argv):
@@ -183,7 +187,7 @@ def test_glue_missing_input(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cone_round_trip(tmp_path):
+def test_cone_round_trip(tmp_path, capsys):
     form = HomogeneousForm(3, 2, {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(1, 2)})
     src = tmp_path / "form.json"
     src.write_text(dumps(form_to_data(form)) + "\n")
@@ -198,8 +202,30 @@ def test_cone_round_trip(tmp_path):
     assert data["ok"] is True and data["mode"] == "exact"
     assert data["max_residual"] == 0
     assert data["form"] == json.loads(dumps(form_to_data(form)))
-    # a cone report has no plottable series
-    assert list(plots.iterdir()) == []
+    # a cone report has no plottable series: no directory, and a note says so
+    assert not plots.exists()
+    assert capsys.readouterr().err.startswith("analytica: note: the report has no plot data")
+
+
+def test_cone_float_mode(capsys):
+    code = run(["reconstruct", "cone", "--input", FORM_N4_D4, "--mode", "float", "--seed", "5"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is True and data["mode"] == "float"
+    assert data["max_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["reconstruct", "cone", "--input", FORM_N4_D4], ["tower", "--mode", "float", "--expr", "x1^2+x2"]],
+    ids=["cone", "tower"],
+)
+def test_bad_tol_is_a_usage_error(command, tol, capsys):
+    assert run([*command, "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "analytica: error: tol must be positive\n"
 
 
 def test_cone_wrong_degree_is_diagnosed(tmp_path, capsys):

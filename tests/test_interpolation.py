@@ -20,7 +20,8 @@ from analytica.interpolation import (
     ConeSampleSet,
     DivisibilityError,
     GluingError,
-    binary_form_from_lines,
+    InterpolationError,
+    ReconstructionError,
     check_compatibility,
     direction_pairs,
     divide_by_linear,
@@ -38,16 +39,6 @@ from conftest import (
     reference_solve,
     to_domain,
 )
-
-
-def test_binary_form_from_lines_recovers():
-    rng = random.Random(402)
-    for _ in range(25):
-        d = rng.randint(0, 6)
-        f = rand_form(rng, 2, d, bound=100)
-        lines = direction_pairs(d + 1)
-        values = [evaluate_form(f, line) for line in lines]
-        assert binary_form_from_lines(d, lines, values) == f
 
 
 def test_direction_pairs_non_proportional():
@@ -284,10 +275,21 @@ def test_cone_reconstruction_float_mode():
     res = reconstruct_form_from_cone(
         lambda x: float(evaluate_form(f, x)), cone, 3, mode="float", seed=17
     )
-    assert res.ok
+    # plain Python values, so the report serializes
+    assert res.ok is True and type(res.max_residual) is float
     assert res.max_residual <= 1e-9
     for idx, c in f.coefficients.items():
         assert abs(float(res.form.coefficients.get(idx, 0)) - float(c)) < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cone_reconstruction_rejects_a_bad_tol(mode):
+    # a usage error, not the ReconstructionError of a failed reconstruction
+    cone = Cone(rand_axis_plane(random.Random(6), 3), Fraction(1, 2), Fraction(1))
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(InterpolationError, match="tol must be positive") as exc:
+            reconstruct_form_from_cone(norm_sq, cone, 2, mode=mode, seed=7, tol=tol)
+        assert not isinstance(exc.value, ReconstructionError)
 
 
 def test_cone_reconstruction_rejects_non_polynomial():

@@ -29,7 +29,6 @@ from analytica.oracle import (
     compile_expression,
     degree_bound,
     evaluate_oracle,
-    is_polynomial,
     oracle_from_text,
     parse_expression,
     substitute,
@@ -135,8 +134,8 @@ def test_degree_bound_and_polynomial_flag():
     assert degree_bound(parse_expression("(x1+1)^4", 3)) == 4
     assert degree_bound(parse_expression("x1/2", 3)) == 1
     assert degree_bound(parse_expression("1/(1+x1)", 3)) is None
-    assert is_polynomial(parse_expression("x1*x2", 3))
-    assert not is_polynomial(parse_expression("x1/(x2)", 3))
+    assert degree_bound(parse_expression("x1*x2", 3)) is not None
+    assert degree_bound(parse_expression("x1/(x2)", 3)) is None
 
 
 def test_to_text_round_trip():

@@ -8,6 +8,7 @@ import sympy
 from analytica.forms import evaluate_form, monomial, tower_evaluate
 from analytica import taylor
 from analytica.geometry import Cone, PoleError, VectorPlane2
+from analytica.interpolation import ConeSampleSet
 from analytica.oracle import (
     ARITHMETIC,
     Add,
@@ -22,6 +23,7 @@ from analytica.oracle import (
     builtin_counterexample,
     fold,
     oracle_from_text,
+    translate,
 )
 from analytica.taylor import (
     TaylorError,
@@ -348,6 +350,22 @@ def test_hartogs_jets_pole_through_origin():
     assert not res.ok
 
 
+def test_translated_hartogs_tower_is_exact():
+    # away from the pole plane x3 = 0 hartogs-f is analytic: the exact tower
+    # is complete and agrees with f at points deep inside the cone window
+    f = translate(builtin_counterexample("hartogs-f"), (0, 0, Fraction(1, 10)))
+    cone = Cone(E12, Fraction(3, 10), Fraction(1, 10))
+    samples = ConeSampleSet(cone, random.Random(7))
+    res = build_tower(f, cone, 8, mode="exact", samples=samples)
+    assert res.ok and res.mode == "exact"
+    assert len(res.tower.forms) == 9
+    for p in samples.plan(2)[0][:4]:
+        for lam in (Fraction(1, 16), Fraction(1, 64)):
+            x = tuple(lam * xi for xi in p)
+            fv = f.evaluate(x)
+            assert abs(float(fv - tower_evaluate(res.tower, x))) <= 1e-9 * max(1.0, abs(float(fv)))
+
+
 def test_radius_estimates():
     f = oracle_from_text("1/(1-x1)", 3)
     cone = Cone(E12, Fraction(1, 2), Fraction(1))
@@ -366,3 +384,7 @@ def test_order_validation():
     cone = Cone(VectorPlane2(((1, 0), (0, 1))), Fraction(1, 2), Fraction(1))
     with pytest.raises(TaylorError):
         build_tower(f, cone, -1, seed=1)
+    for mode in ("exact", "float"):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(TaylorError, match="tol must be positive"):
+                build_tower(f, cone, 2, mode=mode, seed=1, tol=tol)
