@@ -436,8 +436,8 @@ def check_plane_analytic(
         raise CertifyError("the function must be an expression-backed oracle")
     if plane.dimension != f.dimension:
         raise CertifyError("plane and function dimensions differ")
-    if not tol > 0:
-        raise CertifyError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise CertifyError("tol must be positive and finite")
     if fit_degree < 2:
         raise CertifyError("fit_degree must be at least 2")
     wf = to_float(window)
@@ -692,8 +692,8 @@ def sphere_scan(
         raise CertifyError(f"unknown mode {mode!r}")
     if workers < 1:
         raise CertifyError("workers must be at least 1")
-    if not tol > 0:
-        raise CertifyError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise CertifyError("tol must be positive and finite")
     if fit_degree < 2:
         raise CertifyError("fit_degree must be at least 2")
     if spheres is None and count < 1:

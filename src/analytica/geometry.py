@@ -62,9 +62,6 @@ class Hyperplane:
     def dimension(self) -> int:
         return len(self.normal)
 
-    def contains(self, p: Sequence) -> bool:
-        return la.dot(self.normal, vec(p)) == 0
-
     def chart(self) -> Mat:
         """Deterministic rational basis of the hyperplane, as an n x (n-1)
         matrix of column vectors."""
@@ -126,16 +123,6 @@ class AffinePlane2:
     def point_at_float(self, s: float, t: float) -> tuple[float, ...]:
         base, b1, b2 = self.float_coordinates
         return tuple(x + s * u + t * v for x, u, v in zip(base, b1, b2))
-
-    def closest_point_to_origin(self) -> Vec:
-        b = la.mat(self.basis)          # 2 x n, rows are directions
-        gram = la.matmul(b, la.transpose(b))
-        rhs = la.matvec(b, self.base_point)
-        coeffs = la.solve(gram, tuple(-x for x in rhs))
-        b1, b2 = self.basis
-        return tuple(
-            x + coeffs[0] * u + coeffs[1] * v for x, u, v in zip(self.base_point, b1, b2)
-        )
 
 
 @dataclass(frozen=True)

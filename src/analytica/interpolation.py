@@ -109,11 +109,6 @@ class HyperplaneRestriction:
     def degree(self) -> int:
         return self.form.degree
 
-    def ambient_point(self, u: Sequence) -> Vec:
-        """Chart coordinates -> point on the hyperplane."""
-        uu = vec(u)
-        return tuple(la.dot(r, uu) for r in self.chart)
-
 
 def restriction_of(f: HomogeneousForm, hyperplane: Hyperplane, chart: Mat | None = None) -> HyperplaneRestriction:
     """Restrict an ambient form to a hyperplane, in the given chart
@@ -366,11 +361,6 @@ class ConeSampleSet:
     def plane_count(self) -> int:
         return len(self._spans)
 
-    def plane(self, index: int) -> VectorPlane2:
-        self.ensure_planes(index + 1)
-        a, b = self._spans[index]
-        return VectorPlane2((vec(a), vec(b)))
-
     def ensure_planes(self, count: int) -> None:
         while len(self._spans) < count:
             self._spans.append(self._draw_plane(len(self._spans)))
@@ -514,8 +504,8 @@ def reconstruct_form_from_cone(
         raise InterpolationError("degree must be nonnegative")
     if mode not in ("exact", "float"):
         raise InterpolationError(f"unknown mode {mode!r}")
-    if not tol > 0:
-        raise InterpolationError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InterpolationError("tol must be positive and finite")
     if samples is None:
         samples = ConeSampleSet(cone, random.Random(0 if seed is None else seed))
     n = samples.dimension

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -89,169 +90,107 @@ Expression = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow]
 
 
 # ---------------------------------------------------------------------------
-# lexer / parser
+# parser
 
-_DIGITS = set("0123456789")
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> tuple[str, int]:
-        """Returns (kind, position) without consuming; kind is one of
-        'number', 'var', an operator character, or 'end'."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return "end", self.pos
-        ch = self.text[self.pos]
-        if ch in _DIGITS:
-            return "number", self.pos
-        if ch == "x":
-            return "var", self.pos
-        if ch in "+-*/^()":
-            return ch, self.pos
-        return "bad", self.pos
-
-    def take_op(self, expected: str) -> int:
-        kind, pos = self.peek()
-        if kind != expected:
-            raise ParseError(f"expected '{expected}'", pos)
-        self.pos = pos + 1
-        return pos
-
-    def _digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def take_number(self) -> tuple[Fraction, int]:
-        kind, pos = self.peek()
-        if kind != "number":
-            raise ParseError("expected a number", pos)
-        self.pos = pos
-        whole = self._digits()
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            fracpart = self._digits()
-            if not fracpart:
-                raise ParseError("expected digits after decimal point", self.pos)
-            return Fraction(f"{whole}.{fracpart}"), pos
-        # maximal munch for p/q with no intervening whitespace
-        if (
-            self.pos + 1 < len(self.text)
-            and self.text[self.pos] == "/"
-            and self.text[self.pos + 1] in _DIGITS
-        ):
-            self.pos += 1
-            denom = self._digits()
-            if int(denom) == 0:
-                raise ParseError("rational literal with zero denominator", pos)
-            return Fraction(int(whole), int(denom)), pos
-        return Fraction(int(whole)), pos
-
-    def take_var(self) -> tuple[int, int]:
-        kind, pos = self.peek()
-        if kind != "var":
-            raise ParseError("expected a variable", pos)
-        self.pos = pos + 1
-        digits = self._digits()
-        if not digits:
-            raise ParseError("expected a variable index after 'x'", self.pos)
-        return int(digits), pos
+_LITERAL = re.compile(r"([0-9]+)(?:\.([0-9]*)|/([0-9]+))?")
+_INDEX = re.compile(r"[0-9]*")
+_SUMS = {"+": Add, "-": Sub}
+_PRODUCTS = {"*": Mul, "/": Div}
 
 
 class _Parser:
+    """One recursive-descent pass over the text; `pos` is the offset of the
+    next unread character."""
+
     def __init__(self, text: str, dimension: int):
-        self.lex = _Lexer(text)
+        self.text = text
+        self.pos = 0
         self.n = dimension
 
-    def parse(self) -> Expression:
-        e = self.expr()
-        kind, pos = self.lex.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", pos)
+    def peek(self) -> tuple[str, int]:
+        """Skips whitespace and classifies the next character without
+        consuming it: 'number', 'x', an operator character, 'bad' or 'end'."""
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        if self.pos == len(self.text):
+            return "end", self.pos
+        ch = self.text[self.pos]
+        if ch in "0123456789":
+            return "number", self.pos
+        return (ch if ch in "x+-*/^()" else "bad"), self.pos
+
+    def chain(self, operand, ops: dict) -> Expression:
+        """operand (op operand)*, grouped to the left."""
+        e = operand()
+        while (kind := self.peek()[0]) in ops:
+            self.pos += 1
+            e = ops[kind](e, operand())
         return e
 
-    def expr(self) -> Expression:
-        e = self.term()
-        while True:
-            kind, _ = self.lex.peek()
-            if kind == "+":
-                self.lex.take_op("+")
-                e = Add(e, self.term())
-            elif kind == "-":
-                self.lex.take_op("-")
-                e = Sub(e, self.term())
-            else:
-                return e
-
     def term(self) -> Expression:
-        e = self.factor()
-        while True:
-            kind, _ = self.lex.peek()
-            if kind == "*":
-                self.lex.take_op("*")
-                e = Mul(e, self.factor())
-            elif kind == "/":
-                self.lex.take_op("/")
-                e = Div(e, self.factor())
-            else:
-                return e
+        return self.chain(self.factor, _PRODUCTS)
 
     def factor(self) -> Expression:
-        kind, _ = self.lex.peek()
+        kind, pos = self.peek()
         if kind == "-":
-            self.lex.take_op("-")
+            self.pos += 1
             return Neg(self.factor())
-        base = self.base()
-        kind, pos = self.lex.peek()
-        if kind == "^":
-            self.lex.take_op("^")
-            exp_pos = self.lex.peek()[1]
-            exponent = self.factor()
-            value = constant_value(exponent)
-            if value is None:
-                raise ParseError("exponent must be a constant", exp_pos)
-            if value.denominator != 1 or value < 0:
-                raise ParseError("exponent must be a non-negative integer", exp_pos)
-            return Pow(base, int(value))
-        return base
-
-    def base(self) -> Expression:
-        kind, pos = self.lex.peek()
-        if kind == "number":
-            value, _ = self.lex.take_number()
-            return Const(value)
-        if kind == "var":
-            index, vpos = self.lex.take_var()
-            if index < 1:
-                raise ParseError("variable indices start at x1", vpos)
-            if index > self.n:
-                raise ParseError(
-                    f"variable x{index} exceeds dimension {self.n}", vpos
-                )
-            return Var(index)
         if kind == "(":
-            self.lex.take_op("(")
-            e = self.expr()
-            self.lex.take_op(")")
-            return e
-        if kind == "bad":
-            raise ParseError("unknown identifier", pos)
-        raise ParseError("expected an operand", pos)
+            self.pos += 1
+            base = self.chain(self.term, _SUMS)
+            kind, pos = self.peek()
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            self.pos += 1
+        else:
+            base = self.atom(kind, pos)
+        if self.peek()[0] != "^":
+            return base
+        self.pos += 1
+        exp_pos = self.peek()[1]
+        value = constant_value(self.factor())
+        if value is None:
+            raise ParseError("exponent must be a constant", exp_pos)
+        if value.denominator != 1 or value < 0:
+            raise ParseError("exponent must be a non-negative integer", exp_pos)
+        return Pow(base, int(value))
+
+    def atom(self, kind: str, pos: int) -> Expression:
+        """The literal or variable that starts at pos."""
+        if kind == "number":
+            m = _LITERAL.match(self.text, pos)
+            self.pos = m.end()
+            whole, decimals, denominator = m.groups()
+            if decimals == "":
+                raise ParseError("expected digits after decimal point", self.pos)
+            if decimals:
+                return Const(Fraction(f"{whole}.{decimals}"))
+            if denominator and not int(denominator):
+                raise ParseError("rational literal with zero denominator", pos)
+            return Const(Fraction(int(whole), int(denominator or 1)))
+        if kind == "x":
+            m = _INDEX.match(self.text, pos + 1)
+            self.pos = m.end()
+            if not m.group():
+                raise ParseError("expected a variable index after 'x'", self.pos)
+            index = int(m.group())
+            if index < 1:
+                raise ParseError("variable indices start at x1", pos)
+            if index > self.n:
+                raise ParseError(f"variable x{index} exceeds dimension {self.n}", pos)
+            return Var(index)
+        raise ParseError("unknown identifier" if kind == "bad" else "expected an operand", pos)
 
 
 def parse_expression(text: str, dimension: int) -> Expression:
     if dimension < 1:
         raise OracleError("dimension must be at least 1")
-    return _Parser(text, dimension).parse()
+    parser = _Parser(text, dimension)
+    e = parser.chain(parser.term, _SUMS)
+    kind, pos = parser.peek()
+    if kind != "end":
+        raise ParseError("unexpected trailing input", pos)
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,11 @@ class TaylorError(ValueError):
 
 @dataclass(frozen=True)
 class RadialJet:
-    """Derivatives of t -> f(t * direction) at t = 0, orders 0..len-1.
-
-    `bounds[r]` is a certified-style error estimate for coefficient r; all
-    zeros when the jet was computed exactly.
-    """
+    """Derivatives of t -> f(t * direction) at t = 0, orders 0..len-1."""
 
     direction: Vec
     coefficients: tuple
     mode: str
-    bounds: tuple[float, ...]
 
     @property
     def order(self) -> int:
@@ -175,7 +170,7 @@ def radial_jet(
         zero = (Fraction(0),) * len(p)
         coeffs = line_series(f, zero, p, order)
         tau = tuple(c * math.factorial(r) for r, c in enumerate(coeffs))
-        return RadialJet(p, tau, "exact", (0.0,) * (order + 1))
+        return RadialJet(p, tau, "exact")
 
     return _fitted_jet(f, point, order, window)
 
@@ -217,14 +212,8 @@ def _fitted_jet(fn: Callable, point: Sequence, order: int, window: float) -> Rad
     v_matrix = np.vander(np.array(svals), N=top + 1, increasing=True)
     fv = np.array(fvals)
     b, *_ = np.linalg.lstsq(v_matrix, fv, rcond=None)
-    node_resid = float(np.max(np.abs(v_matrix @ b - fv)))
-    tail = float(np.sum(np.abs(b[order + 1 :])))
-    noise = 1e-14 * max(1.0, float(np.max(np.abs(fv))))
-    err_coeff = 4.0 * (node_resid + tail) + noise
-
     tau = tuple(float(b[r]) * math.factorial(r) / eps**r for r in range(order + 1))
-    bounds = tuple(err_coeff * math.factorial(r) / eps**r for r in range(order + 1))
-    return RadialJet(tuple(point), tau, "fitted", bounds)
+    return RadialJet(tuple(point), tau, "fitted")
 
 
 @dataclass(frozen=True)
@@ -275,8 +264,8 @@ def build_tower(
         raise TaylorError("order must be nonnegative")
     if mode not in ("auto", "exact", "float"):
         raise TaylorError(f"unknown tower mode {mode!r}")
-    if not tol > 0:
-        raise TaylorError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise TaylorError("tol must be positive and finite")
     exact_ok = isinstance(f, FunctionOracle)
     if mode == "auto":
         mode = "exact" if exact_ok else "float"

@@ -210,8 +210,8 @@ def test_parameter_validation():
     # both routes: a polynomial (exact) and a rational function (float) whose
     # fit fails at the default tol, so a NaN tol must not let it pass
     for f in (oracle_from_text("x1", 3), oracle_from_text("1/(x1^2 + 1/10000)", 3)):
-        for tol in (0.0, -1.0, math.nan):
-            with pytest.raises(CertifyError):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(CertifyError, match="tol must be positive and finite"):
                 check_plane_analytic(f, XY, tol=tol)
         with pytest.raises(CertifyError):
             check_plane_analytic(f, XY, fit_degree=1)
@@ -599,10 +599,10 @@ def test_scan_validation():
         sphere_scan(f, count=2, seed=1, workers=0)
     # both routes check tol and fit_degree, before any sphere is drawn
     for g in (f, oracle_from_text("1/(2-x1)", 3)):
-        for tol in (0.0, -1.0, math.nan):
-            with pytest.raises(CertifyError):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(CertifyError, match="tol must be positive and finite"):
                 sphere_scan(g, count=2, seed=1, tol=tol)
-            with pytest.raises(CertifyError):
+            with pytest.raises(CertifyError, match="tol must be positive and finite"):
                 sphere_scan(g, spheres=[], seed=1, tol=tol)
         with pytest.raises(CertifyError):
             sphere_scan(g, count=2, seed=1, fit_degree=1)

@@ -215,17 +215,21 @@ def test_cone_float_mode(capsys):
     assert data["max_residual"] <= 1e-9
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize(
     "command",
-    [["reconstruct", "cone", "--input", FORM_N4_D4], ["tower", "--mode", "float", "--expr", "x1^2+x2"]],
-    ids=["cone", "tower"],
+    [
+        ["reconstruct", "cone", "--input", FORM_N4_D4],
+        ["tower", "--mode", "float", "--expr", "x1^2+x2"],
+        ["probe", "--builtin", "curve-g", "--spheres", "1", "--seed", "1"],
+    ],
+    ids=["cone", "tower", "probe"],
 )
 def test_bad_tol_is_a_usage_error(command, tol, capsys):
     assert run([*command, "--tol", tol]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "analytica: error: tol must be positive\n"
+    assert captured.err == "analytica: error: tol must be positive and finite\n"
 
 
 def test_cone_wrong_degree_is_diagnosed(tmp_path, capsys):

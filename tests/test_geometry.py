@@ -87,22 +87,6 @@ def test_plane_point_at():
         assert all(abs(a - float(b)) < 1e-12 for a, b in zip(fp, p))
 
 
-def test_closest_point_is_orthogonal_projection():
-    rng = random.Random(205)
-    for _ in range(40):
-        n = rng.randint(3, 5)
-        axis = rand_axis_plane(rng, n)
-        base = rand_point(rng, n, bound=6)
-        plane = AffinePlane2(base, axis.basis)
-        q = plane.closest_point_to_origin()
-        b1, b2 = plane.basis
-        # q in the plane: q - base is a combination of b1, b2
-        assert rank(mat((b1, b2, tuple(a - b for a, b in zip(q, base))))) == 2
-        # minimality: q orthogonal to the direction space
-        assert dot(q, b1) == 0
-        assert dot(q, b2) == 0
-
-
 def test_cone_membership_scale_invariant():
     rng = random.Random(206)
     for _ in range(60):

@@ -58,7 +58,7 @@ def test_restriction_evaluates_on_the_hyperplane():
         h = rand_hyperplane_set(rng, n, 1)[0]
         r = restriction_of(f, h)
         u = rand_point(rng, n - 1, bound=7)
-        p = r.ambient_point(u)
+        p = la.matvec(r.chart, u)
         assert sum(a * b for a, b in zip(h.normal, p)) == 0
         assert evaluate_form(r.form, u) == evaluate_form(f, p)
 
@@ -286,8 +286,8 @@ def test_cone_reconstruction_float_mode():
 def test_cone_reconstruction_rejects_a_bad_tol(mode):
     # a usage error, not the ReconstructionError of a failed reconstruction
     cone = Cone(rand_axis_plane(random.Random(6), 3), Fraction(1, 2), Fraction(1))
-    for tol in (0.0, -1.0, math.nan):
-        with pytest.raises(InterpolationError, match="tol must be positive") as exc:
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InterpolationError, match="tol must be positive and finite") as exc:
             reconstruct_form_from_cone(norm_sq, cone, 2, mode=mode, seed=7, tol=tol)
         assert not isinstance(exc.value, ReconstructionError)
 

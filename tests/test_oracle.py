@@ -67,6 +67,66 @@ def test_parser_reports_position():
         parse_expression("x1 $ 2", 3)
 
 
+@pytest.mark.parametrize(
+    "text, dimension, message",
+    [
+        ("(x1 + 2", 3, "expected ')' (offset 7)"),
+        ("1.", 1, "expected digits after decimal point (offset 2)"),
+        ("1.x1", 1, "expected digits after decimal point (offset 2)"),
+        ("x1 + 3/00", 1, "rational literal with zero denominator (offset 5)"),
+        ("x1^(1/0)", 1, "rational literal with zero denominator (offset 4)"),
+        ("2*xy", 1, "expected a variable index after 'x' (offset 3)"),
+        ("x 1", 1, "expected a variable index after 'x' (offset 1)"),
+        ("x²", 1, "expected a variable index after 'x' (offset 1)"),
+        ("x1)", 1, "unexpected trailing input (offset 2)"),
+        ("x1^2 x2", 2, "unexpected trailing input (offset 5)"),
+        ("3²", 1, "unexpected trailing input (offset 1)"),
+        ("x1^x2", 2, "exponent must be a constant (offset 3)"),
+        ("x1^(1 / 0)", 1, "exponent must be a constant (offset 3)"),
+        ("x1^-1", 1, "exponent must be a non-negative integer (offset 3)"),
+        ("x1^ -2", 1, "exponent must be a non-negative integer (offset 4)"),
+        ("x1^(1/2)", 1, "exponent must be a non-negative integer (offset 3)"),
+        ("x0", 1, "variable indices start at x1 (offset 0)"),
+        ("x9", 3, "variable x9 exceeds dimension 3 (offset 0)"),
+        ("2*$", 1, "unknown identifier (offset 2)"),
+        ("é", 1, "unknown identifier (offset 0)"),
+        ("x1 +", 1, "expected an operand (offset 4)"),
+        ("x1^2 ++ x2", 3, "expected an operand (offset 6)"),
+        (" \t", 1, "expected an operand (offset 2)"),
+        ("", 1, "expected an operand (offset 0)"),
+    ],
+)
+def test_parse_errors_name_the_offset(text, dimension, message):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text, dimension)
+    assert str(exc.value) == message
+    assert exc.value.position == int(message.rsplit(" ", 1)[1][:-1])
+
+
+def test_parse_needs_a_positive_dimension():
+    with pytest.raises(OracleError, match="dimension must be at least 1"):
+        parse_expression("x1", 0)
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        # maximal munch: "2/3" is one literal, "2 / 3" a division
+        ("2/3^2", Pow(Const(Fraction(2, 3)), 2)),
+        ("2 / 3^2", Div(Const(Fraction(2)), Pow(Const(Fraction(3)), 2))),
+        ("2/ 3", Div(Const(Fraction(2)), Const(Fraction(3)))),
+        ("2.5/3", Div(Const(Fraction(5, 2)), Const(Fraction(3)))),
+        ("-x1^2", Neg(Pow(Var(1), 2))),
+        ("2^3^2", Pow(Const(Fraction(2)), 9)),
+        ("x1^0^0", Pow(Var(1), 1)),
+        ("x01 - x1 - 1", Sub(Sub(Var(1), Var(1)), Const(Fraction(1)))),
+        ("x1 / 2 * x1", Mul(Div(Var(1), Const(Fraction(2))), Var(1))),
+    ],
+)
+def test_parse_trees(text, tree):
+    assert parse_expression(text, 1) == tree
+
+
 def test_exact_and_float_modes_agree():
     rng = random.Random(301)
     f = oracle_from_text("(x1^2 - x2/3) / (2 + x3^2)", 3)

@@ -385,6 +385,6 @@ def test_order_validation():
     with pytest.raises(TaylorError):
         build_tower(f, cone, -1, seed=1)
     for mode in ("exact", "float"):
-        for tol in (0.0, -1.0, math.nan):
-            with pytest.raises(TaylorError, match="tol must be positive"):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(TaylorError, match="tol must be positive and finite"):
                 build_tower(f, cone, 2, mode=mode, seed=1, tol=tol)
