@@ -70,6 +70,7 @@ from .oracle import (
     ParseError,
     builtin_counterexample,
     degree_bound,
+    evaluate_grid,
     evaluate_oracle,
     oracle_from_text,
     parse_expression,

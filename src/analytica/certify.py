@@ -63,6 +63,7 @@ from .oracle import (
     Sub,
     Var,
     degree_bound,
+    evaluate_grid,
     evaluate_oracle,
     fold,
     substitute,
@@ -175,52 +176,64 @@ def _exact_tensor_check(value_fn: Callable, degree: int, window: Fraction):
 # float route: Chebyshev fit plus denominator-valley falsifier
 
 
+@lru_cache(maxsize=None)
+def _cheb_design(total: int):
+    """The Chebyshev fit's grids and design for total degree `total`: the
+    m Chebyshev-Lobatto nodes, the monomial index pairs (i, j) with
+    i + j <= total, the design T_i(s) T_j(t) at the m x m node grid in
+    row-major order, and the m + 2 held-out (Chebyshev-Gauss) nodes.  A
+    fit uses the whole grid or returns "pole", so nothing here depends on
+    the function; the arrays are read-only because every fit shares them."""
+    m = total + 3
+    nodes = np.cos(np.pi * np.arange(m) / (m - 1))
+    pairs = tuple((i, j) for i in range(total + 1) for j in range(total + 1 - i))
+    cs = np.polynomial.chebyshev.chebvander(np.repeat(nodes, m), total)
+    ct = np.polynomial.chebyshev.chebvander(np.tile(nodes, m), total)
+    design = np.stack([cs[:, i] * ct[:, j] for i, j in pairs], axis=1)
+    mh = m + 2
+    held_nodes = np.cos(np.pi * (2 * np.arange(mh) + 1) / (2 * mh))
+    for a in (nodes, design, held_nodes):
+        a.setflags(write=False)
+    return nodes, pairs, design, held_nodes
+
+
 def _cheb_fit(f: FunctionOracle, plane: AffinePlane2, window: float, fit_degree: int):
     """Total-degree Chebyshev fit of the restriction over the window.
     Returns (status, residual, witness, grid_max); status is "ok" or
     "pole"."""
     total = fit_degree + _FIT_GUARD
-    m = total + 3
-    nodes = np.cos(np.pi * np.arange(m) / (m - 1))
+    nodes, pairs, design, held_nodes = _cheb_design(total)
+    base, b1, b2 = plane.float_coordinates
 
     def sample_grid(xs: np.ndarray):
-        svals, tvals, fvals = [], [], []
-        for si in xs:
-            for tj in xs:
-                x = plane.point_at_float(window * si, window * tj)
-                try:
-                    v = float(evaluate_oracle(f, x, mode="float"))
-                except PoleError:
-                    return None, x
-                if not math.isfinite(v):
-                    return None, x
-                svals.append(si)
-                tvals.append(tj)
-                fvals.append(v)
-        return (np.array(svals), np.array(tvals), np.array(fvals)), None
+        """The restriction on the xs x xs grid, flattened row-major, or None
+        and the first point that is a pole or not finite."""
+        w = window * xs
+        s, t = w[:, None], w[None, :]
+        # point_at_float's x + s*u + t*v, coordinate by coordinate
+        values, pole = evaluate_grid(f, [x + s * u + t * v for x, u, v in zip(base, b1, b2)])
+        bad = (pole | ~np.isfinite(values)).ravel()
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), len(xs))
+            return None, plane.point_at_float(window * xs[i], window * xs[j])
+        return values.ravel(), None
 
-    grid, bad = sample_grid(nodes)
-    if grid is None:
+    fv, bad = sample_grid(nodes)
+    if fv is None:
         return "pole", math.inf, bad, 0.0
-    ss, tt, fv = grid
     grid_max = float(np.max(np.abs(fv)))
 
-    pairs = [(i, j) for i in range(total + 1) for j in range(total + 1 - i)]
-    cs = np.polynomial.chebyshev.chebvander(ss, total)
-    ct = np.polynomial.chebyshev.chebvander(tt, total)
-    design = np.stack([cs[:, i] * ct[:, j] for i, j in pairs], axis=1)
     coef, *_ = np.linalg.lstsq(design, fv, rcond=None)
     cmat = np.zeros((total + 1, total + 1))
     for (i, j), c in zip(pairs, coef):
         cmat[i, j] = c
     node_resid = float(np.max(np.abs(design @ coef - fv)))
 
-    mh = m + 2
-    held_nodes = np.cos(np.pi * (2 * np.arange(mh) + 1) / (2 * mh))
-    held, bad = sample_grid(held_nodes)
-    if held is None:
+    hv, bad = sample_grid(held_nodes)
+    if hv is None:
         return "pole", math.inf, bad, grid_max
-    hs, ht, hv = held
+    mh = len(held_nodes)
+    hs, ht = np.repeat(held_nodes, mh), np.tile(held_nodes, mh)
     pred = np.polynomial.chebyshev.chebval2d(hs, ht, cmat)
     errs = np.abs(pred - hv)
     k = int(np.argmax(errs))

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from ._linalg import frac
 from .geometry import PoleError
 
@@ -186,7 +188,10 @@ def parse_expression(text: str, dimension: int) -> Expression:
     if dimension < 1:
         raise OracleError("dimension must be at least 1")
     parser = _Parser(text, dimension)
-    e = parser.chain(parser.term, _SUMS)
+    try:
+        e = parser.chain(parser.term, _SUMS)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.pos) from None
     kind, pos = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
@@ -200,41 +205,56 @@ def parse_expression(text: str, dimension: int) -> Expression:
 # the node class, args are the slots of its operands, and payload is the
 # constant, the variable index, the exponent, or None.
 Program = tuple
+_BINARY = frozenset((Add, Sub, Mul, Div))
+_READY = object()  # on compile_expression's stack: the node below has compiled operands
 
 
 def compile_expression(e: Expression) -> Program:
     """The expression as a hash-consed post-order program, left operands
     before right ones.  Structurally equal subtrees share one op, so the
     |y|^2 that an inversion pullback repeats for every variable is one op.
-    This is the only place that dispatches on node types."""
+    This is the only place that dispatches on node types.  The walk keeps
+    its own stack, so tree depth is limited by memory, not by recursion."""
     ops: list = []
     slots: dict = {}
     seen: dict[int, int] = {}  # id(node) -> slot, for trees that share nodes
-
-    def visit(node) -> int:
-        slot = seen.get(id(node))
-        if slot is not None:
-            return slot
-        if isinstance(node, Const):
-            op = (Const, (), node.value)
-        elif isinstance(node, Var):
-            op = (Var, (), node.index)
-        elif isinstance(node, Neg):
-            op = (Neg, (visit(node.arg),), None)
-        elif isinstance(node, Pow):
-            op = (Pow, (visit(node.base),), node.exponent)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            op = (type(node), (visit(node.left), visit(node.right)), None)
+    stack = [e]
+    pop, ready = stack.pop, _READY
+    while stack:
+        node = pop()
+        if node is ready:
+            node = pop()
+            kind = type(node)
+            if kind is Pow:
+                op = (Pow, (seen[id(node.base)],), node.exponent)
+            elif kind is Neg:
+                op = (Neg, (seen[id(node.arg)],), None)
+            else:
+                op = (kind, (seen[id(node.left)], seen[id(node.right)]), None)
         else:
-            raise TypeError(f"not an expression node: {node!r}")
-        slot = slots.get(op)
-        if slot is None:
-            slot = slots[op] = len(ops)
+            if id(node) in seen:
+                continue
+            kind = type(node)
+            # operands go above the marker, the left one on top
+            if kind in _BINARY:
+                stack += (node, ready, node.right, node.left)
+                continue
+            if kind is Pow:
+                stack += (node, ready, node.base)
+                continue
+            if kind is Neg:
+                stack += (node, ready, node.arg)
+                continue
+            if kind is Const:
+                op = (Const, (), node.value)
+            elif kind is Var:
+                op = (Var, (), node.index)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+        slot = slots.setdefault(op, len(ops))
+        if slot == len(ops):
             ops.append(op)
         seen[id(node)] = slot
-        return slot
-
-    visit(e)
     return tuple(ops)
 
 
@@ -345,7 +365,7 @@ def substitute(e: Expression, mapping: dict[int, Expression]) -> Expression:
 
 
 # Python's operators on the operand values: exact evaluation over Fractions,
-# and the base of the float algebra.  Evaluation stays scalar, op by op.  A
+# and the base of the float algebra and of its grid form (evaluate_grid).  A
 # division by an exact zero raises ZeroDivisionError for Fractions and floats
 # alike.
 ARITHMETIC = {
@@ -375,6 +395,56 @@ def _float_pow(a: float, k: int) -> float:
 
 
 _FLOAT = {**ARITHMETIC, Const: to_float, Pow: _float_pow}
+
+
+def _pow_each(a, k: int):
+    """_float_pow on every element of an array (or on one float).  numpy's
+    a**k rounds differently from Python's float ** k on a few percent of
+    inputs, so each element takes Python's operation."""
+    if not isinstance(a, np.ndarray):
+        return _float_pow(a, k)
+    xs = a.tolist()
+    try:
+        return np.array([x**k for x in xs])
+    except OverflowError:
+        return np.array([_float_pow(x, k) for x in xs])
+
+
+def evaluate_grid(f: FunctionOracle, coords: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Float evaluation at many points at once: coords holds one array per
+    coordinate, all of one shape.  Returns the values and a boolean mask of
+    the points where a divisor was exactly zero, which evaluate_oracle
+    reports as a PoleError; values there mean nothing.  Every other value
+    has the bits of evaluate_oracle(f, point, "float") at that point:
+    + - * / are one elementwise float64 operation each, which rounds as
+    Python's scalar operation does, constant subexpressions stay Python
+    floats, a power goes element by element, and points on the guard point
+    take the guard value."""
+    if len(coords) != f.dimension:
+        raise OracleError(f"got {len(coords)} coordinate arrays, oracle dimension is {f.dimension}")
+    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    shape = arrays[0].shape
+    flat = [a.ravel() for a in arrays]  # 1-d, so no operation returns a numpy scalar
+    pole = np.zeros(flat[0].size, dtype=bool)
+
+    def divide(a, b):
+        if isinstance(b, np.ndarray):
+            pole[b == 0.0] = True
+        elif b == 0.0:
+            pole[:] = True
+            return math.nan
+        return a / b
+
+    algebra = {**_FLOAT, Var: lambda i: flat[i - 1], Div: divide, Pow: _pow_each}
+    with np.errstate(all="ignore"):
+        value = fold(f.program, algebra)[-1]
+    values = np.array(np.broadcast_to(value, pole.shape))  # a copy: for "x1", value is flat[0]
+    if f.guard is not None:
+        point, guard_value = f.guard
+        on_guard = np.logical_and.reduce([c == float(g) for c, g in zip(flat, point)])
+        values[on_guard] = float(guard_value)
+        pole[on_guard] = False
+    return values.reshape(shape), pole.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,22 @@ def test_probe_unparseable_expression(capsys):
     assert "error" in err and "offset" in err
 
 
+def test_probe_runs_a_long_sum(capsys):
+    code = run(["probe", "--expr", "+".join(["x1"] * 3000), "--spheres", "1", "--seed", "1"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checked"] == report["passed"] == 1
+
+
+def test_probe_too_deep_nesting_is_a_usage_error(capsys):
+    code = run(["probe", "--expr", "(" * 3000 + "x1" + ")" * 3000, "--spheres", "1"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("analytica: error: expression nested too deeply (offset ")
+    assert err.count("\n") == 1
+
+
 def test_probe_needs_an_oracle(capsys):
     assert run(["probe", "--spheres", "1"]) == 1
     assert "error" in capsys.readouterr().err

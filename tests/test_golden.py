@@ -3,6 +3,12 @@
 A refactor or speed-up of any layer under these commands has to leave the
 reports identical.  After a deliberate report change, re-record them with
 `PYTHONPATH=src python tests/test_golden.py` and explain the diff.
+
+The float-route reports (probe-hartogs, probe-curve, probe-rational,
+counterexample-hartogs and counterexample-curve) hold for multi-threaded
+OpenBLAS only: np.linalg.lstsq on the Chebyshev fit design returns other
+last bits on one thread.  So run these tests with OPENBLAS_NUM_THREADS at 2
+or more, as CI does with 2; left unset, OpenBLAS runs one thread per CPU.
 """
 
 import pathlib

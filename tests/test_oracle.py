@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
+import numpy as np
 import pytest
 import sympy
 
@@ -28,6 +29,7 @@ from analytica.oracle import (
     builtin_counterexample,
     compile_expression,
     degree_bound,
+    evaluate_grid,
     evaluate_oracle,
     oracle_from_text,
     parse_expression,
@@ -373,3 +375,163 @@ def test_inversion_pullback_holds_the_squared_norm_once():
     divisors = [args[1] for kind, args, _ in g.program if kind is Div]
     assert divisors.count(len(squared_norm) - 1) == 3
     assert len(g.program) == 19  # the tree has 68 nodes
+
+
+def _compile_recursively(e):
+    """compile_expression as a recursive walk: the reference for its order."""
+    ops, slots, seen = [], {}, {}
+
+    def visit(node):
+        if id(node) in seen:
+            return seen[id(node)]
+        if isinstance(node, Const):
+            op = (Const, (), node.value)
+        elif isinstance(node, Var):
+            op = (Var, (), node.index)
+        elif isinstance(node, Neg):
+            op = (Neg, (visit(node.arg),), None)
+        elif isinstance(node, Pow):
+            op = (Pow, (visit(node.base),), node.exponent)
+        else:
+            op = (type(node), (visit(node.left), visit(node.right)), None)
+        if op not in slots:
+            slots[op] = len(ops)
+            ops.append(op)
+        seen[id(node)] = slots[op]
+        return seen[id(node)]
+
+    visit(e)
+    return tuple(ops)
+
+
+@pytest.mark.parametrize("chart", ["origin", "point"])
+@pytest.mark.parametrize("name", sorted(_PULLED_BACK))
+def test_compile_matches_a_recursive_walk(name, chart):
+    g = _pullback(name, chart)
+    assert compile_expression(g.expression) == _compile_recursively(g.expression)
+    shared = Add(g.expression, Mul(g.expression, Neg(g.expression)))
+    assert compile_expression(shared) == _compile_recursively(shared)
+
+
+def test_compile_and_parse_survive_deep_trees():
+    program = compile_expression(parse_expression("+".join(["x1"] * 3000), 1))
+    assert program[:2] == ((Var, (), 1), (Add, (0, 0), None))
+    assert len(program) == 3000 and program[-1] == (Add, (2998, 0), None)
+    chain = reduce(lambda e, _: Neg(e), range(5000), Var(1))
+    assert len(compile_expression(chain)) == 5001
+    with pytest.raises(TypeError, match="not an expression node: None"):
+        compile_expression(Add(Var(1), None))
+    with pytest.raises(ParseError, match=r"^expression nested too deeply \(offset \d+\)$"):
+        parse_expression("(" * 3000 + "x1" + ")" * 3000, 1)
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation against scalar float evaluation
+
+
+def _scalar_outcomes(g, points):
+    out = []
+    for p in points:
+        try:
+            out.append(float.hex(evaluate_oracle(g, p, mode="float")))
+        except PoleError:
+            out.append("pole")
+    return out
+
+
+def _grid_outcomes(g, points):
+    coords = [np.array(c) for c in zip(*points)]
+    values, pole = evaluate_grid(g, coords)
+    assert values.shape == pole.shape == (len(points),)
+    return ["pole" if at_pole else float.hex(v) for v, at_pole in zip(values.tolist(), pole)]
+
+
+def _assert_grid_is_scalar(g, points):
+    assert _grid_outcomes(g, points) == _scalar_outcomes(g, points)
+
+
+def _random_points(rng, n, count):
+    """Mostly moderate coordinates, some huge or tiny ones, so that powers
+    overflow and underflow, and some non-finite ones."""
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300]
+    points = []
+    for _ in range(count):
+        p = []
+        for _ in range(n):
+            r = rng.random()
+            if r < 0.05:
+                p.append(rng.choice(special))
+            elif r < 0.15:
+                p.append(rng.uniform(-1, 1) * 10.0 ** rng.randint(-160, 160))
+            else:
+                p.append(rng.uniform(-2, 2))
+        points.append(tuple(p))
+    return points
+
+
+@pytest.mark.parametrize("chart", ["origin", "point"])
+@pytest.mark.parametrize("name", sorted(_PULLED_BACK))
+def test_grid_evaluates_like_scalar_float_evaluation(name, chart):
+    g = _pullback(name, chart)
+    _assert_grid_is_scalar(g, _random_points(random.Random(321), 3, 3000))
+
+
+def test_grid_shapes_and_dimension():
+    f = oracle_from_text("x1 * x2 + x1^3", 2)
+    s = np.linspace(-1, 1, 4)
+    values, pole = evaluate_grid(f, [s[:, None], s[None, :]])
+    assert values.shape == pole.shape == (4, 4) and not pole.any()
+    assert values[2, 3] == evaluate_oracle(f, (s[2], s[3]), mode="float")
+    constant = oracle_from_text("2/3", 2)
+    values, pole = evaluate_grid(constant, [s, s])
+    assert values.tolist() == [2 / 3] * 4 and not pole.any()
+    with pytest.raises(OracleError, match="got 1 coordinate arrays"):
+        evaluate_grid(f, [s])
+
+
+def test_grid_takes_the_guard_value_on_the_guard_point():
+    f = builtin_counterexample("hartogs-f")
+    points = [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 0.0, 1e-300), (0.5, 0.25, 0.0), (math.nan, 0.0, 0.0)]
+    _assert_grid_is_scalar(f, points)
+    assert _grid_outcomes(f, points)[:3] == [float.hex(0.0), float.hex(0.0), "pole"]
+    g = _pullback("hartogs-f", "point")
+    guard = tuple(map(float, g.guard[0]))
+    points = _random_points(random.Random(322), 3, 50)
+    points[17] = points[40] = guard
+    _assert_grid_is_scalar(g, points)
+    values, pole = evaluate_grid(g, [np.array(c) for c in zip(*points)])
+    assert values[17] == values[40] == float(g.guard[1]) and not pole[17]
+    # the guard value is written into a copy, never into the caller's arrays
+    x = np.zeros(3)
+    evaluate_grid(oracle_from_text("x1", 1, guard=((0,), 5)), [x])
+    assert not x.any()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1 / (x2 - 1)",  # zero at some points, -0.0 included
+        "1 / (1 / x1)",  # a pole even though the next division cancels the inf
+        "(x1 + 1) / (x2 * x3)",
+        "x1 / (1 - 1)",  # a constant zero divisor: every point is a pole
+        "1 / (2 - 2) + x1",
+        "x1 / (x2 - x2)",
+        "(x1 - x1) / (x2 - x2)",
+        "x1^3 / x2^2 - x3^5",
+    ],
+)
+def test_grid_poles_are_scalar_poles(text):
+    f = oracle_from_text(text, 3)
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan, 1e200, 1e-200]
+    points = [(a, b, c) for a in values for b in values for c in values[::3]]
+    _assert_grid_is_scalar(f, points)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x1/(1" + "0" * 400 + " + x2)", "x1/(x2 + 1" + "0" * 300 + "*1" + "0" * 300 + ")"],
+    ids=["literal", "product"],
+)
+def test_grid_handles_the_overflowing_constants(text):
+    f = oracle_from_text(text, 3)
+    _assert_grid_is_scalar(f, _random_points(random.Random(323), 3, 500))
