@@ -19,7 +19,12 @@ import pytest
 from analytica import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-FORM_N4_D4 = str(pathlib.Path(__file__).parent / "data" / "form-n4-d4.json")
+DATA = pathlib.Path(__file__).parent / "data"
+FORM_N4_D4 = str(DATA / "form-n4-d4.json")
+# restrictions of form-n4-d4 to five hyperplanes in general position, and the
+# same set with one coefficient of the third restriction changed
+GLUE_N4_D4 = str(DATA / "restrictions-n4-d4.json")
+GLUE_BROKEN = str(DATA / "restrictions-n4-d4-broken.json")
 
 # name -> (argv without --out, expected exit code)
 CASES = {
@@ -46,6 +51,8 @@ CASES = {
     "cone-exact-low-degree": (
         ["reconstruct", "cone", "--input", FORM_N4_D4, "--degree", "3", "--seed", "3"], 2
     ),
+    "glue-n4-d4": (["reconstruct", "glue", "--input", GLUE_N4_D4], 0),
+    "glue-incompatible": (["reconstruct", "glue", "--input", GLUE_BROKEN], 2),
     "counterexample-hartogs": (["counterexamples", "--name", "hartogs-f", "--seed", "5"], 2),
     "counterexample-curve": (["counterexamples", "--name", "curve-g", "--seed", "5"], 2),
 }
