@@ -8,7 +8,11 @@ reads (2,0), (1,1), (0,2).
 
 Composition and multiplication clear denominators and run their inner
 loops over plain Python integers; results are rescaled back to Fraction
-at the end, so the API stays exact while the hot paths stay fast.
+at the end, so the API stays exact while the hot paths stay fast.  Inside
+those loops a monomial u^e of a degree-d result is the packed integer
+sum(e_j * (d+1)**j): no exponent exceeds d, so packing is one-to-one and a
+monomial product is one integer addition.  Keys are unpacked only when the
+result's Fractions are built.
 """
 
 from __future__ import annotations
@@ -199,23 +203,20 @@ def form_from_coefficients(n: int, d: int, coeffs: Sequence, basis: Sequence[Mul
     return HomogeneousForm(n, d, dict(zip(basis, map(frac, coeffs))))
 
 
-def _int_mul(p: dict[MultiIndex, int], q: dict[MultiIndex, int]) -> dict[MultiIndex, int]:
-    out: dict[MultiIndex, int] = {}
+def _mul_packed(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
     for a, ca in p.items():
         for b, cb in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            v = out.get(key)
-            out[key] = ca * cb if v is None else v + ca * cb
+            out[a + b] = out.get(a + b, 0) + ca * cb
     return out
 
 
-def _int_linear_powers(linear: dict[MultiIndex, int], top: int) -> list[dict[MultiIndex, int]]:
-    k = len(next(iter(linear))) if linear else 0
-    one = {(0,) * k: 1} if k else {(): 1}
-    powers = [one]
-    for _ in range(top):
-        powers.append(_int_mul(powers[-1], linear))
-    return powers
+def _pack(idx: MultiIndex, base: int) -> int:
+    return sum(e * base**j for j, e in enumerate(idx))
+
+
+def _unpack(key: int, base: int, k: int) -> MultiIndex:
+    return tuple(key // base**j % base for j in range(k))
 
 
 def compose_linear(f: HomogeneousForm, matrix: Sequence[Sequence]) -> HomogeneousForm:
@@ -237,55 +238,35 @@ def compose_linear(f: HomogeneousForm, matrix: Sequence[Sequence]) -> Homogeneou
         return zero_form(k, f.degree)
 
     coeffs, den_f = clear_denominators(f.coefficients.values())
-    int_coeffs = dict(zip(f.coefficients, coeffs))
     cols = [clear_denominators(col) for col in zip(*rows)]
     col_den = [den for _, den in cols]
-    int_cols = list(zip(*(col for col, _ in cols)))
+    int_rows = list(zip(*(col for col, _ in cols)))
 
-    maxes = [0] * n
-    for idx in int_coeffs:
-        for i, e in enumerate(idx):
-            if e > maxes[i]:
-                maxes[i] = e
-    zero_k = (0,) * k
-    power_tables = []
+    # the powers L_i**e of each row's linear form in u, up to the largest
+    # exponent f uses; a row of zeros has the empty dict past e = 0
+    base = f.degree + 1
+    tables = []
     for i in range(n):
-        linear = {}
-        for j, c in enumerate(int_cols[i]):
-            if c:
-                key = tuple(1 if t == j else 0 for t in range(k))
-                linear[key] = c
-        if not linear and maxes[i] > 0:
-            power_tables.append(None)  # variable maps to zero
-        else:
-            power_tables.append(_int_linear_powers(linear, maxes[i]) if linear else [{zero_k: 1}])
+        linear = {base**j: c for j, c in enumerate(int_rows[i]) if c}
+        table = [{0: 1}]
+        for _ in range(max(idx[i] for idx in f.coefficients)):
+            table.append(_mul_packed(table[-1], linear))
+        tables.append(table)
 
-    acc: dict[MultiIndex, int] = {}
-    for idx, c in int_coeffs.items():
-        prod: dict[MultiIndex, int] | None = {zero_k: c}
-        for i, e in enumerate(idx):
-            if not e:
-                continue
-            table = power_tables[i]
-            if table is None:
-                prod = None
-                break
-            prod = _int_mul(prod, table[e])
-        if prod is None:
-            continue
+    acc: dict[int, int] = {}
+    for idx, c in zip(f.coefficients, coeffs):
+        prod = {0: c}
+        for table, e in zip(tables, idx):
+            if e:
+                prod = _mul_packed(prod, table[e])
         for key, v in prod.items():
-            cur = acc.get(key)
-            acc[key] = v if cur is None else cur + v
+            acc[key] = acc.get(key, 0) + v
 
     terms: dict[MultiIndex, Fraction] = {}
     for key, v in acc.items():
-        if not v:
-            continue
-        den = den_f
-        for j, e in enumerate(key):
-            if e:
-                den *= col_den[j] ** e
-        terms[key] = Fraction(v, den)
+        if v:
+            idx = _unpack(key, base, k)
+            terms[idx] = Fraction(v, den_f * math.prod(map(pow, col_den, idx)))
     return HomogeneousForm(k, f.degree, terms)
 
 
@@ -293,15 +274,18 @@ def multiply(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
     """Product of two forms; degrees add."""
     if f.dimension != g.dimension:
         raise DimensionMismatchError("cannot multiply forms of different dimensions")
+    n, d = f.dimension, f.degree + g.degree
     if f.is_zero or g.is_zero:
-        return zero_form(f.dimension, f.degree + g.degree)
+        return zero_form(n, d)
     fi, den_f = clear_denominators(f.coefficients.values())
     gi, den_g = clear_denominators(g.coefficients.values())
-    prod = _int_mul(dict(zip(f.coefficients, fi)), dict(zip(g.coefficients, gi)))
-    den = den_f * den_g
-    return HomogeneousForm(
-        f.dimension, f.degree + g.degree, {i: Fraction(v, den) for i, v in prod.items() if v}
+    base = d + 1
+    prod = _mul_packed(
+        {_pack(idx, base): c for idx, c in zip(f.coefficients, fi)},
+        {_pack(idx, base): c for idx, c in zip(g.coefficients, gi)},
     )
+    den = den_f * den_g
+    return HomogeneousForm(n, d, {_unpack(key, base, n): Fraction(v, den) for key, v in prod.items() if v})
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,13 @@ def glue_hyperplanes(restrictions: Sequence[HyperplaneRestriction], degree: int 
     Raises GluingError on bad configuration or incompatible data, and
     DivisibilityError if an inconsistency only surfaces inside the
     elimination.
+
+    The pairwise check runs only after the elimination fails.  A successful
+    elimination returns F = E + lam * Q, where E restricts to the first
+    form and lam vanishes on the first hyperplane; by induction Q restricts
+    to each later quotient q_r, so F composed with chart r is
+    E(chart r) + l_r * q_r = f_r.  F restricts to every input, so every
+    pair agrees and the check could not have failed.
     """
     rs = list(restrictions)
     if not rs:
@@ -241,41 +248,40 @@ def glue_hyperplanes(restrictions: Sequence[HyperplaneRestriction], degree: int 
         raise GluingError(f"degree {d} needs exactly {d + 1} hyperplanes, got {len(rs)}")
     if not general_position([r.hyperplane for r in rs], n):
         raise GluingError("hyperplanes are not in general position")
-    report = check_compatibility(rs)
-    if not report:
-        raise GluingError(f"restrictions disagree on pairwise intersections: {report.failures}")
-    return _glue(rs, d)
+    try:
+        return _glue([(r.hyperplane.normal, r.chart, r.form) for r in rs], d)
+    except InterpolationError:
+        report = check_compatibility(rs)
+        if not report:
+            raise GluingError(f"restrictions disagree on pairwise intersections: {report.failures}") from None
+        raise
 
 
-def _glue(rs: list[HyperplaneRestriction], d: int) -> HomogeneousForm:
-    n = rs[0].ambient_dimension
+def _glue(rs: list[tuple[Vec, Mat, HomogeneousForm]], d: int) -> HomogeneousForm:
+    """Glue (normal, chart, form) triples whose charts are already checked."""
+    normal, chart, form = rs[0]
+    n = len(normal)
     if d == 0:
-        value = next(iter(rs[0].form.coefficients.values()), Fraction(0))
-        for r in rs[1:]:
-            other = next(iter(r.form.coefficients.values()), Fraction(0))
-            if other != value:
+        value = next(iter(form.coefficients.values()), Fraction(0))
+        for _, _, other in rs[1:]:
+            if next(iter(other.coefficients.values()), Fraction(0)) != value:
                 raise GluingError("constant layers disagree; data is incompatible")
         return constant_form(n, value)
 
-    first = rs[0]
-    normal = first.hyperplane.normal
     # invertible frame: chart columns plus the normal direction
-    frame = tuple(first.chart[i] + (normal[i],) for i in range(n))
+    frame = tuple(chart[i] + (normal[i],) for i in range(n))
     proj = la.inverse(frame)[: n - 1]
-    extended = compose_linear(first.form, proj)
+    extended = compose_linear(form, proj)
     lam = linear_form(normal)
 
-    sub: list[HyperplaneRestriction] = []
-    for r in rs[1:]:
-        delta = r.form - compose_linear(extended, r.chart)
-        ell = linear_form(tuple(la.dot(normal, tuple(row[j] for row in r.chart)) for j in range(n - 1)))
+    sub: list[tuple[Vec, Mat, HomogeneousForm]] = []
+    for normal_r, chart_r, form_r in rs[1:]:
+        delta = form_r - compose_linear(extended, chart_r)
+        ell = linear_form(tuple(la.dot(normal, tuple(row[j] for row in chart_r)) for j in range(n - 1)))
         if ell.is_zero:
             raise GluingError("a later hyperplane contains the first one's kernel direction")
-        if delta.is_zero:
-            quotient = zero_form(n - 1, d - 1)
-        else:
-            quotient = divide_by_linear(delta, ell)
-        sub.append(HyperplaneRestriction(r.hyperplane, r.chart, quotient))
+        quotient = zero_form(n - 1, d - 1) if delta.is_zero else divide_by_linear(delta, ell)
+        sub.append((normal_r, chart_r, quotient))
     return extended + multiply(lam, _glue(sub, d - 1))
 
 

@@ -21,7 +21,9 @@ from analytica.forms import (
     zero_form,
 )
 
-from conftest import rand_form, rand_point
+from analytica._linalg import clear_denominators
+
+from conftest import rand_form, rand_fraction, rand_point
 
 
 def eval_naive(f, point):
@@ -134,6 +136,73 @@ def test_multiply_is_pointwise_product():
         assert h.degree == f.degree + g.degree
         p = rand_point(rng, n, bound=7)
         assert evaluate_form(h, p) == evaluate_form(f, p) * evaluate_form(g, p)
+
+
+# the per-monomial composition compose_linear ran before it packed monomials
+# into integers: exponent tuples, one product of linear-form powers per
+# monomial of f
+
+
+def _tuple_mul(p, q):
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _compose_per_monomial(f, matrix):
+    n, k = f.dimension, len(matrix[0])
+    if f.is_zero:
+        return zero_form(k, f.degree)
+    coeffs, den_f = clear_denominators(f.coefficients.values())
+    cols = [clear_denominators(col) for col in zip(*matrix)]
+    col_den = [den for _, den in cols]
+    int_rows = list(zip(*(col for col, _ in cols)))
+    zero_k = (0,) * k
+    tables = []
+    for i in range(n):
+        linear = {tuple(int(t == j) for t in range(k)): c for j, c in enumerate(int_rows[i]) if c}
+        table = [{zero_k: 1}]
+        for _ in range(max(idx[i] for idx in f.coefficients)):
+            table.append(_tuple_mul(table[-1], linear))
+        tables.append(table)
+    acc = {}
+    for idx, c in zip(f.coefficients, coeffs):
+        prod = {zero_k: c}
+        for i, e in enumerate(idx):
+            if e:
+                prod = _tuple_mul(prod, tables[i][e])
+        for key, v in prod.items():
+            acc[key] = acc.get(key, 0) + v
+    terms = {}
+    for key, v in acc.items():
+        if v:
+            terms[key] = Fraction(v, den_f * math.prod(dj**e for dj, e in zip(col_den, key)))
+    return HomogeneousForm(k, f.degree, terms)
+
+
+def test_compose_linear_matches_the_per_monomial_algorithm():
+    rng = random.Random(107)
+    for _ in range(150):
+        n, k, d = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 6)
+        f = zero_form(n, d) if rng.random() < 0.1 else rand_form(rng, n, d, bound=50)
+        a = [
+            [Fraction(0)] * k if rng.random() < 0.2
+            else [rand_fraction(rng, 50) if rng.random() < 0.8 else Fraction(0) for _ in range(k)]
+            for _ in range(n)
+        ]
+        got, want = compose_linear(f, a), _compose_per_monomial(f, a)
+        assert (got.dimension, got.degree) == (want.dimension, want.degree) == (k, d)
+        # same terms in the same order, so float evaluation sums alike
+        assert list(got.coefficients.items()) == list(want.coefficients.items())
+        g = rand_form(rng, n, rng.randint(0, 3), bound=50)
+        fi, den_f = clear_denominators(f.coefficients.values())
+        gi, den_g = clear_denominators(g.coefficients.values())
+        product = _tuple_mul(dict(zip(f.coefficients, fi)), dict(zip(g.coefficients, gi)))
+        want = {idx: Fraction(v, den_f * den_g) for idx, v in product.items() if v}
+        assert list(multiply(f, g).coefficients.items()) == list(want.items())
 
 
 # ---------------------------------------------------------------------------

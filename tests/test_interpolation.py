@@ -8,6 +8,7 @@ from analytica import _linalg as la
 from analytica.forms import (
     HomogeneousForm,
     basis_size,
+    compose_linear,
     evaluate_form,
     linear_form,
     monomial,
@@ -15,11 +16,12 @@ from analytica.forms import (
     multiply,
     zero_form,
 )
-from analytica.geometry import Cone, Hyperplane, in_cone, norm_sq
+from analytica.geometry import Cone, Hyperplane, general_position, in_cone, norm_sq
 from analytica.interpolation import (
     ConeSampleSet,
     DivisibilityError,
     GluingError,
+    HyperplaneRestriction,
     InterpolationError,
     ReconstructionError,
     check_compatibility,
@@ -111,6 +113,68 @@ def test_incompatible_restrictions_refused():
         rs = [restriction_of(f, planes[0]), restriction_of(g, planes[0])]
     with pytest.raises(GluingError):
         glue_hyperplanes(rs)
+
+
+def _glue_checked_first(rs):
+    # the order glue_hyperplanes used to run in on hyperplanes in general
+    # position: the pairwise check, then the elimination
+    report = check_compatibility(rs)
+    if not report:
+        raise GluingError(f"restrictions disagree on pairwise intersections: {report.failures}")
+    return glue_hyperplanes(rs)
+
+
+def _outcome(glue, rs):
+    try:
+        return glue(rs)
+    except InterpolationError as exc:
+        return type(exc), str(exc)
+
+
+def _broken(rng, rs):
+    """rs with one form replaced, one coefficient perturbed, or two forms
+    swapped; the charts stay as they are."""
+    forms = [r.form for r in rs]
+    i = rng.randrange(len(rs))
+    how = rng.choice(("replace", "perturb", "swap"))
+    if how == "replace":
+        forms[i] = rand_form(rng, forms[i].dimension, forms[i].degree, bound=60)
+    elif how == "perturb":
+        idx = rng.choice(monomial_basis(forms[i].dimension, forms[i].degree))
+        terms = dict(forms[i].coefficients)
+        terms[idx] = terms.get(idx, 0) + rand_fraction(rng, 60)
+        forms[i] = HomogeneousForm(forms[i].dimension, forms[i].degree, terms)
+    else:
+        j = rng.choice([t for t in range(len(rs)) if t != i])
+        forms[i], forms[j] = forms[j], forms[i]
+    return [HyperplaneRestriction(r.hyperplane, r.chart, g) for r, g in zip(rs, forms)]
+
+
+def test_glue_outcomes_match_checking_pairs_first():
+    rng = random.Random(410)
+    refused = glued = 0
+    for case in range(240):
+        n = rng.randint(2, 4)
+        d = rng.randint(1, 4)
+        f = rand_form(rng, n, d, bound=60)
+        planes = rand_hyperplane_set(rng, n, d + 1)
+        while not general_position(planes, n):
+            planes = rand_hyperplane_set(rng, n, d + 1)
+        rs = [restriction_of(f, h) for h in planes]
+        if case % 4:
+            rs = _broken(rng, rs)
+        got = _outcome(glue_hyperplanes, rs)
+        assert got == _outcome(_glue_checked_first, rs), case
+        if not check_compatibility(rs):
+            refused += 1
+            assert got[0] is GluingError and got[1].startswith("restrictions disagree on pairwise intersections: ((")
+        else:
+            glued += 1
+            # compatible data glues to a form that restricts to every input
+            assert all(compose_linear(got, r.chart) == r.form for r in rs), case
+            if not case % 4:
+                assert got == f
+    assert refused > 50 and glued > 50
 
 
 def test_too_few_hyperplanes_refused():
