@@ -59,7 +59,6 @@ from .oracle import (
     Mul,
     Neg,
     Pow,
-    Program,
     Sub,
     Var,
     degree_bound,
@@ -271,9 +270,9 @@ def _poly2_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pullback_fraction(e: Program, var_polys: list[np.ndarray], cap: int):
+def _pullback_fraction(e: Expression, var_polys: list[np.ndarray], cap: int):
     """Float numerator/denominator coefficient arrays (in the chart
-    coordinates s, t) for a compiled expression pulled back to a plane.
+    coordinates s, t) for an expression pulled back to a plane.
     A coefficient that overflows or turns NaN (an infinite constant makes
     every operation on it do so) raises _ScanCap("skipped-nonfinite")."""
     one = np.ones((1, 1))
@@ -370,7 +369,7 @@ def _valley_scan(
         np.array([[base[i], b2[i]], [b1[i], 0.0]]) for i in range(len(base))
     ]
     try:
-        _, den = _pullback_fraction(f.program, var_polys, cap=65)
+        _, den = _pullback_fraction(f.expression, var_polys, cap=65)
     except _ScanCap as exc:
         status.append(exc.args[0])
         return None

@@ -18,6 +18,7 @@ result's Fractions are built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -118,6 +119,13 @@ class HomogeneousForm:
         return evaluate_form(self, point)
 
     def __add__(self, other: "HomogeneousForm") -> "HomogeneousForm":
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other, op) -> "HomogeneousForm":
+        """self + other or self - other, built as one form."""
         if not isinstance(other, HomogeneousForm):
             return NotImplemented
         if self.dimension != other.dimension:
@@ -127,11 +135,8 @@ class HomogeneousForm:
         d = other.degree if self.is_zero else self.degree
         terms = dict(self.coefficients)
         for idx, c in other.coefficients.items():
-            terms[idx] = terms.get(idx, ZERO) + c
+            terms[idx] = op(terms.get(idx, ZERO), c)
         return HomogeneousForm(self.dimension, d, terms)
-
-    def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + (-other)
 
     def __neg__(self) -> "HomogeneousForm":
         return self.scale(-1)

@@ -16,6 +16,10 @@ binary operators are left-associative.  A rational literal uses maximal
 munch: "2/3" with no intervening whitespace is one literal, so "2/3^2"
 is (2/3)^2, while "2 / 3^2" divides by 3^2.  Exponents must fold to
 non-negative integers at parse time.
+
+The parser, the eight constructors (Const, Var, Neg, Add, Sub, Mul, Div,
+Pow) and `substitute` all build one representation, a hash-consed program
+(see Expression), and every analysis is a `fold` of it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -43,52 +47,81 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
+# ---------------------------------------------------------------------------
+# expressions
+
+# An expression is a program: a tuple of ops (kind, args, payload) in post
+# order, left operand before right.  kind is one of the eight constructors
+# below, args are the slots of the op's operands, and payload is the
+# constant, the variable index, the exponent, or None.  The root is the last
+# op.  Programs are hash-consed: no op occurs twice, so structurally equal
+# subexpressions share one slot, and the |y|^2 that an inversion pullback
+# repeats for every variable is one op.
+Expression = tuple
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
+def _operand(e) -> Expression:
+    if not isinstance(e, tuple) or not e:
+        raise TypeError(f"not an expression: {e!r}")
+    return e
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expression"
+def _emit(table: dict, kind, args: tuple, payload=None) -> int:
+    """The slot of an op in an intern table, which maps each op to its slot
+    and so holds the program in its key order; a new op is appended."""
+    return table.setdefault((kind, args, payload), len(table))
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expression"
-    right: "Expression"
+def _splice(table: dict, e: Expression, mapping: dict) -> int:
+    """Emit the ops of e into the table, with Var(i) replaced by the
+    expression mapping[i] where there is one; returns the slot of e's root."""
+    slots: list[int] = []
+    for kind, args, payload in _operand(e):
+        if kind is Var and payload in mapping:
+            slots.append(_splice(table, mapping[payload], {}))
+        else:
+            slots.append(_emit(table, kind, tuple(slots[j] for j in args), payload))
+    return slots[-1]
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expression"
-    right: "Expression"
+def Const(value: Fraction) -> Expression:
+    return ((Const, (), value),)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expression"
-    right: "Expression"
+def Var(index: int) -> Expression:
+    """The variable x<index>; indices are 1-based."""
+    return ((Var, (), index),)
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expression"
-    right: "Expression"
+def Neg(arg: Expression) -> Expression:
+    # no op of arg reads its root, so a unary op is always new
+    return _operand(arg) + ((Neg, (len(arg) - 1,), None),)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expression"
-    exponent: int
+def Pow(base: Expression, exponent: int) -> Expression:
+    return _operand(base) + ((Pow, (len(base) - 1,), exponent),)
 
 
-Expression = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow]
+def _join(kind, left: Expression, right: Expression) -> Expression:
+    table: dict = {}
+    _emit(table, kind, (_splice(table, left, {}), _splice(table, right, {})))
+    return tuple(table)
+
+
+def Add(left: Expression, right: Expression) -> Expression:
+    return _join(Add, left, right)
+
+
+def Sub(left: Expression, right: Expression) -> Expression:
+    return _join(Sub, left, right)
+
+
+def Mul(left: Expression, right: Expression) -> Expression:
+    return _join(Mul, left, right)
+
+
+def Div(left: Expression, right: Expression) -> Expression:
+    return _join(Div, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +134,15 @@ _PRODUCTS = {"*": Mul, "/": Div}
 
 
 class _Parser:
-    """One recursive-descent pass over the text; `pos` is the offset of the
-    next unread character."""
+    """One recursive-descent pass over the text that emits the program into
+    one table; `pos` is the offset of the next unread character.  The
+    parsing methods return slots in the table."""
 
     def __init__(self, text: str, dimension: int):
         self.text = text
         self.pos = 0
         self.n = dimension
+        self.table: dict = {}
 
     def peek(self) -> tuple[str, int]:
         """Skips whitespace and classifies the next character without
@@ -121,22 +156,22 @@ class _Parser:
             return "number", self.pos
         return (ch if ch in "x+-*/^()" else "bad"), self.pos
 
-    def chain(self, operand, ops: dict) -> Expression:
+    def chain(self, operand, ops: dict) -> int:
         """operand (op operand)*, grouped to the left."""
         e = operand()
         while (kind := self.peek()[0]) in ops:
             self.pos += 1
-            e = ops[kind](e, operand())
+            e = _emit(self.table, ops[kind], (e, operand()))
         return e
 
-    def term(self) -> Expression:
+    def term(self) -> int:
         return self.chain(self.factor, _PRODUCTS)
 
-    def factor(self) -> Expression:
+    def factor(self) -> int:
         kind, pos = self.peek()
         if kind == "-":
             self.pos += 1
-            return Neg(self.factor())
+            return _emit(self.table, Neg, (self.factor(),))
         if kind == "(":
             self.pos += 1
             base = self.chain(self.term, _SUMS)
@@ -150,14 +185,18 @@ class _Parser:
             return base
         self.pos += 1
         exp_pos = self.peek()[1]
-        value = constant_value(self.factor())
+        # the exponent is folded in a table of its own, so it leaves no ops behind
+        table, self.table = self.table, {}
+        self.factor()
+        value = constant_value(tuple(self.table))
+        self.table = table
         if value is None:
             raise ParseError("exponent must be a constant", exp_pos)
         if value.denominator != 1 or value < 0:
             raise ParseError("exponent must be a non-negative integer", exp_pos)
-        return Pow(base, int(value))
+        return _emit(table, Pow, (base,), int(value))
 
-    def atom(self, kind: str, pos: int) -> Expression:
+    def atom(self, kind: str, pos: int) -> int:
         """The literal or variable that starts at pos."""
         if kind == "number":
             m = _LITERAL.match(self.text, pos)
@@ -166,10 +205,12 @@ class _Parser:
             if decimals == "":
                 raise ParseError("expected digits after decimal point", self.pos)
             if decimals:
-                return Const(Fraction(f"{whole}.{decimals}"))
-            if denominator and not int(denominator):
+                value = Fraction(f"{whole}.{decimals}")
+            elif denominator and not int(denominator):
                 raise ParseError("rational literal with zero denominator", pos)
-            return Const(Fraction(int(whole), int(denominator or 1)))
+            else:
+                value = Fraction(int(whole), int(denominator or 1))
+            return _emit(self.table, Const, (), value)
         if kind == "x":
             m = _INDEX.match(self.text, pos + 1)
             self.pos = m.end()
@@ -180,7 +221,7 @@ class _Parser:
                 raise ParseError("variable indices start at x1", pos)
             if index > self.n:
                 raise ParseError(f"variable x{index} exceeds dimension {self.n}", pos)
-            return Var(index)
+            return _emit(self.table, Var, (), index)
         raise ParseError("unknown identifier" if kind == "bad" else "expected an operand", pos)
 
 
@@ -189,82 +230,25 @@ def parse_expression(text: str, dimension: int) -> Expression:
         raise OracleError("dimension must be at least 1")
     parser = _Parser(text, dimension)
     try:
-        e = parser.chain(parser.term, _SUMS)
+        parser.chain(parser.term, _SUMS)
     except RecursionError:
         raise ParseError("expression nested too deeply", parser.pos) from None
     kind, pos = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
-    return e
+    return tuple(parser.table)
 
 
 # ---------------------------------------------------------------------------
-# compiled programs
+# folding
 
-# A program is a tuple of ops (kind, args, payload), operands first: kind is
-# the node class, args are the slots of its operands, and payload is the
-# constant, the variable index, the exponent, or None.
-Program = tuple
-_BINARY = frozenset((Add, Sub, Mul, Div))
-_READY = object()  # on compile_expression's stack: the node below has compiled operands
-
-
-def compile_expression(e: Expression) -> Program:
-    """The expression as a hash-consed post-order program, left operands
-    before right ones.  Structurally equal subtrees share one op, so the
-    |y|^2 that an inversion pullback repeats for every variable is one op.
-    This is the only place that dispatches on node types.  The walk keeps
-    its own stack, so tree depth is limited by memory, not by recursion."""
-    ops: list = []
-    slots: dict = {}
-    seen: dict[int, int] = {}  # id(node) -> slot, for trees that share nodes
-    stack = [e]
-    pop, ready = stack.pop, _READY
-    while stack:
-        node = pop()
-        if node is ready:
-            node = pop()
-            kind = type(node)
-            if kind is Pow:
-                op = (Pow, (seen[id(node.base)],), node.exponent)
-            elif kind is Neg:
-                op = (Neg, (seen[id(node.arg)],), None)
-            else:
-                op = (kind, (seen[id(node.left)], seen[id(node.right)]), None)
-        else:
-            if id(node) in seen:
-                continue
-            kind = type(node)
-            # operands go above the marker, the left one on top
-            if kind in _BINARY:
-                stack += (node, ready, node.right, node.left)
-                continue
-            if kind is Pow:
-                stack += (node, ready, node.base)
-                continue
-            if kind is Neg:
-                stack += (node, ready, node.arg)
-                continue
-            if kind is Const:
-                op = (Const, (), node.value)
-            elif kind is Var:
-                op = (Var, (), node.index)
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-        slot = slots.setdefault(op, len(ops))
-        if slot == len(ops):
-            ops.append(op)
-        seen[id(node)] = slot
-    return tuple(ops)
-
-
-def fold(program: Program, algebra: dict) -> list:
+def fold(e: Expression, algebra: dict) -> list:
     """Run the program in an algebra.  algebra[kind] is called the way the
-    node class is: with the operand values, then the payload if there is
+    constructor is: with the operand values, then the payload if there is
     one.  Returns every op's value in program order; the root's is last."""
     values: list = []
     push = values.append
-    for kind, args, payload in program:
+    for kind, args, payload in e:
         step = algebra[kind]
         if len(args) == 2:
             push(step(values[args[0]], values[args[1]]))
@@ -306,9 +290,9 @@ _TEXT = {  # values: (text, precedence level); a p/q literal binds like a quotie
 
 def to_text(e: Expression) -> str:
     """Canonical rendering; parsing the output reproduces any parser-built
-    tree.  Division is spaced ("a / b") so it never fuses with adjacent
+    program.  Division is spaced ("a / b") so it never fuses with adjacent
     digits into a rational literal; only literals print as "p/q"."""
-    return fold(compile_expression(e), _TEXT)[-1][0]
+    return fold(e, _TEXT)[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +328,24 @@ _DEGREE = {
 def constant_value(e: Expression) -> Fraction | None:
     """Fold to a rational constant, or None when variables occur or a
     constant subexpression divides by zero."""
-    return fold(compile_expression(e), _CONSTANT)[-1]
+    return fold(e, _CONSTANT)[-1]
 
 
 def degree_bound(e: Expression) -> int | None:
     """Total-degree bound when e is polynomial (all divisors fold to nonzero
     constants); None otherwise."""
-    program = compile_expression(e)
-    constants = fold(program, _CONSTANT)
-    if any(kind is Div and not constants[args[1]] for kind, args, _ in program):
+    constants = fold(e, _CONSTANT)
+    if any(kind is Div and not constants[args[1]] for kind, args, _ in e):
         return None
-    return fold(program, _DEGREE)[-1]
+    return fold(e, _DEGREE)[-1]
 
 
 def substitute(e: Expression, mapping: dict[int, Expression]) -> Expression:
     """Replace variables by expressions (indices absent from the mapping are
-    kept).  Subexpressions shared in the program stay shared in the result."""
-    rebuild = {kind: kind for kind in (Const, Neg, Add, Sub, Mul, Div, Pow)}
-    return fold(compile_expression(e), {**rebuild, Var: lambda i: mapping.get(i, Var(i))})[-1]
+    kept), in one pass that emits the result into one table."""
+    table: dict = {}
+    _splice(table, e, mapping)
+    return tuple(table)
 
 
 # Python's operators on the operand values: exact evaluation over Fractions,
@@ -437,7 +421,7 @@ def evaluate_grid(f: FunctionOracle, coords: Sequence) -> tuple[np.ndarray, np.n
 
     algebra = {**_FLOAT, Var: lambda i: flat[i - 1], Div: divide, Pow: _pow_each}
     with np.errstate(all="ignore"):
-        value = fold(f.program, algebra)[-1]
+        value = fold(f.expression, algebra)[-1]
     values = np.array(np.broadcast_to(value, pole.shape))  # a copy: for "x1", value is flat[0]
     if f.guard is not None:
         point, guard_value = f.guard
@@ -449,16 +433,16 @@ def evaluate_grid(f: FunctionOracle, coords: Sequence) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class FunctionOracle:
-    """A rational expression in n variables with an optional guard: a single
-    point where the expression may be undefined but the function value is
-    pinned explicitly.  `program` holds the compiled expression."""
+    """A rational expression (a program) in n variables with an optional
+    guard: a single point where the expression may be undefined but the
+    function value is pinned explicitly."""
 
     expression: Expression
     dimension: int
     guard: tuple[tuple[Fraction, ...], Fraction] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "program", compile_expression(self.expression))
+        _operand(self.expression)
         if self.guard is not None:
             point, value = self.guard
             point = tuple(frac(x) for x in point)
@@ -499,7 +483,7 @@ def evaluate_oracle(f: FunctionOracle, point: Sequence, mode: str = "exact"):
     else:
         raise OracleError(f"unknown evaluation mode {mode!r}")
     try:
-        return fold(f.program, {**algebra, Var: lambda i: p[i - 1]})[-1]
+        return fold(f.expression, {**algebra, Var: lambda i: p[i - 1]})[-1]
     except ZeroDivisionError:
         raise PoleError("division by zero", p) from None
 

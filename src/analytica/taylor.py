@@ -24,7 +24,7 @@ from ._linalg import Vec, vec
 from .forms import HomogeneousForm, TaylorTower, zero_form
 from .geometry import Cone, PoleError
 from .interpolation import ConeSampleSet, ReconstructionError, reconstruct_form_from_cone
-from .oracle import Add, Const, Div, FunctionOracle, Mul, Neg, Pow, Program, Sub, Var, fold
+from .oracle import Add, Const, Div, Expression, FunctionOracle, Mul, Neg, Pow, Sub, Var, fold
 
 
 class TaylorError(ValueError):
@@ -49,7 +49,7 @@ class _VanishingDivisor(ArithmeticError):
 
 
 def _line_truncated(
-    program: Program, base: Sequence[Fraction], direction: Sequence[Fraction], n: int
+    program: Expression, base: Sequence[Fraction], direction: Sequence[Fraction], n: int
 ) -> rs.Poly:
     """The first n Taylor coefficients at t = 0 of the program with
     x_i := base_i + t * direction_i, folded in truncated power series.
@@ -74,7 +74,7 @@ def _line_truncated(
 
 
 def _line_fraction(
-    program: Program, base: Sequence[Fraction], direction: Sequence[Fraction]
+    program: Expression, base: Sequence[Fraction], direction: Sequence[Fraction]
 ) -> tuple[rs.Poly, rs.Poly]:
     """The program with x_i := base_i + t * direction_i as one unreduced
     (numerator, denominator) pair of polynomials in t.  No gcd is taken:
@@ -125,11 +125,11 @@ def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: i
     if len(b) != f.dimension or len(p) != f.dimension:
         raise TaylorError("base or direction dimension mismatch")
     try:
-        coeffs = _line_truncated(f.program, b, p, order + 1)
+        coeffs = _line_truncated(f.expression, b, p, order + 1)
     except _VanishingDivisor:
         coeffs = None
     if coeffs is None:  # outside the handler, so its PoleErrors carry no _VanishingDivisor context
-        num, den = _line_fraction(f.program, b, p)
+        num, den = _line_fraction(f.expression, b, p)
         v = next(i for i, c in enumerate(den) if c)
         if any(num[:v]):
             raise PoleError("restriction to the line has a pole at its base point", tuple(b))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from analytica.forms import (
+    DimensionMismatchError,
     FormError,
     HomogeneousForm,
     TaylorTower,
@@ -109,6 +110,35 @@ def test_coefficient_vector_round_trip():
         f = rand_form(rng, n, d)
         coeffs = [f.coefficients.get(idx, 0) for idx in monomial_basis(n, d)]
         assert form_from_coefficients(n, d, coeffs) == f
+
+
+def _result(build):
+    """The form, or the type and message of the error."""
+    try:
+        return build()
+    except FormError as exc:
+        return type(exc), str(exc)
+
+
+def test_difference_is_the_sum_with_the_negation():
+    rng = random.Random(1401)
+    for _ in range(200):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        a = rand_form(rng, n, d, bound=20)
+        b = a if rng.random() < 0.1 else rand_form(rng, n, d, bound=20)
+        other = rand_form(rng, n % 4 + 1, d) if rng.random() < 0.5 else rand_form(rng, n, d + 1)
+        pairs = [(a, b), (a, zero_form(n, d + 2)), (zero_form(n, d + 1), b), (a, other), (other, a)]
+        for x, y in pairs:
+            diff, want = _result(lambda: x - y), _result(lambda: x + (-y))
+            assert diff == want
+            if isinstance(want, HomogeneousForm):
+                assert diff.degree == want.degree
+                assert list(diff.coefficients.items()) == list(want.coefficients.items())
+    with pytest.raises(DimensionMismatchError, match="^cannot add forms of different dimensions$"):
+        rand_form(rng, 2, 2) - rand_form(rng, 3, 2)
+    with pytest.raises(FormError, match="^cannot add forms of different degrees$"):
+        rand_form(rng, 2, 2) - rand_form(rng, 2, 3)
+    assert (zero_form(2, 5) - rand_form(rng, 2, 3)).degree == 3
 
 
 def test_compose_linear_is_substitution():

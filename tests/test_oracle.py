@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from typing import Sequence
@@ -9,6 +10,8 @@ import pytest
 import sympy
 
 from analytica.certify import (
+    _cleared,
+    _inversion_square,
     pullback_through_centered_inversion,
     pullback_through_inversion,
     sample_spheres,
@@ -18,7 +21,7 @@ from analytica.oracle import (
     Add,
     Const,
     Div,
-    Expression,
+    FunctionOracle,
     Mul,
     Neg,
     OracleError,
@@ -27,7 +30,6 @@ from analytica.oracle import (
     Sub,
     Var,
     builtin_counterexample,
-    compile_expression,
     degree_bound,
     evaluate_grid,
     evaluate_oracle,
@@ -127,6 +129,18 @@ def test_parse_needs_a_positive_dimension():
 )
 def test_parse_trees(text, tree):
     assert parse_expression(text, 1) == tree
+
+
+def test_exponents_leave_no_ops_behind():
+    assert parse_expression("x1^(1+1)", 1) == Pow(Var(1), 2)
+    # the 1 after the power is a new op, not one left over from the exponent
+    assert parse_expression("x1^(1+1) + 1", 1) == (
+        (Var, (), 1),
+        (Pow, (0,), 2),
+        (Const, (), Fraction(1)),
+        (Add, (1, 2), None),
+    )
+    assert parse_expression("2^3^(1+1)", 1) == Pow(Const(Fraction(2)), 9)
 
 
 def test_exact_and_float_modes_agree():
@@ -282,30 +296,33 @@ def test_builtin_rejects_unknown_name_and_bad_dimension():
 
 
 # ---------------------------------------------------------------------------
-# the compiled program against the tree walker it replaced (a verbatim copy)
+# the program against a recursive walk of it
 
 
-def _eval(e: Expression, point: Sequence, exact: bool):
-    if isinstance(e, Const):
-        return e.value if exact else float(e.value)
-    if isinstance(e, Var):
-        return point[e.index - 1]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, point, exact)
-    if isinstance(e, Add):
-        return _eval(e.left, point, exact) + _eval(e.right, point, exact)
-    if isinstance(e, Sub):
-        return _eval(e.left, point, exact) - _eval(e.right, point, exact)
-    if isinstance(e, Mul):
-        return _eval(e.left, point, exact) * _eval(e.right, point, exact)
-    if isinstance(e, Div):
-        denom = _eval(e.right, point, exact)
-        if denom == 0:
+def _eval(e, point: Sequence, exact: bool, slot: int = -1):
+    """The program evaluated recursively from its root slot, without fold:
+    a shared operand is evaluated again wherever it is read."""
+    kind, args, payload = e[slot]
+    if kind is Const:
+        return payload if exact else float(payload)
+    if kind is Var:
+        return point[payload - 1]
+    values = [_eval(e, point, exact, j) for j in args]
+    if kind is Neg:
+        return -values[0]
+    if kind is Add:
+        return values[0] + values[1]
+    if kind is Sub:
+        return values[0] - values[1]
+    if kind is Mul:
+        return values[0] * values[1]
+    if kind is Div:
+        if values[1] == 0:
             raise PoleError("division by zero", point)
-        return _eval(e.left, point, exact) / denom
-    if isinstance(e, Pow):
-        return _eval(e.base, point, exact) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+        return values[0] / values[1]
+    if kind is Pow:
+        return values[0] ** payload
+    raise TypeError(f"not an op: {e[slot]!r}")
 
 
 _PULLED_BACK = {
@@ -316,14 +333,17 @@ _PULLED_BACK = {
 }
 
 
-def _pullback(name, chart):
+def _pullback(name, chart, with_point=False):
     rng = random.Random(311)
     sphere = sample_spheres(3, 1, rng)[0]
     f = _PULLED_BACK[name]
     if chart == "origin":
-        return pullback_through_inversion(f, sphere)[0]
-    p = next(q for q in sphere.sample_points(4, rng) if any(q))
-    return pullback_through_centered_inversion(f, sphere, p)[0]
+        g = pullback_through_inversion(f, sphere)[0]
+        p = None
+    else:
+        p = next(q for q in sphere.sample_points(4, rng) if any(q))
+        g = pullback_through_centered_inversion(f, sphere, p)[0]
+    return (g, p) if with_point else g
 
 
 def _outcome(evaluate, *args):
@@ -363,66 +383,147 @@ def test_program_and_tree_walker_raise_the_same_pole():
 
 
 def test_equal_subtrees_share_one_op():
-    program = compile_expression(parse_expression("x1^2 + x1^2", 1))
+    program = parse_expression("x1^2 + x1^2", 1)
     assert program == ((Var, (), 1), (Pow, (0,), 2), (Add, (1, 1), None))
+
+
+def _tree(e, slot: int = -1):
+    """The program expanded into a tree of nested tuples (kind, payload,
+    *operands), each shared op copied wherever it is read."""
+    kind, args, payload = e[slot]
+    return (kind, payload, *(_tree(e, j) for j in args))
+
+
+def _nodes(tree) -> int:
+    return 1 + sum(_nodes(operand) for operand in tree[2:])
+
+
+def _recompile(tree):
+    """A tree hash-consed by a recursive post-order walk, left operand
+    first: the reference for the order of a program's ops."""
+    ops, slots = [], {}
+
+    def visit(node):
+        kind, payload, *operands = node
+        op = (kind, tuple(visit(operand) for operand in operands), payload)
+        if op not in slots:
+            slots[op] = len(ops)
+            ops.append(op)
+        return slots[op]
+
+    visit(tree)
+    return tuple(ops)
+
+
+def _assert_canonical(e):
+    assert _recompile(_tree(e)) == e
 
 
 def test_inversion_pullback_holds_the_squared_norm_once():
     g = _pullback("hartogs-f", "origin")
-    squared_norm = compile_expression(reduce(Add, [Pow(Var(i), 2) for i in (1, 2, 3)]))
-    assert g.program[: len(squared_norm)] == squared_norm
-    assert sum(1 for kind, _, payload in g.program if kind is Pow and payload == 2) == 3
-    divisors = [args[1] for kind, args, _ in g.program if kind is Div]
+    squared_norm = reduce(Add, [Pow(Var(i), 2) for i in (1, 2, 3)])
+    assert g.expression[: len(squared_norm)] == squared_norm
+    assert sum(1 for kind, _, payload in g.expression if kind is Pow and payload == 2) == 3
+    divisors = [args[1] for kind, args, _ in g.expression if kind is Div]
     assert divisors.count(len(squared_norm) - 1) == 3
-    assert len(g.program) == 19  # the tree has 68 nodes
-
-
-def _compile_recursively(e):
-    """compile_expression as a recursive walk: the reference for its order."""
-    ops, slots, seen = [], {}, {}
-
-    def visit(node):
-        if id(node) in seen:
-            return seen[id(node)]
-        if isinstance(node, Const):
-            op = (Const, (), node.value)
-        elif isinstance(node, Var):
-            op = (Var, (), node.index)
-        elif isinstance(node, Neg):
-            op = (Neg, (visit(node.arg),), None)
-        elif isinstance(node, Pow):
-            op = (Pow, (visit(node.base),), node.exponent)
-        else:
-            op = (type(node), (visit(node.left), visit(node.right)), None)
-        if op not in slots:
-            slots[op] = len(ops)
-            ops.append(op)
-        seen[id(node)] = slots[op]
-        return seen[id(node)]
-
-    visit(e)
-    return tuple(ops)
+    assert len(g.expression) == 19 and _nodes(_tree(g.expression)) == 68
 
 
 @pytest.mark.parametrize("chart", ["origin", "point"])
 @pytest.mark.parametrize("name", sorted(_PULLED_BACK))
 def test_compile_matches_a_recursive_walk(name, chart):
-    g = _pullback(name, chart)
-    assert compile_expression(g.expression) == _compile_recursively(g.expression)
-    shared = Add(g.expression, Mul(g.expression, Neg(g.expression)))
-    assert compile_expression(shared) == _compile_recursively(shared)
+    """Pullbacks (substitute), their cleared charts and translates
+    (constructors and substitute) are the programs a recursive walk of
+    their trees builds."""
+    g, p = _pullback(name, chart, with_point=True)
+    _assert_canonical(g.expression)
+    _assert_canonical(Add(g.expression, Mul(g.expression, Neg(g.expression))))
+    _assert_canonical(_cleared(g, _inversion_square(3, p), 2).expression)
+    _assert_canonical(translate(g, (Fraction(1, 2), Fraction(0), Fraction(-3))).expression)
+
+
+def _rand_expression(rng, n):
+    """Constructor calls on a pool of the expressions built so far, with
+    structurally equal ones built anew now and then."""
+    pool = [Var(i) for i in range(1, n + 1)] + [Const(Fraction(rng.randint(-2, 2), 2))]
+    for _ in range(rng.randint(1, 20)):
+        a, b = (pool[-1] if rng.random() < 0.5 else rng.choice(pool)), rng.choice(pool)
+        kind = rng.choice((Neg, Pow, Var, Const, Add, Sub, Mul, Div))
+        if kind is Neg:
+            pool.append(Neg(a))
+        elif kind is Pow:
+            pool.append(Pow(a, rng.randint(0, 3)))
+        elif kind is Var:
+            pool.append(Var(rng.randint(1, n)))
+        elif kind is Const:
+            pool.append(Const(Fraction(rng.randint(-2, 2), 2)))
+        else:
+            pool.append(kind(a, b))
+    return pool[-1]
+
+
+def test_every_builder_emits_the_recursive_walks_program():
+    rng = random.Random(313)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        e = _rand_expression(rng, n)
+        _assert_canonical(e)
+        mapping = {i: _rand_expression(rng, n) for i in range(1, n + 1) if rng.random() < 0.7}
+        _assert_canonical(substitute(e, mapping))
+        base = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        _assert_canonical(translate(FunctionOracle(e, n), base).expression)
+        _assert_canonical(parse_expression(to_text(e), n))
+    for text in ("x1^2+x2*x3", "-(x1 - x2)/(x3^2 + 1/4)", "x1*x1 - x1*x1 + x1^2^2", "2/3^2 + 2 / 3^2"):
+        _assert_canonical(parse_expression(text, 3))
 
 
 def test_compile_and_parse_survive_deep_trees():
-    program = compile_expression(parse_expression("+".join(["x1"] * 3000), 1))
+    program = parse_expression("+".join(["x1"] * 3000), 1)
     assert program[:2] == ((Var, (), 1), (Add, (0, 0), None))
     assert len(program) == 3000 and program[-1] == (Add, (2998, 0), None)
     chain = reduce(lambda e, _: Neg(e), range(5000), Var(1))
-    assert len(compile_expression(chain)) == 5001
-    with pytest.raises(TypeError, match="not an expression node: None"):
-        compile_expression(Add(Var(1), None))
+    assert len(chain) == 5001
+    with pytest.raises(TypeError, match="not an expression: None"):
+        Add(Var(1), None)
     with pytest.raises(ParseError, match=r"^expression nested too deeply \(offset \d+\)$"):
         parse_expression("(" * 3000 + "x1" + ")" * 3000, 1)
+
+
+def test_a_long_sum_oracle_has_repr_eq_and_hash():
+    text = "+".join(["x1"] * 3000)
+    f, g = oracle_from_text(text, 1), oracle_from_text(text, 1)
+    assert repr(f).startswith("FunctionOracle(expression=((") and repr(f) == repr(g)
+    assert f == g and hash(f) == hash(g)
+    assert f != oracle_from_text(text + "+x1", 1)
+    assert f((Fraction(1, 3),)) == 1000
+
+
+def test_a_deep_negation_chain_is_fast():
+    start = time.perf_counter()
+    chain = reduce(lambda e, _: Neg(e), range(5000), Var(1))
+    again = reduce(lambda e, _: Neg(e), range(5000), Var(1))
+    assert time.perf_counter() - start < 1.0
+    assert chain == again and hash(chain) == hash(again)
+    f = FunctionOracle(chain, 1)
+    assert f == FunctionOracle(again, 1) and repr(f)
+    assert f((Fraction(2),)) == 2 and evaluate_oracle(f, (-1.5,), "float") == -1.5
+
+
+@pytest.mark.parametrize(
+    "build, culprit",
+    [
+        (lambda: Add(Var(1), None), "None"),
+        (lambda: Mul("x1", Var(1)), "'x1'"),
+        (lambda: Neg(()), r"\(\)"),
+        (lambda: Pow(3, 2), "3"),
+        (lambda: substitute(Var(1), {1: Fraction(1, 2)}), r"Fraction\(1, 2\)"),
+        (lambda: FunctionOracle("x1", 1), "'x1'"),
+    ],
+    ids=["add-none", "mul-text", "neg-empty", "pow-number", "substitute-fraction", "oracle-text"],
+)
+def test_constructors_refuse_what_is_not_an_expression(build, culprit):
+    with pytest.raises(TypeError, match=f"^not an expression: {culprit}$"):
+        build()
 
 
 # ---------------------------------------------------------------------------

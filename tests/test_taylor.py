@@ -68,7 +68,7 @@ def rand_nonzero(rng):
 
 def rand_program_oracle(rng, n, constants=2):
     """A random expression over x1..xn and that many random constants.
-    Operands are drawn from a pool of the nodes built so far, so
+    Operands are drawn from a pool of the expressions built so far, so
     subexpressions are shared, and a rough degree count keeps the exact
     restrictions small."""
     pool = [Var(i) for i in range(1, n + 1)] + [Const(rand_nonzero(rng)) for _ in range(constants)]
@@ -118,7 +118,7 @@ def sympy_route(f, base, direction, order):
         Div: divide,
         Pow: lambda a, k: a**k if k else QT.one,  # sympy refuses 0**0; Python reads 1
     }
-    r = fold(f.program, algebra)[-1]
+    r = fold(f.expression, algebra)[-1]
     num, den = (sympy.Poly(p.as_expr(), T, domain=sympy.QQ) for p in (r.numer, r.denom))
     if den.eval(0) == 0:
         raise PoleError("restriction to the line has a pole at its base point", base)
@@ -153,7 +153,7 @@ def test_series_route_matches_the_rational_route(seed):
         order = rng.randint(0, 8)
         want = outcome(sympy_route, f, base, direction, order)
         try:
-            got = taylor._line_truncated(f.program, base, direction, order + 1)
+            got = taylor._line_truncated(f.expression, base, direction, order + 1)
         except taylor._VanishingDivisor:
             fallbacks += 1
         else:
