@@ -2,13 +2,13 @@
 2-spheres.
 
 `check_plane_analytic` is the one chart check, and it has two routes.
-Polynomial functions (detected, or declared through an integer degree
-bound) are verified exactly: the restriction is sampled on a tensor grid of
-rational nodes, and the tensor interpolant's values at held-out nodes (one
-cached integer Lagrange matrix per degree applied to the node values) must
-equal the restriction's there, compared in integers.  Agreement is a pass
-with residual zero; a disagreement is a "fail" report carrying the first
-disagreeing point and the gap there.
+A polynomial function (every divisor folds to a nonzero constant) is
+settled exactly, without sampling: its restriction to a plane is a
+polynomial, so only a guard value can break it.  The guard point is
+located on the plane exactly; when it lies in the window and the guard
+value is not the polynomial's value there, the restriction is not even
+continuous, and the report is a "fail" with the guard point as witness.
+Otherwise the pass is a proof.
 Everything else goes through a float route: a total-degree Chebyshev fit
 over a window, a held-out residual, and a falsifier that walks valleys of
 the pulled-back denominator looking for blow-ups the fit grid missed.
@@ -16,15 +16,15 @@ the pulled-back denominator looking for blow-ups the fit grid missed.
 Sphere restrictions are reduced to plane checks through inversions: one
 centered at the origin (covering the sphere away from 0) and one centered
 at a sphere point p (covering a neighborhood of 0 on the sphere).  For a
-polynomial f of degree d, each pullback g is cleared to g * q^d, with q
-the inversion's |y|^2 or |y - p|^2, and checked exactly with declared
-degree 2d.
+polynomial f of degree d, each pullback g times q^d, with q the
+inversion's |y|^2 or |y - p|^2, is a polynomial of degree at most 2d, and
+q vanishes only at the inversion center, off the chart plane; so g gets
+the exact verdict, with degree bound 2d.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -93,10 +93,10 @@ class PlaneReport:
     route, or a fit that already failed).  It is not part of the JSON
     reports.
 
-    On the exact route `fit_degree` holds the degree bound that was checked
-    (2d for a sphere chart of a degree-d polynomial), and a "fail" carries
-    the first check point where the restriction left its tensor
-    interpolant, with the relative gap there as the residual."""
+    On the exact route `fit_degree` holds the degree bound (2d for a sphere
+    chart of a degree-d polynomial), a pass is a proof, and a "fail" carries
+    the guard point, where the guard value is not the restriction's limit,
+    with the relative gap there as the residual."""
 
     plane: AffinePlane2
     verdict: str
@@ -113,62 +113,33 @@ class PlaneReport:
 
 
 # ---------------------------------------------------------------------------
-# exact route: tensor interpolation of a known-polynomial restriction
+# exact route: a polynomial restriction can only be broken by its guard
 
 
-@lru_cache(maxsize=None)
-def _check_matrix(degree: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The Lagrange basis of the degree+1 interpolation nodes at the
-    degree+2 check nodes, as an integer matrix C over one denominator c:
-    C[a][i] = c * l_i(check_a).  Both node sets scale with the window, so C
-    does not depend on it."""
-    d = degree
-    # the nodes in units of window / (3d(d+1)), where all of them are
-    # integers; for d = 0 every product is empty and C is a column of ones
-    xs = [3 * (d + 1) * (2 * i - d) for i in range(d + 1)]
-    ys = [d * (6 * a - 3 * d + 1) for a in range(d + 2)]
-    basis, c = la.clear_denominators(
-        Fraction(
-            math.prod(y - xj for xj in xs if xj != xi),
-            math.prod(xi - xj for xj in xs if xj != xi),
-        )
-        for y in ys
-        for xi in xs
-    )
-    return tuple(tuple(basis[a : a + d + 1]) for a in range(0, len(basis), d + 1)), c
+def _exact_tensor_check(f: FunctionOracle, plane: AffinePlane2, bound: int, window) -> PlaneReport:
+    """The exact verdict over the chart square |s|, |t| <= window, for an
+    f whose unguarded expression is analytic on the whole plane: a
+    polynomial, or its pullback through an inversion centered off the plane.
 
-
-def _exact_tensor_check(value_fn: Callable, degree: int, window: Fraction):
-    """Check that value_fn agrees on held-out nodes with its tensor
-    interpolant on a (degree+1)^2 rational grid.  Returns None on agreement,
-    else the first disagreeing chart point (s, t) in row-major order and the
-    relative disagreement there.
-
-    The interpolant is never built.  Its value at check nodes (s_a, t_b) is
-    sum_ij C[a][i] C[b][j] V[i][j] / (c^2 den), with C, c the cached Lagrange
-    matrix of `_check_matrix` and V the node values over their common
-    denominator den, and it is compared with value_fn by cross-multiplying,
-    so every prediction and comparison runs on integers."""
-    d = degree
-    w = frac(window)
-    nodes = [Fraction(0)] if d == 0 else [w * Fraction(2 * i - d, d) for i in range(d + 1)]
-    values, den = la.clear_denominators(value_fn(s, t) for s in nodes for t in nodes)
-    columns = [values[j :: d + 1] for j in range(d + 1)]
-    cmat, c = _check_matrix(d)
-    scale = c * c * den
-
-    offset = w * Fraction(1, 3 * (d + 1))
-    check = [w * Fraction(2 * i - d, d + 1) + offset for i in range(d + 2)]
-    for s, cs in zip(check, cmat):
-        # c * den times the interpolant along s = s_a, at the t nodes
-        line = [sum(map(operator.mul, cs, col)) for col in columns]
-        for t, ct in zip(check, cmat):
-            predicted = sum(map(operator.mul, ct, line))
-            actual = value_fn(s, t)
-            if predicted * actual.denominator != actual.numerator * scale:
-                gap = Fraction(predicted, scale) - actual
-                return (s, t), float(abs(gap)) / max(1.0, float(abs(actual)))
-    return None
+    The restriction is then analytic over the window unless the guard point
+    P lies in it and the guard value v is not the unguarded value f(P), so
+    that the restriction is not even continuous at P.  Nothing is sampled:
+    P is located on the plane exactly.  A failure carries P as its witness
+    and |f(P) - v| / max(1, |v|) as its residual.  (The name is that of the
+    tensor check this verdict replaced, under which the benchmark tracer
+    hooks it.)"""
+    wf = to_float(window)
+    if f.guard is not None:
+        point, value = f.guard
+        st = plane.coordinates_of(point)
+        if st is not None and max(map(abs, st)) <= frac(window):
+            gap = evaluate_oracle(FunctionOracle(f.expression, f.dimension), point) - value
+            if gap:
+                return PlaneReport(
+                    plane, "fail", float(abs(gap)) / max(1.0, float(abs(value))), point,
+                    "exact", bound, wf, "guard value differs from the limit at the guard point",
+                )
+    return PlaneReport(plane, "pass", 0.0, None, "exact", bound, wf)
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +406,16 @@ def check_plane_analytic(
 ) -> PlaneReport:
     """Is the restriction of f to the plane real-analytic over the window?
 
-    Polynomial functions (detected automatically, or declared through an
-    integer `degree_hint`) are settled exactly: residual 0, or a "fail" with
-    a witness where the restriction is no polynomial of that degree.
+    Polynomial functions (detected automatically; `degree_hint=None` forces
+    the float route) are settled exactly: a pass is a proof, and a "fail"
+    carries the guard point, where a guard value inside the window differs
+    from the polynomial's.
     Otherwise a Chebyshev fit of total degree `fit_degree` (plus guard
     terms) must reproduce held-out samples within `tol` relative error, and
     a denominator-valley falsifier gets a chance to disprove the fit's
-    verdict.
-    A pass is a diagnostic at this window and resolution, never a proof.
+    verdict.  A float-route pass is a diagnostic at this window and
+    resolution, never a proof; it can miss a discontinuous guard value that
+    no fit or valley point lands on.
     """
     if not isinstance(f, FunctionOracle):
         raise CertifyError("the function must be an expression-backed oracle")
@@ -455,24 +428,11 @@ def check_plane_analytic(
     wf = to_float(window)
     if not (wf > 0 and math.isfinite(wf)):
         raise CertifyError("window must be positive and finite")
-    bound = degree_bound(f.expression) if degree_hint == "auto" else degree_hint
+    if degree_hint not in ("auto", None):
+        raise CertifyError('degree_hint must be "auto" or None')
+    bound = degree_bound(f.expression) if degree_hint == "auto" else None
     if bound is not None:
-        if bound < 0:
-            raise CertifyError("degree_hint must be nonnegative")
-        try:
-            bad = _exact_tensor_check(lambda s, t: f.evaluate(plane.point_at(s, t)), bound, window)
-        except PoleError as exc:
-            return PlaneReport(
-                plane, "pole", math.inf, exc.point, "exact", bound, wf,
-                "denominator vanishes at a probed point",
-            )
-        if bad is None:
-            return PlaneReport(plane, "pass", 0.0, None, "exact", bound, wf)
-        (s, t), gap = bad
-        return PlaneReport(
-            plane, "fail", gap, plane.point_at(s, t), "exact", bound, wf,
-            "restriction is not a polynomial of the expected degree",
-        )
+        return _exact_tensor_check(f, plane, bound, window)
 
     status, residual, witness, grid_max = _cheb_fit(f, plane, wf, fit_degree)
     if status == "pole":
@@ -564,17 +524,6 @@ def pullback_through_centered_inversion(
     return FunctionOracle(expr, n, guard), AffinePlane2(z0, (d1, d2))
 
 
-def _cleared(g: FunctionOracle, q: Expression, d: int) -> FunctionOracle:
-    """g * q^d, with a guard value scaled by q^d at its point.  For g the
-    pullback of a degree-d polynomial through the inversion with divisor q,
-    a polynomial of degree at most 2d (degree k goes to 2d - k)."""
-    guard = None
-    if g.guard is not None:
-        point, value = g.guard
-        guard = (point, value * FunctionOracle(q, g.dimension)(point) ** d)
-    return FunctionOracle(Mul(g.expression, Pow(q, d)), g.dimension, guard)
-
-
 def sample_spheres(dimension: int, count: int, rng: random.Random) -> list[SphereThroughOrigin]:
     """Random rational 2-spheres through the origin inside the unit ball: a
     random integer 3-space carrier and a rational coefficient vector scaled
@@ -653,19 +602,19 @@ def _float_window(margin: float, basis) -> float:
 
 
 def _scan_one(f, sphere, p, poly_degree, tol, fit_degree):
-    """Check both inversion charts of one sphere.  `poly_degree` is the
-    exact polynomial degree of f, or None for the float route."""
+    """Check both inversion charts of one sphere.  `poly_degree` is f's
+    degree bound d, or None for the float route.  A chart's pullback g of a
+    degree-d polynomial times q^d (q = |y|^2 or |y - p|^2) has degree at
+    most 2d, the bound its exact report carries; q vanishes only at the
+    inversion center, which the chart plane misses."""
     g_far, plane_far = pullback_through_inversion(f, sphere)
     g_near, plane_near = pullback_through_centered_inversion(f, sphere, p)
-    check = partial(check_plane_analytic, tol=tol, fit_degree=fit_degree)
 
     if poly_degree is not None:
-        d, n = poly_degree, f.dimension
-        exact = partial(check, window=Fraction(1), degree_hint=2 * d)
-        rep_far = exact(_cleared(g_far, _inversion_square(n), d), plane_far)
-        rep_near = exact(_cleared(g_near, _inversion_square(n, p), d), plane_near)
+        exact = partial(_exact_tensor_check, bound=2 * poly_degree, window=Fraction(1))
+        rep_far, rep_near = exact(g_far, plane_far), exact(g_near, plane_near)
     else:
-        fit = partial(check, degree_hint=None)
+        fit = partial(check_plane_analytic, tol=tol, fit_degree=fit_degree, degree_hint=None)
         margin_far = math.sqrt(float(norm_sq(plane_far.base_point)))
         rep_far = fit(g_far, plane_far, window=_float_window(margin_far, plane_far.basis))
         margin_near = 1.0 / math.sqrt(float(norm_sq(sphere.c)))

@@ -114,6 +114,14 @@ class AffinePlane2:
         b1, b2 = self.basis
         return tuple(x + frac(s) * u + frac(t) * v for x, u, v in zip(self.base_point, b1, b2))
 
+    def coordinates_of(self, p: Sequence) -> tuple[Fraction, Fraction] | None:
+        """The (s, t) with point_at(s, t) == p, or None when p is off the plane."""
+        (u, v), q = self.basis, vec(p)
+        try:
+            return la.solve(tuple(zip(u, v)), tuple(x - y for x, y in zip(q, self.base_point)))
+        except InconsistentSystemError:
+            return None
+
     @cached_property
     def float_coordinates(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
         """The base point and the two directions as float tuples, converted once."""

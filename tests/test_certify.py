@@ -1,12 +1,16 @@
 import math
+import operator
 import random
 import warnings
 from fractions import Fraction
+from functools import cache, lru_cache
 
 import numpy as np
 import pytest
+import sympy
 
 from analytica import certify
+from analytica._linalg import clear_denominators
 from analytica._series import p_add, p_mul, p_normalize
 from analytica.certify import (
     CertifyError,
@@ -18,9 +22,17 @@ from analytica.certify import (
     _golden_min,
     _valley_scan,
 )
-from analytica.geometry import AffinePlane2, PoleError, VectorPlane2, norm_sq
+from analytica.geometry import AffinePlane2, GeometryError, norm_sq
 from analytica.jsonio import dumps, scan_report_to_data
-from analytica.oracle import builtin_counterexample, oracle_from_text
+from analytica.oracle import (
+    FunctionOracle,
+    Mul,
+    Pow,
+    builtin_counterexample,
+    degree_bound,
+    oracle_from_text,
+    to_text,
+)
 
 from conftest import rand_form, rand_point
 
@@ -51,32 +63,35 @@ def test_polynomial_plane_check_is_exact():
         assert rep.mode == "exact"
 
 
-def test_declared_degree_bound_is_enforced():
-    # a violated bound is a failed check with a witness on the plane, not an error
-    f = oracle_from_text("x1^4", 3)
-    rep = check_plane_analytic(f, XY, degree_hint=2)
-    assert rep.verdict == "fail" and rep.mode == "exact" and rep.fit_degree == 2
-    assert rep.residual > 0
-    assert rep.witness is not None and rep.witness[2] == 0
-    assert not bool(rep)
+def test_an_integer_degree_hint_is_refused():
+    # "auto" detects polynomials and None forces the float route; nothing else
+    for hint in (2, 0, "exact"):
+        with pytest.raises(CertifyError, match="degree_hint"):
+            check_plane_analytic(oracle_from_text("x1^4", 3), XY, degree_hint=hint)
+    assert check_plane_analytic(oracle_from_text("x1^4", 3), XY, degree_hint=None).mode == "float"
 
 
 def test_a_discontinuous_guard_fails_the_exact_plane_check():
-    # no bound is declared; x1^2 guarded to 1 at the origin is no polynomial on XY
+    # x1^2 guarded to 1 at the origin is not even continuous on XY; the
+    # witness is the guard point and the residual |0 - 1| / 1
     f = oracle_from_text("x1^2", 3, guard=((0, 0, 0), 1))
     rep = check_plane_analytic(f, XY)
     assert rep.verdict == "fail" and rep.mode == "exact" and rep.fit_degree == 2
-    assert rep.residual > 0 and rep.witness is not None
+    assert rep.residual == 1.0 and rep.witness == (0, 0, 0)
     assert check_plane_analytic(oracle_from_text("x1^2", 3, guard=((0, 0, 0), 0)), XY)
 
 
-def test_a_pole_on_the_exact_route_is_a_pole_report():
-    # a declared bound sends a rational function down the exact route, where
-    # the denominator vanishes at the grid node (1/10, -1/10) of the window
-    rep = check_plane_analytic(oracle_from_text("1/(x1-1/10)", 3), XY, degree_hint=2)
-    assert rep.verdict == "pole" and rep.mode == "exact" and rep.residual == math.inf
-    assert rep.witness == (Fraction(1, 10), Fraction(-1, 10), 0)
-    assert not bool(rep)
+def test_a_guard_between_the_nodes_fails_the_exact_plane_check():
+    # no sample of the tensor check landed on this guard: at (s, t) =
+    # (-1/20, 0) on the plane through (1/20, 0, 0) it lies between the nodes
+    f = oracle_from_text("x1^2 + x2", 3, guard=((0, 0, 0), 1))
+    for base in ((Fraction(1, 20), 0, 0), (0, 0, 0)):
+        rep = check_plane_analytic(f, AffinePlane2(base, (E1, E2)))
+        assert rep.verdict == "fail" and rep.mode == "exact"
+        assert rep.witness == (0, 0, 0) and rep.residual == 1.0
+    # outside the window, and off the plane, the guard cannot break the restriction
+    assert check_plane_analytic(f, AffinePlane2((Fraction(1, 5), 0, 0), (E1, E2)))
+    assert check_plane_analytic(f, AffinePlane2((0, 0, Fraction(1, 100)), (E1, E2)))
 
 
 def _reference_tensor_check(value_fn, degree, window):
@@ -105,14 +120,12 @@ def _reference_tensor_check(value_fn, degree, window):
 
     d = degree
     w = Fraction(window)
-    nodes = [Fraction(0)] if d == 0 else [w * Fraction(2 * i - d, d) for i in range(d + 1)]
+    nodes = _grid_nodes(d, w)
     values = [[value_fn(s, t) for t in nodes] for s in nodes]
     row_polys = [newton(nodes, row) for row in values]
     cols = [newton(nodes, [rp[k] if k < len(rp) else Fraction(0) for rp in row_polys]) for k in range(d + 1)]
-    offset = w * Fraction(1, 3 * (d + 1))
-    check = [w * Fraction(2 * i - d, d + 1) + offset for i in range(d + 2)]
-    for s in check:
-        for t in check:
+    for s in _check_nodes(d, w):
+        for t in _check_nodes(d, w):
             actual = value_fn(s, t)
             gap = sum((horner(cols[k], s) * t**k for k in range(d + 1)), Fraction(0)) - actual
             if gap:
@@ -120,7 +133,68 @@ def _reference_tensor_check(value_fn, degree, window):
     return None
 
 
+@lru_cache(maxsize=None)
+def _check_matrix(degree: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The Lagrange basis of the degree+1 interpolation nodes at the
+    degree+2 check nodes, as an integer matrix C over one denominator c:
+    C[a][i] = c * l_i(check_a).  Both node sets scale with the window, so C
+    does not depend on it."""
+    d = degree
+    # the nodes in units of window / (3d(d+1)), where all of them are
+    # integers; for d = 0 every product is empty and C is a column of ones
+    xs = [3 * (d + 1) * (2 * i - d) for i in range(d + 1)]
+    ys = [d * (6 * a - 3 * d + 1) for a in range(d + 2)]
+    basis, c = clear_denominators(
+        Fraction(
+            math.prod(y - xj for xj in xs if xj != xi),
+            math.prod(xi - xj for xj in xs if xj != xi),
+        )
+        for y in ys
+        for xi in xs
+    )
+    return tuple(tuple(basis[a : a + d + 1]) for a in range(0, len(basis), d + 1)), c
+
+
+def _tensor_check(value_fn, degree, window):
+    """The exact route's check before it was settled by algebra, kept as the
+    reference for the verdict that replaced it: value_fn must agree on the
+    (degree+2)^2 check nodes with its tensor interpolant on the
+    (degree+1)^2 grid nodes.  Returns None on agreement, else the first
+    disagreeing chart point (s, t) in row-major order and the relative
+    disagreement there.
+
+    The interpolant is never built.  Its value at check nodes (s_a, t_b) is
+    sum_ij C[a][i] C[b][j] V[i][j] / (c^2 den), with C, c the cached Lagrange
+    matrix of `_check_matrix` and V the node values over their common
+    denominator den, and it is compared with value_fn by cross-multiplying,
+    so every prediction and comparison runs on integers."""
+    d = degree
+    w = Fraction(window)
+    nodes = _grid_nodes(d, w)
+    values, den = clear_denominators(value_fn(s, t) for s in nodes for t in nodes)
+    columns = [values[j :: d + 1] for j in range(d + 1)]
+    cmat, c = _check_matrix(d)
+    scale = c * c * den
+
+    check = _check_nodes(d, w)
+    for s, cs in zip(check, cmat):
+        # c * den times the interpolant along s = s_a, at the t nodes
+        line = [sum(map(operator.mul, cs, col)) for col in columns]
+        for t, ct in zip(check, cmat):
+            predicted = sum(map(operator.mul, ct, line))
+            actual = value_fn(s, t)
+            if predicted * actual.denominator != actual.numerator * scale:
+                gap = Fraction(predicted, scale) - actual
+                return (s, t), float(abs(gap)) / max(1.0, float(abs(actual)))
+    return None
+
+
+def _grid_nodes(d, w):
+    return [Fraction(0)] if d == 0 else [w * Fraction(2 * i - d, d) for i in range(d + 1)]
+
+
 def _check_nodes(d, w):
+    """The d+2 check nodes; all but the last lie inside [-w, w]."""
     return [w * Fraction(2 * i - d, d + 1) + w * Fraction(1, 3 * (d + 1)) for i in range(d + 2)]
 
 
@@ -162,48 +236,120 @@ def _tensor_cases(rng, d):
 
 
 @pytest.mark.parametrize("d", range(11))
-def test_exact_tensor_check_matches_the_reference(d):
+def test_tensor_check_matches_the_newton_reference(d):
+    # the two references agree on verdicts, points, gaps and calls
     rng = random.Random(900 + d)
     for make, w, fails in _tensor_cases(rng, d):
-        new = certify._exact_tensor_check(make([]), d, w)
-        assert new == _reference_tensor_check(make([]), d, w)
-        assert (new is not None) == fails
-
-
-@pytest.mark.parametrize("d", [0, 1, 4, 7])
-def test_exact_tensor_check_calls_value_fn_like_the_reference(d):
-    rng = random.Random(950 + d)
-    for make, w, _ in _tensor_cases(rng, d):
-        new_log, ref_log = [], []
-        certify._exact_tensor_check(make(new_log), d, w)
-        _reference_tensor_check(make(ref_log), d, w)
-        assert new_log == ref_log
-
-
-def test_exact_tensor_check_raises_a_pole_at_a_check_point():
-    d, w = 3, Fraction(1, 10)
-    pole = _check_nodes(d, w)[2], _check_nodes(d, w)[1]
-
-    def value_fn(s, t):
-        if (s, t) == pole:
-            raise PoleError("denominator vanishes", (s, t))
-        return s * s - t
-
-    for check in (certify._exact_tensor_check, _reference_tensor_check):
-        with pytest.raises(PoleError):
-            check(value_fn, d, w)
+        log, newton_log = [], []
+        result = _tensor_check(make(log), d, w)
+        assert result == _reference_tensor_check(make(newton_log), d, w)
+        assert (result is not None) == fails
+        assert log == newton_log
 
 
 @pytest.mark.parametrize("d", range(11))
 def test_check_matrix_is_the_lagrange_basis_at_the_check_nodes(d):
-    cmat, c = certify._check_matrix(d)
-    nodes = [Fraction(0)] if d == 0 else [Fraction(2 * i - d, d) for i in range(d + 1)]
+    cmat, c = _check_matrix(d)
+    nodes = _grid_nodes(d, Fraction(1))
     assert len(cmat) == d + 2 and all(len(row) == d + 1 for row in cmat)
     assert all(type(x) is int for row in cmat for x in row)
     for row, y in zip(cmat, _check_nodes(d, Fraction(1))):
         assert sum(row) == c
         for k in range(d + 1):
             assert sum(ci * x**k for ci, x in zip(row, nodes)) == c * y**k
+
+
+def _sympy_function(f):
+    """f's unguarded expression as a function of a rational point, evaluated
+    by sympy."""
+    xs = sympy.symbols(f"x1:{f.dimension + 1}")
+    expr = sympy.sympify(to_text(f.expression).replace("^", "**"), locals={x.name: x for x in xs})
+
+    def value(point):
+        v = sympy.Rational(expr.subs({x: sympy.Rational(c.numerator, c.denominator) for x, c in zip(xs, point)}))
+        return Fraction(int(v.p), int(v.q))
+
+    return value
+
+
+def _rand_plane(rng):
+    while True:
+        basis = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2))
+        try:
+            return AffinePlane2(rand_point(rng, 3, bound=2), basis)
+        except GeometryError:
+            pass
+
+
+# where the guard sits in the chart square, and whether it holds the
+# unguarded value; the verdict agrees with the tensor check everywhere but
+# off the nodes inside the window, where the tensor check never looks
+_GUARD_CASES = {
+    "none": "pass",
+    "grid node": "fail",
+    "check node": "fail",
+    "off-node inside": "fail",
+    "outside": "pass",
+    "unguarded value": "pass",
+}
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_exact_tensor_check_matches_the_reference(d):
+    """The exact verdict against the tensor check it replaced, on random
+    polynomials of degree d restricted to random planes at windows 1 and
+    1/10.  sympy confirms the gap at every failure's witness."""
+    rng = random.Random(1100 + d)
+    for w in (Fraction(1), Fraction(1, 10)):
+        f = oracle_from_text(" + ".join(poly_text(rng, 3, k) for k in range(d + 1)), 3)
+        plane, bound = _rand_plane(rng), degree_bound(f.expression)
+        restriction = cache(lambda s, t: f.evaluate(plane.point_at(s, t)))
+        by_sympy = _sympy_function(f)
+        grid = _grid_nodes(bound, w)
+        inside = _check_nodes(bound, w)[:-1]
+        probed = set(grid) | set(_check_nodes(bound, w))
+
+        def off(lo, hi):
+            while True:
+                x = Fraction(rng.randint(lo, hi), 997) * w * rng.choice([-1, 1])
+                if x not in probed:
+                    return x
+
+        spots = {
+            "none": None,
+            "grid node": (rng.choice(grid), rng.choice(grid)),
+            "check node": (rng.choice(inside), rng.choice(inside)),
+            "off-node inside": (off(0, 997), off(0, 997)),
+            "outside": (off(998, 3000), off(0, 3000)),
+            "unguarded value": (rng.choice(grid), rng.choice(grid)),
+        }
+        for case, st in spots.items():
+            expected = _GUARD_CASES[case]
+            guard = None
+            if st is not None:
+                point = plane.point_at(*st)
+                value = f.evaluate(point)
+                if case != "unguarded value":
+                    value += Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 9))
+                guard = (point, value)
+            g = FunctionOracle(f.expression, 3, guard)
+
+            def value_fn(s, t):
+                # g on the plane, with the unguarded values shared by the cases
+                x = plane.point_at(s, t)
+                return guard[1] if guard is not None and x == guard[0] else restriction(s, t)
+
+            rep = check_plane_analytic(g, plane, window=w)
+            ref = _tensor_check(value_fn, bound, w)
+            assert rep.verdict == expected and rep.mode == "exact" and rep.fit_degree == bound
+            assert (ref is None) == (expected == "pass" or case == "off-node inside")
+            if expected == "pass":
+                assert rep.residual == 0.0 and rep.witness is None
+                continue
+            point, value = guard
+            limit = by_sympy(point)
+            assert limit != value and rep.witness == point
+            assert rep.residual == float(abs(limit - value)) / max(1.0, float(abs(value)))
 
 
 def test_parameter_validation():
@@ -459,30 +605,33 @@ def test_centered_pullback_identity():
 
 
 def test_cleared_pullbacks_are_the_inverted_function_times_q_to_the_d():
-    # h = g * q^d must read f(mu(y)) * q(y)^d everywhere, the guard included,
-    # as the exact scan's tensor check sees it
+    # the exact scan rests on this: for f of degree d, h = g * q^d reads
+    # f(mu(y)) * q(y)^d and its restriction to the chart plane is a
+    # polynomial of degree at most 2d (the tensor check finds no defect), so
+    # the pullback g is analytic wherever q is not 0, which is off the plane
     rng = random.Random(607)
-    guard = ((1, 2, 3), 7)
-    f = oracle_from_text("x1*x2 - x3^3 + 1/2", 3, guard=guard)
-    for sphere in sample_spheres(3, 3, rng):
+    for d in range(5):
+        f = oracle_from_text(" + ".join(poly_text(rng, 3, k) for k in range(d + 1)), 3)
+        sphere = sample_spheres(3, 1, rng)[0]
         p = sphere.sample_points(1, rng)[0]
         charts = [
-            (pullback_through_inversion(f, sphere)[0], None, certify.invert_mu),
+            (pullback_through_inversion(f, sphere), None, certify.invert_mu),
             (
-                pullback_through_centered_inversion(f, sphere, p)[0],
+                pullback_through_centered_inversion(f, sphere, p),
                 p,
                 lambda y, p=p: certify.invert_mu_centered(y, p),
             ),
         ]
-        for g, center, mu in charts:
-            h = certify._cleared(g, certify._inversion_square(3, center), 3)
+        for (g, plane), center, mu in charts:
+            q = certify._inversion_square(3, center)
+            h = FunctionOracle(Mul(g.expression, Pow(q, d)), 3)
+            assert _tensor_check(lambda s, t: h.evaluate(plane.point_at(s, t)), 2 * d, 1) is None
+            assert FunctionOracle(q, 3)(plane.base_point) != 0
             shift = center or (0, 0, 0)
-            points = [rand_point(rng, 3, bound=6) for _ in range(4)] + [mu(guard[0])]
-            for y in points:
-                q = norm_sq(tuple(a - b for a, b in zip(y, shift)))
-                if q:
-                    assert h.evaluate(y) == f.evaluate(mu(y)) * q**3
-            assert h.guard[1] != guard[1]  # the guard value was scaled
+            for y in [rand_point(rng, 3, bound=6) for _ in range(4)]:
+                qy = norm_sq(tuple(a - b for a, b in zip(y, shift)))
+                if qy:
+                    assert h.evaluate(y) == f.evaluate(mu(y)) * qy**d
 
 
 def test_centered_pullback_needs_sphere_point():
@@ -571,7 +720,7 @@ def test_scan_with_explicit_spheres():
 
 def test_exact_scan_reports_a_discontinuous_guard():
     # x1^2 guarded to 1 at the origin is not even continuous there: the
-    # point-inversion chart covers 0 and its cleared pullback is no polynomial
+    # point-inversion chart covers 0, at its plane's base point
     f = oracle_from_text("x1^2", 3, guard=((0, 0, 0), 1))
     report = sphere_scan(f, count=2, seed=3)
     assert report.config["mode"] == "exact"
@@ -579,9 +728,8 @@ def test_exact_scan_reports_a_discontinuous_guard():
     for fl, outcome in zip(report.failures, report.outcomes):
         rep = dict(outcome.parts)["point-inversion"]
         assert fl.part == "point-inversion" and fl.verdict == "fail"
-        assert rep.mode == "exact" and rep.residual > 0
-        offset = tuple(w - b for w, b in zip(fl.witness, rep.plane.base_point))
-        assert VectorPlane2(rep.plane.basis).contains(offset)
+        assert rep.mode == "exact" and rep.residual == 1.0
+        assert fl.witness == rep.witness == rep.plane.base_point
         assert dict(outcome.parts)["origin-inversion"].verdict == "pass"
 
 

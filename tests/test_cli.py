@@ -8,7 +8,7 @@ import pytest
 
 from analytica import cli
 from analytica.forms import HomogeneousForm
-from analytica.geometry import Hyperplane
+from analytica.geometry import Hyperplane, invert_mu
 from analytica.interpolation import restriction_of
 from analytica.jsonio import dumps, form_to_data, restrictions_to_data
 
@@ -142,6 +142,24 @@ def test_discontinuous_guard_exits_as_a_failure(capsys):
         assert fl["part"] == "point-inversion"
         assert fl["verdict"] == "fail"
         assert len(fl["witness"]) == 3
+
+
+def test_a_guard_between_the_nodes_exits_as_a_failure(capsys):
+    # the guard point lies on the sphere, inside the origin-inversion chart's
+    # window but on no node of the tensor grid that once sampled it; the
+    # polynomial's value there is 158479/320000, not 7
+    guard = (Fraction(13, 200), Fraction(91, 200), Fraction(13, 40))
+    code = run([
+        "probe", "--expr", "x1*x2 - x3^3 + 1/2", "--guard", "13/200,91/200,13/40=7",
+        "--spheres", "1", "--seed", "5",
+    ])
+    assert code == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["checked"] == 1 and data["passed"] == 0
+    (fl,) = data["failures"]
+    assert fl["part"] == "origin-inversion" and fl["verdict"] == "fail"
+    assert fl["witness"] == [str(x) for x in invert_mu(guard)]
+    assert fl["residual"] == float(7 - Fraction(158479, 320000)) / 7
 
 
 @pytest.mark.parametrize("expr", ["x1^2 + x2*x3", "1/(2-x1)"], ids=["exact", "float"])

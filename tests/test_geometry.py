@@ -87,6 +87,21 @@ def test_plane_point_at():
         assert all(abs(a - float(b)) < 1e-12 for a, b in zip(fp, p))
 
 
+def test_plane_coordinates_of_inverts_point_at():
+    rng = random.Random(205)
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        plane = AffinePlane2(rand_point(rng, n, bound=6), rand_axis_plane(rng, n).basis)
+        s, t = rand_point(rng, 2, bound=9)
+        p = plane.point_at(s, t)
+        assert plane.coordinates_of(p) == (s, t)
+        # a step off the plane, along a vector outside its direction space
+        for k in range(n):
+            step = tuple(Fraction(int(i == k), 7) for i in range(n))
+            if not VectorPlane2(plane.basis).contains(step):
+                assert plane.coordinates_of(tuple(a + b for a, b in zip(p, step))) is None
+
+
 def test_cone_membership_scale_invariant():
     rng = random.Random(206)
     for _ in range(60):
