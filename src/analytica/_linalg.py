@@ -2,11 +2,11 @@
 
 Matrices are tuples of row tuples of Fraction, vectors are tuples of
 Fraction.  There is one elimination, `Elimination`: it reduces integer rows
-fraction-free (Bareiss) and back-substitutes once in Fractions.  The cone
-designs are planned and solved on it directly; `rank`, `solve`, `inverse`,
-`nullspace` and `rref` clear each Fraction row to integers
-(`clear_denominators`), add it, and read their answer off the kept rows.
-Each answer (a rank, a unique solution or inverse, the kernel basis with
+fraction-free (Bareiss) and back-substitutes in integers, building one
+Fraction per entry of an answer.  The cone designs are planned and solved
+on it directly; `rank`, `solve`, `inverse`, `nullspace` and `rref` clear
+each Fraction row to integers (`clear_denominators`), add it, and read
+their answer off the kept rows.  Each answer (a rank, a unique solution or inverse, the kernel basis with
 one free column set to 1, the reduced row echelon form) is unique, so it is
 the same Fraction that Gauss-Jordan elimination gives.  The systems this
 package produces stay small (a few hundred rows at most), so exactness
@@ -73,8 +73,15 @@ def matvec(m: Mat, v: Sequence[Fraction]) -> Vec:
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """a b, with each row of a and each column of b cleared to integers over
+    one denominator, so that each entry is one integer dot product."""
+    cols = [clear_denominators(col) for col in transpose(b)]
+    if cols and any(len(row) != len(b) for row in a):
+        raise LinAlgError("dimension mismatch in dot product")
+    rows = [clear_denominators(row) for row in a]
+    return tuple(
+        tuple(Fraction(sum(map(operator.mul, r, c)), dr * dc) for c, dc in cols) for r, dr in rows
+    )
 
 
 def clear_denominators(entries: Iterable) -> tuple[list[int], int]:
@@ -106,8 +113,8 @@ class Elimination:
     A row may stand for row / scale (the monomial row of a point q / D of
     degree d is the row of q with scale D**d).  Each kept row stores its lead
     column, reduced form, scale and the multipliers row[l] met at every step,
-    so `solve` replays the elimination on the right-hand side in integers and
-    back-substitutes once in Fractions.
+    so `solve` replays the elimination on the right-hand side and
+    back-substitutes, both in integers.
     """
 
     def __init__(self) -> None:
@@ -137,20 +144,31 @@ class Elimination:
         self._kept.append((lead, row, scale, multipliers))
         return True
 
-    def back_substitute(self, values: Sequence, x: list) -> list:
-        """Fill x in the lead columns so that (reduced row) . x = value for
-        every kept row, with x's other entries given and its lead entries 0.
-        Rows are solved last kept first: a row is zero in the lead columns
-        of the rows kept before it, which are still 0 in x, so the full dot
-        product only picks up the leads of rows kept later."""
+    def back_substitute(self, values: Sequence[int], x: Sequence[int]) -> tuple[list[int], int]:
+        """(X, det) with X / det the vector that satisfies
+        (reduced row) . (X / det) = value for every kept row, given the
+        integers x outside the lead columns and 0 at them.
+
+        det is the last pivot, the determinant of the kept rows on their
+        lead columns up to sign, so X is an integer vector (Cramer's rule)
+        and each lead entry comes from one exact integer division.  Rows are
+        solved last kept first: a row is zero in the lead columns of the rows
+        kept before it, which are still 0 in X, so the full dot product only
+        picks up the leads of rows kept later."""
+        det = self._kept[-1][1][self._kept[-1][0]] if self._kept else 1
+        x = [det * c for c in x]
         for (lead, row, _, _), v in zip(reversed(self._kept), reversed(values)):
-            x[lead] = (v - sum((a * c for a, c in zip(row, x) if a and c), ZERO)) / row[lead]
-        return x
+            x[lead] = (det * v - sum(a * c for a, c in zip(row, x) if a and c)) // row[lead]
+        return x, det
 
     def solve(self, b: Sequence) -> Vec:
         """The unique x with (kept rows / their scales) x = b, entries of b in
         the order their rows were kept.  The kept rows must form a square
-        matrix."""
+        matrix.
+
+        b times the scales is cleared to integers over one denominator, and
+        the elimination is replayed on it and back-substituted, all in
+        integers; one Fraction is built per entry."""
         if len(b) != len(self._kept):
             raise LinAlgError("right-hand side length mismatch")
         ncols = len(self._kept[0][1]) if self._kept else 0
@@ -165,7 +183,8 @@ class Elimination:
                 v = (p * v - m * yk) // prev
                 prev = p
             y.append(v)
-        return tuple(c / den for c in self.back_substitute(y, [ZERO] * ncols))
+        x, det = self.back_substitute(y, [0] * ncols)
+        return tuple(Fraction(c, den * det) for c in x)
 
 
 def _eliminate(rows: Iterable[Sequence]) -> Elimination:
@@ -181,11 +200,12 @@ def _kernel(e: Elimination, ncols: int) -> dict[int, Vec]:
     0 at the other free columns."""
     zeros = [0] * len(e.leads)
     leads = set(e.leads)
-    return {
-        f: tuple(e.back_substitute(zeros, [ONE if c == f else ZERO for c in range(ncols)]))
-        for f in range(ncols)
-        if f not in leads
-    }
+    kernel = {}
+    for f in range(ncols):
+        if f not in leads:
+            x, det = e.back_substitute(zeros, [int(c == f) for c in range(ncols)])
+            kernel[f] = tuple(Fraction(c, det) for c in x)
+    return kernel
 
 
 def rank(m: Mat) -> int:
@@ -208,17 +228,20 @@ def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
         raise InconsistentSystemError("system has no solution")
     if len(e.leads) < ncols:
         raise SingularMatrixError("system is rank-deficient")
-    return tuple(e.back_substitute([row[ncols] for _, row, _, _ in e._kept], [ZERO] * ncols))
+    x, det = e.back_substitute([row[ncols] for _, row, _, _ in e._kept], [0] * ncols)
+    return tuple(Fraction(c, det) for c in x)
 
 
-def inverse(m: Mat) -> Mat:
+def inverse(m: Mat, rows: int | None = None) -> Mat:
+    """The inverse of m, or its first `rows` rows: row i is the y with
+    y m = e_i, solved on the transpose."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise LinAlgError("inverse of a non-square matrix")
-    e = _eliminate(m)
+    e = _eliminate(transpose(m))
     if len(e.leads) < n:
         raise SingularMatrixError("matrix is singular")
-    return transpose(tuple(e.solve(unit) for unit in identity(n)))
+    return tuple(e.solve(unit) for unit in identity(n)[:rows])
 
 
 def nullspace(m: Mat) -> list[Vec]:

@@ -12,7 +12,14 @@ at the end, so the API stays exact while the hot paths stay fast.  Inside
 those loops a monomial u^e of a degree-d result is the packed integer
 sum(e_j * (d+1)**j): no exponent exceeds d, so packing is one-to-one and a
 monomial product is one integer addition.  Keys are unpacked only when the
-result's Fractions are built.
+result's Fractions are built.  Evaluation at a rational point runs the same
+way: the point is q / D with q an integer vector, and f(q / D) is the one
+Fraction sum(k_e * q^e) / (den_f * D**d).
+
+Every form holds the shared tuple for each of its exponents (`_shared`), so
+forms of one shape do not each carry their own copies of the same keys.
+The public constructor validates its terms; the library builds its own
+forms with `HomogeneousForm._trusted`, which skips that check.
 """
 
 from __future__ import annotations
@@ -38,27 +45,43 @@ class DimensionMismatchError(FormError):
     pass
 
 
+# one stored tuple per distinct exponent; past the cap new exponents are
+# used as they come, unshared
+_KEYS: dict[MultiIndex, MultiIndex] = {}
+_KEYS_MAX = 1 << 16
+
+
+def _shared(idx: MultiIndex) -> MultiIndex:
+    """The stored tuple equal to idx, stored first if it is new."""
+    if len(_KEYS) < _KEYS_MAX:
+        return _KEYS.setdefault(idx, idx)
+    return _KEYS.get(idx, idx)
+
+
 def monomial_basis(n: int, d: int) -> list[MultiIndex]:
-    """All exponent tuples of total degree d in n variables, graded-lex order."""
+    """All exponent tuples of total degree d in n variables, graded-lex order.
+
+    The tuples are the shared keys (see `_shared`).  The prefixes of the
+    first k exponents are extended one slot at a time, each by its possible
+    next exponents in descending order, so the list comes out sorted."""
     if n < 1:
         raise FormError("dimension must be at least 1")
     if d < 0:
         raise FormError("degree must be non-negative")
-    out: list[MultiIndex] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), d, n)
-    return out
+    level: list[tuple[MultiIndex, int]] = [((), d)]
+    for _ in range(n - 1):
+        level = [(prefix + (e,), left - e) for prefix, left in level for e in range(left, -1, -1)]
+    return [_shared(prefix + (left,)) for prefix, left in level]
 
 
 def basis_size(n: int, d: int) -> int:
     return math.comb(n + d - 1, d)
+
+
+def _check_shape(n: int, d: int) -> None:
+    for name, value, least in (("dimension", n, 1), ("degree", d, 0)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise FormError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _validate_terms(n: int, d: int, terms: Mapping[MultiIndex, Fraction]) -> dict[MultiIndex, Fraction]:
@@ -73,11 +96,11 @@ def _validate_terms(n: int, d: int, terms: Mapping[MultiIndex, Fraction]) -> dic
             raise FormError(f"multi-index {idx} has degree {sum(idx)}, expected {d}")
         c = frac(coeff)
         if c != 0:
-            clean[idx] = c
+            clean[_shared(idx)] = c
     return clean
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class HomogeneousForm:
     """Immutable homogeneous polynomial of a fixed degree."""
 
@@ -85,11 +108,19 @@ class HomogeneousForm:
     degree: int
     coefficients: dict[MultiIndex, Fraction] = field(default_factory=dict)
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, terms: dict[MultiIndex, Fraction]) -> "HomogeneousForm":
+        """A form from terms the library built: n >= 1 and d >= 0 are ints,
+        and terms maps shared keys of length n and degree d to nonzero
+        Fractions.  Nothing is checked or copied."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "dimension", n)
+        object.__setattr__(form, "degree", d)
+        object.__setattr__(form, "coefficients", terms)
+        return form
+
     def __post_init__(self) -> None:
-        for name, least in (("dimension", 1), ("degree", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise FormError(f"{name} must be an integer of at least {least}, got {value!r}")
+        _check_shape(self.dimension, self.degree)
         object.__setattr__(
             self, "coefficients", _validate_terms(self.dimension, self.degree, self.coefficients)
         )
@@ -133,19 +164,27 @@ class HomogeneousForm:
         if not self.is_zero and not other.is_zero and self.degree != other.degree:
             raise FormError("cannot add forms of different degrees")
         d = other.degree if self.is_zero else self.degree
-        terms = dict(self.coefficients)
-        for idx, c in other.coefficients.items():
-            terms[idx] = op(terms.get(idx, ZERO), c)
-        return HomogeneousForm(self.dimension, d, terms)
+        # self's terms, then other's new ones, zeros dropped; the dict is
+        # built by insertion, so it is no larger than its terms need
+        mine, theirs = self.coefficients, other.coefficients
+        terms = {}
+        for idx, c in mine.items():
+            if idx in theirs:
+                c = op(c, theirs[idx])
+            if c:
+                terms[idx] = c
+        for idx, c in theirs.items():
+            if idx not in mine:
+                terms[idx] = op(ZERO, c)
+        return HomogeneousForm._trusted(self.dimension, d, terms)
 
     def __neg__(self) -> "HomogeneousForm":
         return self.scale(-1)
 
     def scale(self, factor) -> "HomogeneousForm":
         f = frac(factor)
-        return HomogeneousForm(
-            self.dimension, self.degree, {i: c * f for i, c in self.coefficients.items()}
-        )
+        terms = {i: c * f for i, c in self.coefficients.items()} if f else {}
+        return HomogeneousForm._trusted(self.dimension, self.degree, terms)
 
 
 def zero_form(n: int, d: int) -> HomogeneousForm:
@@ -171,25 +210,23 @@ def monomial(n: int, idx: MultiIndex, coeff=1) -> HomogeneousForm:
 
 def evaluate_form(f: HomogeneousForm, point: Sequence) -> Fraction:
     """Evaluate f at a point.  Rational input gives exact rational output;
-    float input flows through and gives a float."""
+    float input flows through and gives a float.
+
+    A point of ints and Fractions is q / D with q an integer vector, and the
+    value is built as one Fraction, sum(k_e * q^e) / (den_f * D**d), from the
+    coefficients k_e / den_f cleared to integers.  Any other point runs the
+    term-by-term loop in the point's own arithmetic."""
     if len(point) != f.dimension:
         raise DimensionMismatchError(
             f"point has length {len(point)}, form dimension is {f.dimension}"
         )
     if not f.coefficients:
         return ZERO if not any(isinstance(x, float) for x in point) else 0.0
-    # cache coordinate powers up to the maximum exponent used
-    maxes = [0] * f.dimension
-    for idx in f.coefficients:
-        for i, e in enumerate(idx):
-            if e > maxes[i]:
-                maxes[i] = e
-    powers = []
-    for x, m in zip(point, maxes):
-        row = [1]
-        for _ in range(m):
-            row.append(row[-1] * x)
-        powers.append(row)
+    if all(isinstance(x, (int, Fraction)) for x in point):
+        ints, den_f = clear_denominators(f.coefficients.values())
+        q, den = clear_denominators(point)
+        return Fraction(integer_value(f.coefficients, ints, q), den_f * den**f.degree)
+    powers = _powers(point, f.coefficients)
     total = None
     for idx, c in f.coefficients.items():
         term = c
@@ -200,19 +237,51 @@ def evaluate_form(f: HomogeneousForm, point: Sequence) -> Fraction:
     return total
 
 
+def _powers(point: Sequence, keys: Sequence[MultiIndex]) -> list[list]:
+    """Each coordinate's powers 1, x, x^2, ... up to the largest exponent
+    that the nonempty keys give it."""
+    powers = []
+    for x, top in zip(point, map(max, zip(*keys))):
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x)
+        powers.append(row)
+    return powers
+
+
+def integer_value(keys: Sequence[MultiIndex], ints: Sequence[int], q: Sequence[int]) -> int:
+    """sum(k * q^e) over the exponents e in keys and the integers k in ints,
+    at the integer point q."""
+    powers = _powers(q, keys)
+    total = 0
+    for idx, k in zip(keys, ints):
+        for row, e in zip(powers, idx):
+            if e:
+                k *= row[e]
+        total += k
+    return total
+
+
 def form_from_coefficients(n: int, d: int, coeffs: Sequence, basis: Sequence[MultiIndex] | None = None) -> HomogeneousForm:
-    if basis is None:
+    given = basis is not None
+    if not given:
         basis = monomial_basis(n, d)
     if len(coeffs) != len(basis):
         raise FormError("coefficient vector length does not match basis size")
-    return HomogeneousForm(n, d, dict(zip(basis, map(frac, coeffs))))
+    if given:
+        return HomogeneousForm(n, d, dict(zip(basis, map(frac, coeffs))))
+    _check_shape(n, d)  # monomial_basis made the keys shared and valid
+    return HomogeneousForm._trusted(n, d, {i: c for i, c in zip(basis, map(frac, coeffs)) if c})
 
 
 def _mul_packed(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
+    get = out.get
+    terms = q.items()
     for a, ca in p.items():
-        for b, cb in q.items():
-            out[a + b] = out.get(a + b, 0) + ca * cb
+        for b, cb in terms:
+            key = a + b
+            out[key] = get(key, 0) + ca * cb
     return out
 
 
@@ -221,7 +290,7 @@ def _pack(idx: MultiIndex, base: int) -> int:
 
 
 def _unpack(key: int, base: int, k: int) -> MultiIndex:
-    return tuple(key // base**j % base for j in range(k))
+    return _shared(tuple(key // base**j % base for j in range(k)))
 
 
 def compose_linear(f: HomogeneousForm, matrix: Sequence[Sequence]) -> HomogeneousForm:
@@ -272,7 +341,7 @@ def compose_linear(f: HomogeneousForm, matrix: Sequence[Sequence]) -> Homogeneou
         if v:
             idx = _unpack(key, base, k)
             terms[idx] = Fraction(v, den_f * math.prod(map(pow, col_den, idx)))
-    return HomogeneousForm(k, f.degree, terms)
+    return HomogeneousForm._trusted(k, f.degree, terms)
 
 
 def multiply(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
@@ -290,7 +359,9 @@ def multiply(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
         {_pack(idx, base): c for idx, c in zip(g.coefficients, gi)},
     )
     den = den_f * den_g
-    return HomogeneousForm(n, d, {_unpack(key, base, n): Fraction(v, den) for key, v in prod.items() if v})
+    return HomogeneousForm._trusted(
+        n, d, {_unpack(key, base, n): Fraction(v, den) for key, v in prod.items() if v}
+    )
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@ inversion x -> x/|x|^2, and the correspondence between spheres through
 the origin and affine planes.
 
 All predicates compare squared norms as rationals, so no square roots
-are ever taken and answers are exact.
+are ever taken and answers are exact.  The cone predicates clear every
+vector to integers and project with one integer matrix per cone
+(`Cone.projector`), so their sign tests build no Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -158,55 +161,83 @@ class Cone:
     def dimension(self) -> int:
         return self.axis.dimension
 
-    @cached_property
-    def axis_dual(self) -> tuple[Vec, Vec]:
-        """Rows r1, r2 with (r1 . p, r2 . p) the coordinates, in the axis
-        basis, of p's projection onto the axis plane: the inverse axis Gram
-        matrix times the basis, computed once per cone."""
-        b = la.mat(self.axis.basis)
-        g = la.inverse(la.matmul(b, la.transpose(b)))
-        return tuple(tuple(gi[0] * u + gi[1] * v for u, v in zip(*b)) for gi in g)
+    def projector(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(M, g): an integer matrix M and an integer g > 0 with M / g the
+        orthogonal projection onto the complement of the axis plane.  With
+        u, v the axis basis cleared to integers and G their Gram matrix,
+        M = det(G) I - [u v] adj(G) [u v]^T, divided by the content of M and
+        det(G).  It is not kept on the cone: a caller that tests many
+        vectors, such as a cone sample set, computes it once and holds it."""
+        u, v = (la.clear_denominators(b)[0] for b in self.axis.basis)
+        guu, guv, gvv = _idot(u, u), _idot(u, v), _idot(v, v)
+        det = guu * gvv - guv * guv
+        m = [
+            [(det if i == j else 0) - (gvv * ui * uj - guv * (ui * vj + vi * uj) + guu * vi * vj)
+             for j, (uj, vj) in enumerate(zip(u, v))]
+            for i, (ui, vi) in enumerate(zip(u, v))
+        ]
+        content = math.gcd(det, *(x for row in m for x in row))
+        return tuple(tuple(x // content for x in row) for row in m), det // content
 
-    def orth_part(self, p: Vec) -> Vec:
-        """The component of p orthogonal to the axis plane."""
-        (r1, r2), (u, v) = self.axis_dual, self.axis.basis
-        c1, c2 = la.dot(r1, p), la.dot(r2, p)
-        return tuple(x - c1 * ui - c2 * vi for x, ui, vi in zip(p, u, v))
+
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _orth_quadratic(m: Sequence[Sequence[int]], w1: Sequence[int], w2: Sequence[int]) -> int:
+    """g times o1 . o2, where o1 and o2 are the orthogonal parts of the
+    integer vectors w1 and w2 and (m, g) is a cone's projector: w1^T m w2,
+    since the projection is symmetric and idempotent."""
+    return sum(a * _idot(row, w2) for a, row in zip(w1, m) if a)
 
 
 def in_cone(cone: Cone, p: Sequence) -> bool:
     """True iff the direction of p lies strictly within the cone aperture.
-    The origin is a member by convention."""
+    The origin is a member by convention.  Decided on p cleared to integers:
+    |orthogonal part|^2 < theta^2 |p|^2 scales by the same square."""
     q = vec(p)
     if len(q) != cone.dimension:
         raise GeometryError("point dimension does not match the cone")
-    n2 = norm_sq(q)
+    q = la.clear_denominators(q)[0]
+    n2 = _idot(q, q)
     if n2 == 0:
         return True
-    orth2 = norm_sq(cone.orth_part(q))
-    return orth2 < cone.theta * cone.theta * n2
+    (m, g), t = cone.projector(), cone.theta
+    return t.denominator**2 * _orth_quadratic(m, q, q) < t.numerator**2 * g * n2
 
 
 def plane_in_subcone(cone: Cone, candidate: VectorPlane2) -> bool:
     """True iff candidate is a 2-plane inside the cone meeting the axis plane
-    in at least a line.  Exact: the worst direction ratio is the largest
-    generalized eigenvalue of a 2x2 rational pencil, compared against theta^2
-    through its characteristic polynomial."""
+    in at least a line (see `integer_plane_in_subcone`)."""
     if candidate.dimension != cone.dimension:
         raise GeometryError("candidate plane dimension mismatch")
-    w1, w2 = (vec(v) for v in candidate.basis)
-    o1, o2 = cone.orth_part(w1), cone.orth_part(w2)
-    m00, m01, m11 = la.dot(o1, o1), la.dot(o1, o2), la.dot(o2, o2)
-    c = m00 * m11 - m01 * m01
-    if c != 0:
+    w1, w2 = (la.clear_denominators(v)[0] for v in candidate.basis)
+    return integer_plane_in_subcone(cone.projector(), cone.theta, w1, w2)
+
+
+def integer_plane_in_subcone(
+    projector: tuple[Sequence[Sequence[int]], int], theta: Fraction, w1: Sequence[int], w2: Sequence[int]
+) -> bool:
+    """plane_in_subcone for the cone with the given projector
+    (`Cone.projector`) and aperture theta, and the plane spanned by the
+    independent integer vectors w1 and w2.
+
+    Exact: the worst direction ratio is the largest generalized eigenvalue
+    of the 2x2 pencil (M, G), with M the Gram matrix of the orthogonal parts
+    and G that of w1, w2, compared against t = theta^2 through its
+    characteristic polynomial q(t) = det G t^2 + b t + det M.  A plane
+    meeting the axis in a line has det M = 0; then q(t) > 0 with t right of
+    the parabola vertex reads det G t + b > 0, since det G > 0.  Every
+    quantity is kept times the projector's g (M's entries) or g^2 (det M),
+    which leaves the signs alone."""
+    m, g = projector
+    m00, m01, m11 = _orth_quadratic(m, w1, w1), _orth_quadratic(m, w1, w2), _orth_quadratic(m, w2, w2)
+    if m00 * m11 != m01 * m01:
         return False  # independent orthogonal parts: it meets the axis only at 0
-    g00, g01, g11 = la.dot(w1, w1), la.dot(w1, w2), la.dot(w2, w2)
-    a = g00 * g11 - g01 * g01            # det G > 0 for a rank-2 basis
-    bq = -(m00 * g11 + m11 * g00 - 2 * m01 * g01)
-    t = cone.theta * cone.theta
-    # both generalized eigenvalues lie below t iff q(t) > 0 and t is right
-    # of the parabola vertex
-    return a * t * t + bq * t + c > 0 and 2 * a * t + bq > 0
+    g00, g01, g11 = _idot(w1, w1), _idot(w1, w2), _idot(w2, w2)
+    a = g00 * g11 - g01 * g01
+    b = -(m00 * g11 + m11 * g00 - 2 * m01 * g01)
+    return a * g * theta.numerator**2 + b * theta.denominator**2 > 0
 
 
 def general_position(hyperplanes: Sequence[Hyperplane], n: int | None = None) -> bool:

@@ -19,27 +19,24 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _linalg as la
-from ._linalg import Mat, Vec, frac, vec
+from ._linalg import Mat, Vec, frac
 from .forms import (
     DimensionMismatchError,
     HomogeneousForm,
+    _mul_packed,
+    _pack,
+    _unpack,
     basis_size,
     compose_linear,
     constant_form,
     form_from_coefficients,
+    integer_value,
     linear_form,
     monomial_basis,
     multiply,
     zero_form,
 )
-from .geometry import (
-    Cone,
-    GeometryError,
-    Hyperplane,
-    VectorPlane2,
-    general_position,
-    plane_in_subcone,
-)
+from .geometry import Cone, GeometryError, Hyperplane, general_position, integer_plane_in_subcone
 
 
 class InterpolationError(ValueError):
@@ -94,8 +91,8 @@ class HyperplaneRestriction:
             raise DimensionMismatchError(f"chart must be {n} x {n - 1}")
         if la.rank(chart) != n - 1:
             raise GeometryError("chart columns do not span the hyperplane")
-        for j in range(n - 1):
-            if sum(self.hyperplane.normal[i] * chart[i][j] for i in range(n)) != 0:
+        for j, x in enumerate(la.matmul((self.hyperplane.normal,), chart)[0]):
+            if x != 0:
                 raise GeometryError(f"chart column {j} does not lie on the hyperplane")
         if self.form.dimension != n - 1:
             raise DimensionMismatchError("restricted form must have n-1 variables")
@@ -175,49 +172,49 @@ def divide_by_linear(f: HomogeneousForm, linear: HomogeneousForm) -> Homogeneous
 
     k = next(i for i in range(n) if linear.coefficients.get(tuple(1 if t == i else 0 for t in range(n)), 0) != 0)
     unit = tuple(1 if t == k else 0 for t in range(n))
-    a = linear.coefficients[unit]
-    rest = {idx: c for idx, c in linear.coefficients.items() if idx != unit}
 
-    # split f into layers by the power of variable k
-    layers: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(d + 1)]
-    for idx, c in f.coefficients.items():
-        j = idx[k]
-        key = idx[:k] + (0,) + idx[k + 1 :]
-        layers[j][key] = c
+    # Over integers f = F / den_f and linear = (a x_k + R) / den_l.  With
+    # F_j the layer of F at x_k^j, Q_{d-1} = F_d and
+    # Q_{j-1} = a^(d-j) F_j - R Q_j, F's quotient by a x_k + R has the layers
+    # Q_j / a^(d-j) and its remainder is (a^d F_0 - R Q_0) / a^d.  Monomials
+    # are packed as in forms.compose_linear, with x_k's exponent taken out
+    # of each layer's keys.
+    base, step = d + 1, (d + 1) ** k
+    fi, den_f = la.clear_denominators(f.coefficients.values())
+    li, den_l = la.clear_denominators(linear.coefficients.values())
+    a = li[list(linear.coefficients).index(unit)]
+    rest = {_pack(idx, base): c for idx, c in zip(linear.coefficients, li) if idx != unit}
+    layers: list[dict[int, int]] = [{} for _ in range(d + 1)]
+    for idx, c in zip(f.coefficients, fi):
+        layers[idx[k]][_pack(idx, base) - idx[k] * step] = c
 
-    def mul_rest(layer: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m_idx, mc in rest.items():
-            for idx, c in layer.items():
-                key = tuple(x + y for x, y in zip(m_idx, idx))
-                out[key] = out.get(key, Fraction(0)) + mc * c
-        return out
+    def reduce(j: int, q: dict[int, int]) -> dict[int, int]:
+        """The nonzero terms of a^(d-j) F_j - R q."""
+        out = {key: c * a ** (d - j) for key, c in layers[j].items()}
+        for key, c in _mul_packed(rest, q).items():
+            out[key] = out.get(key, 0) - c
+        return {key: c for key, c in out.items() if c}
 
-    quot: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(d)]
-    quot[d - 1] = {idx: c / a for idx, c in layers[d].items()}
+    quot = [layers[d]]
     for j in range(d - 1, 0, -1):
-        carry = mul_rest(quot[j])
-        layer = dict(layers[j])
-        for idx, c in carry.items():
-            layer[idx] = layer.get(idx, Fraction(0)) - c
-        quot[j - 1] = {idx: c / a for idx, c in layer.items() if c}
-
-    remainder = dict(layers[0])
-    for idx, c in mul_rest(quot[0]).items():
-        remainder[idx] = remainder.get(idx, Fraction(0)) - c
-    remainder = {idx: c for idx, c in remainder.items() if c}
+        quot.append(reduce(j, quot[-1]))
+    quot.reverse()  # quot[j] is Q_j
+    remainder = reduce(0, quot[0])
     if remainder:
+        den = a**d * den_f
         raise DivisibilityError(
             "form is not divisible by the given linear form",
-            HomogeneousForm(n, d, remainder),
+            HomogeneousForm._trusted(
+                n, d, {_unpack(key, base, n): Fraction(c, den) for key, c in remainder.items()}
+            ),
         )
 
     terms: dict[tuple[int, ...], Fraction] = {}
     for j, layer in enumerate(quot):
-        for idx, c in layer.items():
-            if c:
-                terms[idx[:k] + (j,) + idx[k + 1 :]] = c
-    return HomogeneousForm(n, d - 1, terms)
+        den = den_f * a ** (d - j)
+        for key, c in layer.items():
+            terms[_unpack(key + j * step, base, n)] = Fraction(den_l * c, den)
+    return HomogeneousForm._trusted(n, d - 1, terms)
 
 
 def glue_hyperplanes(restrictions: Sequence[HyperplaneRestriction], degree: int | None = None) -> HomogeneousForm:
@@ -270,14 +267,14 @@ def _glue(rs: list[tuple[Vec, Mat, HomogeneousForm]], d: int) -> HomogeneousForm
 
     # invertible frame: chart columns plus the normal direction
     frame = tuple(chart[i] + (normal[i],) for i in range(n))
-    proj = la.inverse(frame)[: n - 1]
+    proj = la.inverse(frame, n - 1)
     extended = compose_linear(form, proj)
     lam = linear_form(normal)
 
     sub: list[tuple[Vec, Mat, HomogeneousForm]] = []
     for normal_r, chart_r, form_r in rs[1:]:
         delta = form_r - compose_linear(extended, chart_r)
-        ell = linear_form(tuple(la.dot(normal, tuple(row[j] for row in chart_r)) for j in range(n - 1)))
+        ell = linear_form(la.matmul((normal,), chart_r)[0])
         if ell.is_zero:
             raise GluingError("a later hyperplane contains the first one's kernel direction")
         quotient = zero_form(n - 1, d - 1) if delta.is_zero else divide_by_linear(delta, ell)
@@ -333,11 +330,14 @@ class _StreamPoint:
 
 
 def _monomials(powers: list[list[int]], degree: int) -> list[int]:
-    # monomial_basis order: the first exponent runs from degree down to 0
-    first = powers[0]
-    if len(powers) == 1:
-        return [first[degree]]
-    return [first[e] * m for e in range(degree, -1, -1) for m in _monomials(powers[1:], degree - e)]
+    # monomial_basis order, built as monomial_basis builds its tuples: each
+    # prefix product is extended by the next coordinate's powers, exponents
+    # descending, and the last coordinate takes the degree left over
+    level = [(1, degree)]
+    for table in powers[:-1]:
+        level = [(m * table[e], left - e) for m, left in level for e in range(left, -1, -1)]
+    last = powers[-1]
+    return [m * last[left] for m, left in level]
 
 
 class ConeSampleSet:
@@ -354,6 +354,7 @@ class ConeSampleSet:
     def __init__(self, cone: Cone, rng: random.Random):
         self.cone = cone
         self.rng = rng
+        self._projector = cone.projector()
         self._w1 = _integer_direction(cone.axis.basis[0])
         self._w2 = _integer_direction(cone.axis.basis[1])
         self._spans: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -388,7 +389,7 @@ class ConeSampleSet:
             s = 1
             for _ in range(_SCALE_DOUBLINGS):
                 b = tuple(s * mi + ui for mi, ui in zip(m, u))
-                if _independent(a, b) and plane_in_subcone(self.cone, VectorPlane2((vec(a), vec(b)))):
+                if _independent(a, b) and integer_plane_in_subcone(self._projector, self.cone.theta, a, b):
                     return a, b
                 s *= 2
         raise ReconstructionError("could not tilt a sample plane into the cone")
@@ -465,7 +466,7 @@ class ConeSampleSet:
         self.ensure_planes(self.plane_count() + count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReconstructionResult:
     """Outcome of a cone reconstruction.  `ok` is False when held-out
     samples disagree with the solved form, i.e. the sampled values do not
@@ -525,13 +526,21 @@ def reconstruct_form_from_cone(
         if mode == "exact":
             coeffs = solve([value_fn(p) for p in design])
             form = form_from_coefficients(n, degree, coeffs)
+            ints, den = la.clear_denominators(coeffs)
             worst = 0.0
             witness = None
             for p in held:
-                r = form.evaluate(p) - frac(value_fn(p))
-                if r != 0 and (witness is None or abs(float(r)) > worst):
-                    worst = abs(float(r))
-                    witness = p
+                # form(q / D) = integer_value(q) / scale, cross-multiplied
+                # with the value; a Fraction only for a nonzero residual
+                v = frac(value_fn(p))
+                q, qden = la.clear_denominators(p)
+                scale = den * qden**degree
+                diff = integer_value(basis, ints, q) * v.denominator - v.numerator * scale
+                if diff:
+                    r = abs(float(Fraction(diff, scale * v.denominator)))
+                    if witness is None or r > worst:
+                        worst = r
+                        witness = p
             return ReconstructionResult(
                 form, witness is None, worst, witness, degree, mode, samples.plane_count()
             )

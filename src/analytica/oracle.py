@@ -450,6 +450,13 @@ class FunctionOracle:
                 raise OracleError("guard point dimension mismatch")
             object.__setattr__(self, "guard", (point, frac(value)))
 
+    def __repr__(self) -> str:
+        # the program's op kinds are functions, whose reprs carry addresses
+        return (
+            f"FunctionOracle(expression={to_text(self.expression)!r}, dimension={self.dimension}, "
+            f"guard={self.guard!r})"
+        )
+
     def evaluate(self, point: Sequence, mode: str = "exact"):
         return evaluate_oracle(self, point, mode)
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -270,3 +271,141 @@ def test_tower_order_cap():
     tower = TaylorTower(2, (constant_form(2, 1),))
     with pytest.raises(FormError):
         tower_evaluate(tower, (1, 1), order=3)
+
+
+# ---------------------------------------------------------------------------
+# the integer paths against the Fraction code they replaced
+
+
+def _reference_evaluate(f, point):
+    # evaluate_form as it was before rational points ran on integers; its
+    # float path is still this loop
+    if not f.coefficients:
+        return Fraction(0) if not any(isinstance(x, float) for x in point) else 0.0
+    maxes = [0] * f.dimension
+    for idx in f.coefficients:
+        for i, e in enumerate(idx):
+            if e > maxes[i]:
+                maxes[i] = e
+    powers = []
+    for x, m in zip(point, maxes):
+        row = [1]
+        for _ in range(m):
+            row.append(row[-1] * x)
+        powers.append(row)
+    total = None
+    for idx, c in f.coefficients.items():
+        term = c
+        for i, e in enumerate(idx):
+            if e:
+                term = term * powers[i][e]
+        total = term if total is None else total + term
+    return total
+
+
+def _same_value(got, want):
+    """Equal and of the same type; floats bit for bit."""
+    if type(got) is not type(want):
+        return False
+    return got.hex() == want.hex() if isinstance(want, float) else got == want
+
+
+def _rand_coordinate(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(("fraction", "int", "float"))
+    if kind == "fraction":
+        return rand_fraction(rng, 30)
+    if kind == "int":
+        return rng.randint(-9, 9)
+    return rng.uniform(-3, 3)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "float", "mixed"])
+def test_evaluate_form_matches_the_fraction_loop(kind):
+    rng = random.Random(1501)
+    for _ in range(200):
+        n, d = rng.randint(1, 5), rng.randint(0, 6)
+        f = zero_form(n, d) if rng.random() < 0.1 else rand_form(rng, n, d, bound=50, density=rng.random())
+        p = tuple(_rand_coordinate(rng, kind) for _ in range(n))
+        got, want = evaluate_form(f, p), _reference_evaluate(f, p)
+        assert _same_value(got, want), (f.coefficients, p)
+
+
+def test_evaluate_form_on_zero_forms_and_bool_coordinates():
+    for point in [(1, Fraction(1, 2)), (True, 3), (0.5, 2), (False, 1.0)]:
+        want = _reference_evaluate(zero_form(2, 3), point)
+        assert _same_value(evaluate_form(zero_form(2, 3), point), want)
+    f = HomogeneousForm(2, 2, {(2, 0): Fraction(3, 4), (1, 1): Fraction(-1, 3), (0, 2): Fraction(5)})
+    for point in [(True, Fraction(2, 3)), (False, True), (True, 2.5)]:
+        got = evaluate_form(f, point)
+        assert _same_value(got, _reference_evaluate(f, point))
+    assert evaluate_form(f, (True, Fraction(2, 3))) == Fraction(3, 4) - Fraction(2, 9) + Fraction(20, 9)
+
+
+def _recursive_basis(n, d):
+    # monomial_basis as it was, a recursion that closed over itself
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), d, n)
+    return out
+
+
+def test_monomial_basis_matches_the_recursion_and_shares_its_keys():
+    for n in range(1, 7):
+        for d in range(0, 9):
+            basis = monomial_basis(n, d)
+            assert basis == _recursive_basis(n, d)
+            assert all(a is b for a, b in zip(basis, monomial_basis(n, d)))
+
+
+def _check_library_form(g):
+    """g holds what the validating constructor would keep: no zero
+    coefficient, Fraction values, and the shared key for each exponent."""
+    assert all(type(c) is Fraction and c != 0 for c in g.coefficients.values())
+    again = HomogeneousForm(g.dimension, g.degree, g.coefficients)
+    assert again == g and list(again.coefficients.items()) == list(g.coefficients.items())
+    assert all(a is b for a, b in zip(again.coefficients, g.coefficients))
+
+
+def test_library_built_forms_equal_validated_forms():
+    from analytica.interpolation import DivisibilityError, divide_by_linear
+
+    rng = random.Random(1502)
+    for _ in range(150):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        f = rand_form(rng, n, d, bound=30)
+        g = f if rng.random() < 0.2 else rand_form(rng, n, d, bound=30)
+        k = rng.randint(1, 4)
+        matrix = [[rand_fraction(rng, 9) if rng.random() < 0.7 else 0 for _ in range(k)] for _ in range(n)]
+        linear = rand_form(rng, n, 1, bound=9, density=0.6)
+        coeffs = [f.coefficients.get(idx, 0) for idx in monomial_basis(n, d)]
+        built = [
+            compose_linear(f, matrix),
+            multiply(f, g),
+            multiply(f, linear),
+            f + g,
+            f - g,
+            -f,
+            f.scale(0),
+            form_from_coefficients(n, d, coeffs),
+            divide_by_linear(multiply(f, linear), linear),
+        ]
+        try:
+            built.append(divide_by_linear(multiply(f, linear) + rand_form(rng, n, d + 1, bound=9), linear))
+        except DivisibilityError as exc:
+            built.append(exc.remainder)
+        for form in built:
+            _check_library_form(form)
+        # sums keep the order of the dict update they replaced
+        for op, form in ((operator.add, f + g), (operator.sub, f - g)):
+            terms = dict(f.coefficients)
+            for idx, c in g.coefficients.items():
+                terms[idx] = op(terms.get(idx, Fraction(0)), c)
+            assert list(form.coefficients.items()) == [(i, c) for i, c in terms.items() if c]

@@ -15,6 +15,7 @@ from analytica.geometry import (
     VectorPlane2,
     general_position,
     in_cone,
+    integer_plane_in_subcone,
     invert_mu,
     invert_mu_centered,
     norm_sq,
@@ -23,7 +24,7 @@ from analytica.geometry import (
     sphere_to_plane,
     tidy_plane_basis,
 )
-from analytica._linalg import dot, mat, rank
+from analytica._linalg import clear_denominators, dot, inverse, mat, matmul, rank, transpose
 
 from conftest import rand_axis_plane, rand_point
 
@@ -121,6 +122,66 @@ def test_plane_in_subcone_contains_axis():
         axis = rand_axis_plane(rng, n)
         cone = Cone(axis, Fraction(1, 2), Fraction(1))
         assert plane_in_subcone(cone, axis)
+
+
+def _reference_orth_part(cone, p):
+    # Cone.orth_part as it was: the axis dual rows from the inverse Gram
+    # matrix, all in Fractions
+    b = mat(cone.axis.basis)
+    g = inverse(matmul(b, transpose(b)))
+    r1, r2 = (tuple(gi[0] * u + gi[1] * v for u, v in zip(*b)) for gi in g)
+    (u, v), c1, c2 = cone.axis.basis, dot(r1, p), dot(r2, p)
+    return tuple(x - c1 * ui - c2 * vi for x, ui, vi in zip(p, u, v))
+
+
+def _reference_in_cone(cone, p):
+    n2 = norm_sq(p)
+    return n2 == 0 or norm_sq(_reference_orth_part(cone, p)) < cone.theta**2 * n2
+
+
+def _reference_plane_in_subcone(cone, w1, w2):
+    # plane_in_subcone as it was, on the Fraction orthogonal parts
+    o1, o2 = _reference_orth_part(cone, w1), _reference_orth_part(cone, w2)
+    m00, m01, m11 = dot(o1, o1), dot(o1, o2), dot(o2, o2)
+    c = m00 * m11 - m01 * m01
+    if c != 0:
+        return False
+    g00, g01, g11 = dot(w1, w1), dot(w1, w2), dot(w2, w2)
+    a = g00 * g11 - g01 * g01
+    bq = -(m00 * g11 + m11 * g00 - 2 * m01 * g01)
+    t = cone.theta * cone.theta
+    return a * t * t + bq * t + c > 0 and 2 * a * t + bq > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_cone_predicates_match_the_fraction_reference(seed):
+    # planes through a line of the axis, tilted by a random vector at
+    # random scales, so that both answers come up; and random points
+    rng = random.Random(2100 + seed)
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        axis = rand_axis_plane(rng, n)
+        scale = (Fraction(rng.randint(1, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        axis = VectorPlane2(tuple(tuple(s * x for x in b) for s, b in zip(scale, axis.basis)))
+        cone = Cone(axis, Fraction(rng.randint(1, 12), 12))
+        u, v = axis.basis
+        for _ in range(10):
+            k1, k2 = rng.randint(-3, 3), rng.randint(-3, 3)
+            a = tuple(k1 * x + k2 * y for x, y in zip(u, v))
+            tilt = Fraction(rng.randint(1, 9), rng.randint(1, 20))
+            b = tuple(rng.randint(-2, 2) * x + tilt * rng.randint(-3, 3) for x in v)
+            if rank(mat((a, b))) < 2:
+                continue
+            want = _reference_plane_in_subcone(cone, a, b)
+            assert plane_in_subcone(cone, VectorPlane2((a, b))) == want
+            ints = [clear_denominators(w)[0] for w in (a, b)]
+            assert integer_plane_in_subcone(cone.projector(), cone.theta, *ints) == want
+            outcomes.add(want)
+            p = rand_point(rng, n, bound=9)
+            assert in_cone(cone, p) == _reference_in_cone(cone, p)
+            assert in_cone(cone, a) == _reference_in_cone(cone, a)
+    assert outcomes == {True, False}
 
 
 def test_general_position_detects_repeats():

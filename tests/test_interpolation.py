@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -185,6 +186,68 @@ def test_too_few_hyperplanes_refused():
         glue_hyperplanes(rs, degree=3)
 
 
+def _reference_divide(f, linear):
+    """divide_by_linear as it was, on Fractions: the quotient, or the
+    remainder when there is one."""
+    n, d = f.dimension, f.degree
+    k = next(i for i in range(n) if linear.coefficients.get(tuple(int(t == i) for t in range(n)), 0) != 0)
+    unit = tuple(int(t == k) for t in range(n))
+    a = linear.coefficients[unit]
+    rest = {idx: c for idx, c in linear.coefficients.items() if idx != unit}
+    layers = [dict() for _ in range(d + 1)]
+    for idx, c in f.coefficients.items():
+        layers[idx[k]][idx[:k] + (0,) + idx[k + 1:]] = c
+
+    def mul_rest(layer):
+        out = {}
+        for m_idx, mc in rest.items():
+            for idx, c in layer.items():
+                key = tuple(x + y for x, y in zip(m_idx, idx))
+                out[key] = out.get(key, Fraction(0)) + mc * c
+        return out
+
+    quot = [dict() for _ in range(d)]
+    quot[d - 1] = {idx: c / a for idx, c in layers[d].items()}
+    for j in range(d - 1, 0, -1):
+        layer = dict(layers[j])
+        for idx, c in mul_rest(quot[j]).items():
+            layer[idx] = layer.get(idx, Fraction(0)) - c
+        quot[j - 1] = {idx: c / a for idx, c in layer.items() if c}
+    remainder = dict(layers[0])
+    for idx, c in mul_rest(quot[0]).items():
+        remainder[idx] = remainder.get(idx, Fraction(0)) - c
+    remainder = {idx: c for idx, c in remainder.items() if c}
+    if remainder:
+        return "remainder", remainder
+    terms = {}
+    for j, layer in enumerate(quot):
+        for idx, c in layer.items():
+            terms[idx[:k] + (j,) + idx[k + 1:]] = c
+    return "quotient", terms
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_divide_by_linear_matches_the_fraction_reference(seed):
+    # the same terms in the same order, for exact and inexact divisions
+    rng = random.Random(4090 + seed)
+    for _ in range(60):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        linear = linear_form([rand_fraction(rng, 9) if rng.random() < 0.7 else 0 for _ in range(n)])
+        if linear.is_zero:
+            continue
+        f = multiply(rand_form(rng, n, d, bound=40), linear)
+        if rng.random() < 0.5:
+            f = f + rand_form(rng, n, d + 1, bound=9, density=0.3)
+        if f.is_zero:
+            continue
+        kind, want = _reference_divide(f, linear)
+        try:
+            got = "quotient", divide_by_linear(f, linear).coefficients
+        except DivisibilityError as exc:
+            got = "remainder", exc.remainder.coefficients
+        assert got[0] == kind and list(got[1].items()) == list(want.items())
+
+
 def test_divide_by_linear_round_trip():
     rng = random.Random(409)
     for _ in range(20):
@@ -362,6 +425,50 @@ def test_cone_reconstruction_rejects_non_polynomial():
     res = reconstruct_form_from_cone(norm_sq, cone, 1, mode="exact", seed=7)
     assert not res.ok
     assert res.witness is not None
+
+
+def test_held_out_residuals_match_the_fraction_check():
+    # the held-out check as it was: form(p) - value in Fractions, the first
+    # largest |residual| as witness
+    rng = random.Random(415)
+    for _ in range(12):
+        n, d = rng.randint(2, 4), rng.randint(1, 3)
+        f = rand_form(rng, n, d, bound=30)
+        cone = Cone(rand_axis_plane(rng, n), Fraction(1, 2), Fraction(1))
+        bump = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        value = lambda x: evaluate_form(f, x) + bump * norm_sq(x) ** (d + 1)
+        samples = ConeSampleSet(cone, random.Random(rng.randrange(10**6)))
+        res = reconstruct_form_from_cone(value, cone, d, samples=samples)
+        _, held, _ = samples.plan(d)
+        worst, witness = 0.0, None
+        for p in held:
+            r = evaluate_form(res.form, p) - value(p)
+            if r != 0 and (witness is None or abs(float(r)) > worst):
+                worst, witness = abs(float(r)), p
+        assert not res.ok and (res.max_residual, res.witness) == (worst, witness)
+
+
+def test_cone_recovery_and_gluing_leave_no_cyclic_garbage():
+    rng = random.Random(416)
+    f = rand_form(rng, 3, 3)
+    cone = Cone(rand_axis_plane(rng, 3), Fraction(1, 2), Fraction(1))
+    planes = rand_hyperplane_set(rng, 3, 4)
+
+    def run():
+        res = reconstruct_form_from_cone(lambda x: evaluate_form(f, x), cone, 3, seed=5)
+        assert res.ok and res.form == f
+        assert glue_hyperplanes([restriction_of(f, h) for h in planes]) == f
+
+    run()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_cone_reconstruction_shifted_values_rejected():

@@ -91,6 +91,22 @@ def test_inverse_matches_sympy(seed):
             assert la.inverse(m) == from_domain(ref.inv())
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_inverse_rows_and_products_match_sympy(seed):
+    rng = random.Random(8400 + seed)
+    for _ in range(40):
+        n, k = rng.randint(1, 6), rng.randint(0, 6)
+        m = rand_matrix(rng, n, n)
+        if to_domain(m).rank() == n:
+            rows = rng.randint(0, n)
+            assert la.inverse(m, rows) == from_domain(to_domain(m).inv())[:rows]
+        b = rand_matrix(rng, n, k)
+        assert la.matmul(m, b) == from_domain(to_domain(m) * to_domain(b, k))
+    with pytest.raises(la.LinAlgError, match="dimension mismatch"):
+        la.matmul(la.mat(((1, 2),)), la.mat(((1,),)))
+    assert la.matmul(la.mat(((1, 2),)), ()) == ((),)
+
+
 def test_one_by_one_and_empty_matrices():
     for x in (Fraction(0), Fraction(-3, 7)):
         m = la.mat(((x,),))

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import reduce
@@ -491,10 +493,30 @@ def test_compile_and_parse_survive_deep_trees():
 def test_a_long_sum_oracle_has_repr_eq_and_hash():
     text = "+".join(["x1"] * 3000)
     f, g = oracle_from_text(text, 1), oracle_from_text(text, 1)
-    assert repr(f).startswith("FunctionOracle(expression=((") and repr(f) == repr(g)
+    assert repr(f).startswith("FunctionOracle(expression='x1 + x1 + ") and repr(f) == repr(g)
     assert f == g and hash(f) == hash(g)
     assert f != oracle_from_text(text + "+x1", 1)
     assert f((Fraction(1, 3),)) == 1000
+
+
+def test_an_oracle_repr_is_the_same_in_every_process():
+    # the op kinds are functions; their reprs carry addresses that change
+    # from one process to the next
+    code = (
+        "from analytica.oracle import oracle_from_text\n"
+        "print(repr(oracle_from_text('x1*x2 - 1/(2 - x3)^2', 3, ((0, 1, 2), '7/3'))))\n"
+        "print(repr(oracle_from_text('+'.join(['x1'] * 3000), 1))[:60])"
+    )
+    runs = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        for _ in range(2)
+    ]
+    f = oracle_from_text("x1*x2 - 1/(2 - x3)^2", 3, ((0, 1, 2), "7/3"))
+    assert runs[0] == runs[1] and runs[0].splitlines()[0] == repr(f)
+    assert repr(f) == (
+        "FunctionOracle(expression='x1 * x2 - 1 / (2 - x3)^2', dimension=3, "
+        "guard=((Fraction(0, 1), Fraction(1, 1), Fraction(2, 1)), Fraction(7, 3)))"
+    )
 
 
 def test_a_deep_negation_chain_is_fast():
