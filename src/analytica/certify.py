@@ -9,9 +9,11 @@ located on the plane exactly; when it lies in the window and the guard
 value is not the polynomial's value there, the restriction is not even
 continuous, and the report is a "fail" with the guard point as witness.
 Otherwise the pass is a proof.
-Everything else goes through a float route: a total-degree Chebyshev fit
-over a window, a held-out residual, and a falsifier that walks valleys of
-the pulled-back denominator looking for blow-ups the fit grid missed.
+Everything else goes through a float route, whose pass is a diagnostic: a
+total-degree Chebyshev fit over a window by discrete Chebyshev projection
+(a truncated DCT-I under the Lobatto weights), a held-out residual, and a
+falsifier that walks valleys of the pulled-back denominator looking for
+blow-ups the fit grid missed.
 
 Sphere restrictions are reduced to plane checks through inversions: one
 centered at the origin (covering the sphere away from 0) and one centered
@@ -143,41 +145,45 @@ def _exact_tensor_check(f: FunctionOracle, plane: AffinePlane2, bound: int, wind
 
 
 # ---------------------------------------------------------------------------
-# float route: Chebyshev fit plus denominator-valley falsifier
+# float route: Chebyshev projection plus denominator-valley falsifier
 
 
 @lru_cache(maxsize=None)
 def _cheb_design(total: int):
-    """The Chebyshev fit's grids and design for total degree `total`: the
-    m Chebyshev-Lobatto nodes, the monomial index pairs (i, j) with
-    i + j <= total, the design T_i(s) T_j(t) at the m x m node grid in
-    row-major order, and the m + 2 held-out (Chebyshev-Gauss) nodes.  A
-    fit uses the whole grid or returns "pole", so nothing here depends on
-    the function; the arrays are read-only because every fit shares them."""
+    """The fit's read-only grids for total degree `total`: the m = total + 3
+    Chebyshev-Lobatto nodes x_k, T[k, i] = T_i(x_k), the projector
+    P = diag(1/|T_i|^2) T' diag(w) with the Lobatto weights w = (1/2, 1, ...,
+    1, 1/2), under which T_0 .. T_{m-1} are orthogonal on the nodes
+    (|T_0|^2 = m - 1, else (m - 1)/2), the mask i + j <= total, and the
+    m + 2 held-out (Chebyshev-Gauss) nodes."""
     m = total + 3
     nodes = np.cos(np.pi * np.arange(m) / (m - 1))
-    pairs = tuple((i, j) for i in range(total + 1) for j in range(total + 1 - i))
-    cs = np.polynomial.chebyshev.chebvander(np.repeat(nodes, m), total)
-    ct = np.polynomial.chebyshev.chebvander(np.tile(nodes, m), total)
-    design = np.stack([cs[:, i] * ct[:, j] for i, j in pairs], axis=1)
+    cheb = np.polynomial.chebyshev.chebvander(nodes, total)
+    weights = np.r_[0.5, np.ones(m - 2), 0.5]
+    norms = np.r_[m - 1.0, np.full(total, (m - 1) / 2.0)]
+    proj = cheb.T * weights / norms[:, None]
+    mask = np.add.outer(np.arange(total + 1), np.arange(total + 1)) <= total
     mh = m + 2
     held_nodes = np.cos(np.pi * (2 * np.arange(mh) + 1) / (2 * mh))
-    for a in (nodes, design, held_nodes):
+    for a in (nodes, cheb, proj, mask, held_nodes):
         a.setflags(write=False)
-    return nodes, pairs, design, held_nodes
+    return nodes, cheb, proj, mask, held_nodes
 
 
 def _cheb_fit(f: FunctionOracle, plane: AffinePlane2, window: float, fit_degree: int):
-    """Total-degree Chebyshev fit of the restriction over the window.
-    Returns (status, residual, witness, grid_max); status is "ok" or
-    "pole"."""
+    """Total-degree Chebyshev fit of the restriction over the window by
+    discrete Chebyshev projection: C = P F P' of the grid values F, a
+    truncated 2-D DCT-I and their Lobatto-weighted least-squares fit.  einsum
+    runs numpy's own loops, not BLAS, so the bits do not depend on the BLAS
+    thread count.  Returns (status, residual, witness, grid_max); status is
+    "ok" or "pole"."""
     total = fit_degree + _FIT_GUARD
-    nodes, pairs, design, held_nodes = _cheb_design(total)
+    nodes, cheb, proj, mask, held_nodes = _cheb_design(total)
     base, b1, b2 = plane.float_coordinates
 
     def sample_grid(xs: np.ndarray):
-        """The restriction on the xs x xs grid, flattened row-major, or None
-        and the first point that is a pole or not finite."""
+        """The restriction on the xs x xs grid, indexed [s, t], or None and
+        the first point in row-major order that is a pole or not finite."""
         w = window * xs
         s, t = w[:, None], w[None, :]
         # point_at_float's x + s*u + t*v, coordinate by coordinate
@@ -186,18 +192,15 @@ def _cheb_fit(f: FunctionOracle, plane: AffinePlane2, window: float, fit_degree:
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), len(xs))
             return None, plane.point_at_float(window * xs[i], window * xs[j])
-        return values.ravel(), None
+        return values, None
 
     fv, bad = sample_grid(nodes)
     if fv is None:
         return "pole", math.inf, bad, 0.0
     grid_max = float(np.max(np.abs(fv)))
-
-    coef, *_ = np.linalg.lstsq(design, fv, rcond=None)
-    cmat = np.zeros((total + 1, total + 1))
-    for (i, j), c in zip(pairs, coef):
-        cmat[i, j] = c
-    node_resid = float(np.max(np.abs(design @ coef - fv)))
+    cmat = np.einsum("ik,kl,jl->ij", proj, fv, proj, optimize=False) * mask
+    node_fit = np.einsum("ki,ij,lj->kl", cheb, cmat, cheb, optimize=False)
+    node_resid = float(np.max(np.abs(node_fit - fv)))
 
     hv, bad = sample_grid(held_nodes)
     if hv is None:
@@ -205,13 +208,12 @@ def _cheb_fit(f: FunctionOracle, plane: AffinePlane2, window: float, fit_degree:
     mh = len(held_nodes)
     hs, ht = np.repeat(held_nodes, mh), np.tile(held_nodes, mh)
     pred = np.polynomial.chebyshev.chebval2d(hs, ht, cmat)
-    errs = np.abs(pred - hv)
+    errs = np.abs(pred - hv.ravel())
     k = int(np.argmax(errs))
-    held_resid = float(errs[k])
-    scale = max(1.0, grid_max, float(np.max(np.abs(hv))))
-    residual = max(node_resid, held_resid) / scale
+    held_max = float(np.max(np.abs(hv)))
+    residual = max(node_resid, float(errs[k])) / max(1.0, grid_max, held_max)
     witness = plane.point_at_float(window * float(hs[k]), window * float(ht[k]))
-    return "ok", residual, witness, max(grid_max, float(np.max(np.abs(hv))))
+    return "ok", residual, witness, max(grid_max, held_max)
 
 
 class _ScanCap(Exception):
@@ -233,9 +235,7 @@ def _poly2_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _poly2_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r = max(a.shape[0], b.shape[0])
-    c = max(a.shape[1], b.shape[1])
-    out = np.zeros((r, c))
+    out = np.zeros(tuple(map(max, a.shape, b.shape)))
     out[: a.shape[0], : a.shape[1]] += a
     out[: b.shape[0], : b.shape[1]] += b
     return out
@@ -336,9 +336,7 @@ def _valley_scan(
     to `status`: "ran", "skipped-cap", "skipped-zero-divisor",
     "skipped-nonfinite" or "constant-denominator"."""
     base, b1, b2 = plane.float_coordinates
-    var_polys = [
-        np.array([[base[i], b2[i]], [b1[i], 0.0]]) for i in range(len(base))
-    ]
+    var_polys = [np.array([[x, v], [u, 0.0]]) for x, u, v in zip(base, b1, b2)]
     try:
         _, den = _pullback_fraction(f.expression, var_polys, cap=65)
     except _ScanCap as exc:
@@ -702,25 +700,13 @@ def sphere_scan(
     indexed.sort(key=lambda pair: pair[0])
     outcomes = tuple(outcome for _, outcome in indexed)
 
-    failures = []
-    for i, outcome in indexed:
-        for part, rep in outcome.parts:
-            if rep.verdict != "pass":
-                failures.append(
-                    ScanFailure(i, outcome.sphere, part, rep.verdict, rep.witness, rep.residual)
-                )
-    config = {
-        "count": len(sphere_list),
-        "tol": tol,
-        "fit_degree": fit_degree,
-        "mode": "exact" if poly_degree is not None else "float",
-        "seed": seed,
-    }
-    return ScanReport(
-        len(outcomes),
-        sum(1 for o in outcomes if o.ok),
-        tuple(failures),
-        tuple(skipped),
-        config,
-        outcomes,
+    failures = tuple(
+        ScanFailure(i, outcome.sphere, part, rep.verdict, rep.witness, rep.residual)
+        for i, outcome in indexed
+        for part, rep in outcome.parts
+        if rep.verdict != "pass"
     )
+    mode = "exact" if poly_degree is not None else "float"
+    config = {"count": len(sphere_list), "tol": tol, "fit_degree": fit_degree, "mode": mode, "seed": seed}
+    passed = sum(1 for o in outcomes if o.ok)
+    return ScanReport(len(outcomes), passed, failures, tuple(skipped), config, outcomes)

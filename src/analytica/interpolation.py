@@ -98,6 +98,14 @@ class HyperplaneRestriction:
             raise DimensionMismatchError("restricted form must have n-1 variables")
         object.__setattr__(self, "chart", chart)
 
+    @classmethod
+    def _trusted(cls, hyperplane: Hyperplane, chart: Mat, form: HomogeneousForm) -> "HyperplaneRestriction":
+        """A restriction in the chart `hyperplane.chart()`, a kernel basis of
+        the normal: valid by construction, so nothing is checked."""
+        r = object.__new__(cls)
+        r.__dict__.update(hyperplane=hyperplane, chart=chart, form=form)
+        return r
+
     @property
     def ambient_dimension(self) -> int:
         return self.hyperplane.dimension
@@ -112,7 +120,10 @@ def restriction_of(f: HomogeneousForm, hyperplane: Hyperplane, chart: Mat | None
     (default: the hyperplane's own deterministic chart)."""
     if f.dimension != hyperplane.dimension:
         raise DimensionMismatchError("form and hyperplane dimensions differ")
-    ch = hyperplane.chart() if chart is None else la.mat(chart)
+    if chart is None:
+        ch = hyperplane.chart()
+        return HyperplaneRestriction._trusted(hyperplane, ch, compose_linear(f, ch))
+    ch = la.mat(chart)
     return HyperplaneRestriction(hyperplane, ch, compose_linear(f, ch))
 
 

@@ -376,6 +376,69 @@ def test_rational_pass_and_report_fields():
     assert bool(rep)
 
 
+# the fit's total degrees: the default fit_degree 12, and the smallest, 2
+FIT_TOTALS = (16, 6)
+
+
+def _project(total, values):
+    """The fit's coefficients of grid values, as `_cheb_fit` computes them."""
+    _, _, proj, mask, _ = certify._cheb_design(total)
+    return np.einsum("ik,kl,jl->ij", proj, values, proj, optimize=False) * mask
+
+
+@pytest.mark.parametrize("total", FIT_TOTALS)
+def test_projection_reproduces_a_polynomial_of_the_fit_degree(total):
+    _, cheb, _, mask, _ = certify._cheb_design(total)
+    rng = np.random.default_rng(total)
+    coef = rng.uniform(-1, 1, (total + 1, total + 1)) * mask
+    values = cheb @ coef @ cheb.T
+    cmat = _project(total, values)
+    assert np.max(np.abs(cmat - coef)) < 1e-12
+    assert np.max(np.abs(cheb @ cmat @ cheb.T - values)) < 1e-12
+
+
+@pytest.mark.parametrize("total", FIT_TOTALS)
+def test_projection_is_the_lobatto_weighted_least_squares_fit(total):
+    nodes, cheb, _, mask, _ = certify._cheb_design(total)
+    m = len(nodes)
+    weights = np.ones(m)
+    weights[[0, -1]] = 0.5
+    root_w = np.sqrt(np.outer(weights, weights)).ravel()
+    pairs = list(zip(*np.nonzero(mask)))
+    design = np.stack([np.outer(cheb[:, i], cheb[:, j]).ravel() for i, j in pairs], axis=1)
+    values = np.random.default_rng(7 + total).uniform(-1, 1, (m, m))
+    coef, *_ = np.linalg.lstsq(design * root_w[:, None], values.ravel() * root_w, rcond=None)
+    expected = np.zeros_like(mask, dtype=float)
+    expected[tuple(np.transpose(pairs))] = coef
+    assert np.max(np.abs(_project(total, values) - expected)) < 1e-12
+
+
+def test_the_fit_design_is_read_only():
+    for a in certify._cheb_design(16):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
+
+
+def test_a_random_polynomial_passes_the_float_route_to_rounding():
+    # the float route on a polynomial of the fit's total degree: the
+    # projection reproduces it on the nodes and at the held-out points
+    rng = random.Random(18)
+    for d in (3, 9, 16):
+        text = " + ".join(
+            f"({rng.randint(-9, 9)}/{rng.randint(1, 9)})*x1^{i}*x2^{d - i}" for i in range(d + 1)
+        ) + " + x3 - 1"
+        rep = check_plane_analytic(oracle_from_text(text, 3), XY, window=1, degree_hint=None)
+        assert rep.mode == "float" and rep.verdict == "pass"
+        assert rep.residual < 1e-12
+
+
+def test_rational_function_passes_every_chart_of_fifty_spheres():
+    report = sphere_scan(oracle_from_text("1/(2 - x1 - x2*x3)", 3), count=50, seed=18)
+    assert report.checked == 50 and report.passed == 50
+    assert all(rep.verdict == "pass" for o in report.outcomes for _, rep in o.parts)
+
+
 def test_pole_on_the_plane_is_caught():
     # the fit cannot reproduce a function with a pole at x1 = 1/20
     f = oracle_from_text("1/(x1 - 1/20)", 3)

@@ -3,15 +3,12 @@
 A refactor or speed-up of any layer under these commands has to leave the
 reports identical.  After a deliberate report change, re-record them with
 `PYTHONPATH=src python tests/test_golden.py` and explain the diff.
-
-The float-route reports (probe-hartogs, probe-curve, probe-rational,
-counterexample-hartogs and counterexample-curve) hold for multi-threaded
-OpenBLAS only: np.linalg.lstsq on the Chebyshev fit design returns other
-last bits on one thread.  So run these tests with OPENBLAS_NUM_THREADS at 2
-or more, as CI does with 2; left unset, OpenBLAS runs one thread per CPU.
 """
 
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -68,6 +65,28 @@ def test_report_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert produce(name, out) == CASES[name][1]
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# the reports that go through the float route's Chebyshev fit
+FLOAT_ROUTE = ("counterexample-curve", "counterexample-hartogs", "probe-curve", "probe-hartogs", "probe-rational")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_float_route_reports_do_not_depend_on_blas_threads(threads, tmp_path):
+    """The fit runs no BLAS routine, so its report bytes are the same at
+    any OpenBLAS thread count.  OpenBLAS reads the count when numpy loads,
+    so each count runs in a process of its own."""
+    runs = [CASES[name][0] + ["--out", str(tmp_path / f"{name}.json")] for name in FLOAT_ROUTE]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import json, sys\nfrom analytica import cli\nprint(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [CASES[name][1] for name in FLOAT_ROUTE]
+    for name in FLOAT_ROUTE:
+        assert (tmp_path / f"{name}.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes(), name
 
 
 if __name__ == "__main__":

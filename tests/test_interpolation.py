@@ -17,7 +17,7 @@ from analytica.forms import (
     multiply,
     zero_form,
 )
-from analytica.geometry import Cone, Hyperplane, general_position, in_cone, norm_sq
+from analytica.geometry import Cone, GeometryError, Hyperplane, general_position, in_cone, norm_sq
 from analytica.interpolation import (
     ConeSampleSet,
     DivisibilityError,
@@ -64,6 +64,32 @@ def test_restriction_evaluates_on_the_hyperplane():
         p = la.matvec(r.chart, u)
         assert sum(a * b for a, b in zip(h.normal, p)) == 0
         assert evaluate_form(r.form, u) == evaluate_form(f, p)
+
+
+
+def test_library_restrictions_equal_validated_ones():
+    # restriction_of trusts the hyperplane's own chart; the validating
+    # constructor accepts it and builds an equal restriction
+    rng = random.Random(405)
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        f = rand_form(rng, n, rng.randint(1, 4), bound=60)
+        h = rand_hyperplane_set(rng, n, 1)[0]
+        r = restriction_of(f, h)
+        assert r == HyperplaneRestriction(h, r.chart, r.form)
+        assert r == restriction_of(f, h, chart=r.chart)
+
+
+def test_a_bad_chart_still_raises():
+    f = rand_form(random.Random(406), 3, 2, bound=9)
+    h = Hyperplane((1, 1, 1))
+    g = restriction_of(f, h).form
+    with pytest.raises(GeometryError, match="does not lie on the hyperplane"):
+        HyperplaneRestriction(h, ((1, 0), (0, 1), (0, 0)), g)
+    with pytest.raises(GeometryError, match="do not span"):
+        HyperplaneRestriction(h, ((1, 2), (-1, -2), (0, 0)), g)
+    with pytest.raises(GeometryError, match="does not lie on the hyperplane"):
+        restriction_of(f, h, chart=((1, 0), (0, 1), (0, 0)))
 
 
 # ---------------------------------------------------------------------------
