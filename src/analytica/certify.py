@@ -400,14 +400,13 @@ def check_plane_analytic(
     tol: float = 1e-9,
     fit_degree: int = 12,
     window=Fraction(1, 10),
-    degree_hint="auto",
 ) -> PlaneReport:
     """Is the restriction of f to the plane real-analytic over the window?
 
-    Polynomial functions (detected automatically; `degree_hint=None` forces
-    the float route) are settled exactly: a pass is a proof, and a "fail"
-    carries the guard point, where a guard value inside the window differs
-    from the polynomial's.
+    Polynomial functions (every divisor folds to a nonzero constant) are
+    settled exactly: a pass is a proof, and a "fail" carries the guard
+    point, where a guard value inside the window differs from the
+    polynomial's.
     Otherwise a Chebyshev fit of total degree `fit_degree` (plus guard
     terms) must reproduce held-out samples within `tol` relative error, and
     a denominator-valley falsifier gets a chance to disprove the fit's
@@ -426,9 +425,7 @@ def check_plane_analytic(
     wf = to_float(window)
     if not (wf > 0 and math.isfinite(wf)):
         raise CertifyError("window must be positive and finite")
-    if degree_hint not in ("auto", None):
-        raise CertifyError('degree_hint must be "auto" or None')
-    bound = degree_bound(f.expression) if degree_hint == "auto" else None
+    bound = degree_bound(f.expression)
     if bound is not None:
         return _exact_tensor_check(f, plane, bound, window)
 
@@ -604,7 +601,9 @@ def _scan_one(f, sphere, p, poly_degree, tol, fit_degree):
     degree bound d, or None for the float route.  A chart's pullback g of a
     degree-d polynomial times q^d (q = |y|^2 or |y - p|^2) has degree at
     most 2d, the bound its exact report carries; q vanishes only at the
-    inversion center, which the chart plane misses."""
+    inversion center, which the chart plane misses.  On the float route a
+    pullback divides by q wherever f has a variable, so
+    `check_plane_analytic` finds no degree bound and fits it."""
     g_far, plane_far = pullback_through_inversion(f, sphere)
     g_near, plane_near = pullback_through_centered_inversion(f, sphere, p)
 
@@ -612,7 +611,7 @@ def _scan_one(f, sphere, p, poly_degree, tol, fit_degree):
         exact = partial(_exact_tensor_check, bound=2 * poly_degree, window=Fraction(1))
         rep_far, rep_near = exact(g_far, plane_far), exact(g_near, plane_near)
     else:
-        fit = partial(check_plane_analytic, tol=tol, fit_degree=fit_degree, degree_hint=None)
+        fit = partial(check_plane_analytic, tol=tol, fit_degree=fit_degree)
         margin_far = math.sqrt(float(norm_sq(plane_far.base_point)))
         rep_far = fit(g_far, plane_far, window=_float_window(margin_far, plane_far.basis))
         margin_near = 1.0 / math.sqrt(float(norm_sq(sphere.c)))

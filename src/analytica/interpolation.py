@@ -6,8 +6,10 @@ Two reconstruction routes live here:
 * recovering a form from point samples on 2-planes inside a cone
   (`ConeSampleSet`, `reconstruct_form_from_cone`).
 
-All rational paths are exact.  The float path of the cone reconstruction is
-a least-squares fit with an explicit residual verdict instead of an error.
+All rational paths are exact.  The float path of the cone reconstruction
+solves the same exact system on the binary64 values, rounds the
+coefficients to binary64 and gives a relative residual verdict instead of
+an error.
 """
 
 from __future__ import annotations
@@ -510,13 +512,15 @@ def reconstruct_form_from_cone(
 
     The solve uses exactly basis_size(n, degree) samples spread over 2-planes
     through the cone axis; every further generated sample is held out and
-    checked against the solution.  In exact mode the solve is the one that
+    checked against the solution.  Both modes solve with the solve that
     `ConeSampleSet.plan` returns, so the elimination that chose the design
-    points is the only one, and the check is equality of rationals.  In
-    float mode the solve is a least-squares fit with a rank check, and the
-    check is a relative residual against `tol`.  A design that comes up
-    short, or a rank-deficient fit, re-plans on two more planes, at most
-    _MAX_RETRIES times.
+    points is the only one; a binary64 value is a Fraction exactly.  In
+    exact mode the check is equality of rationals at the held-out points.
+    In float mode each coefficient is rounded to binary64, and the rounded
+    form must meet the design and held-out values within `tol`, relative to
+    max(1, largest |value|).  Values are read design points first, then
+    held-out points.  A design that comes up short re-plans on two more
+    planes, at most _MAX_RETRIES times.
     """
     if degree < 0:
         raise InterpolationError("degree must be nonnegative")
@@ -534,53 +538,34 @@ def reconstruct_form_from_cone(
         if len(design) < need:
             samples.add_planes(2)
             continue
-        if mode == "exact":
-            coeffs = solve([value_fn(p) for p in design])
-            form = form_from_coefficients(n, degree, coeffs)
-            ints, den = la.clear_denominators(coeffs)
-            worst = 0.0
-            witness = None
-            for p in held:
-                # form(q / D) = integer_value(q) / scale, cross-multiplied
-                # with the value; a Fraction only for a nonzero residual
-                v = frac(value_fn(p))
-                q, qden = la.clear_denominators(p)
-                scale = den * qden**degree
-                diff = integer_value(basis, ints, q) * v.denominator - v.numerator * scale
-                if diff:
-                    r = abs(float(Fraction(diff, scale * v.denominator)))
-                    if witness is None or r > worst:
-                        worst = r
-                        witness = p
-            return ReconstructionResult(
-                form, witness is None, worst, witness, degree, mode, samples.plane_count()
-            )
-
-        import numpy as np
-
-        fd = [tuple(map(float, p)) for p in design]
-        a = np.array([[math.prod(x**e for x, e in zip(p, idx)) for idx in basis] for p in fd])
-        rhs_v = np.array([float(value_fn(p)) for p in design])
-        sol, _, rank_, _ = np.linalg.lstsq(a, rhs_v, rcond=None)
-        if rank_ < len(basis):
-            samples.add_planes(2)
-            continue
-        form = form_from_coefficients(n, degree, [Fraction(float(c)) for c in sol])
-        pts = design + held
-        vals = [float(value_fn(p)) for p in pts]
-        scale = max(1.0, max(abs(v) for v in vals))
+        values = [frac(value_fn(p)) for p in design]
+        coeffs = solve(values)
+        checked = []
+        if mode == "float":
+            coeffs = [Fraction(float(c)) for c in coeffs]
+            checked = list(zip(design, values))
+        checked += [(p, frac(value_fn(p))) for p in held]
+        form = form_from_coefficients(n, degree, coeffs)
+        ints, den = la.clear_denominators(coeffs)
         worst = 0.0
         witness = None
-        for p, v in zip(pts, vals):
-            fp = tuple(map(float, p))
-            pred = sum(c * math.prod(x**e for x, e in zip(fp, idx)) for c, idx in zip(sol, basis))
-            r = abs(pred - v) / scale
-            if r > worst:
-                worst = r
-                witness = p
-        ok = bool(worst <= tol)
+        for p, v in checked:
+            # form(q / D) = integer_value(q) / scale, cross-multiplied with
+            # the value; a Fraction only for a nonzero residual
+            q, qden = la.clear_denominators(p)
+            scale = den * qden**degree
+            diff = integer_value(basis, ints, q) * v.denominator - v.numerator * scale
+            if diff:
+                r = abs(float(Fraction(diff, scale * v.denominator)))
+                if witness is None or r > worst:
+                    worst = r
+                    witness = p
+        if mode == "float":
+            worst /= max(1.0, max(abs(float(v)) for _, v in checked))
+            if worst <= tol:
+                witness = None
         return ReconstructionResult(
-            form, ok, float(worst), None if ok else witness, degree, mode, samples.plane_count()
+            form, witness is None, worst, witness, degree, mode, samples.plane_count()
         )
 
     raise ReconstructionError(f"sample matrix stayed singular after {_MAX_RETRIES} retries")

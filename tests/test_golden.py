@@ -48,6 +48,8 @@ CASES = {
     "cone-exact-low-degree": (
         ["reconstruct", "cone", "--input", FORM_N4_D4, "--degree", "3", "--seed", "3"], 2
     ),
+    # float mode solves on the exact elimination and calls no numpy routine
+    "cone-float": (["reconstruct", "cone", "--input", FORM_N4_D4, "--mode", "float", "--seed", "3"], 0),
     "glue-n4-d4": (["reconstruct", "glue", "--input", GLUE_N4_D4], 0),
     "glue-incompatible": (["reconstruct", "glue", "--input", GLUE_BROKEN], 2),
     "counterexample-hartogs": (["counterexamples", "--name", "hartogs-f", "--seed", "5"], 2),

@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -17,7 +19,15 @@ from analytica.forms import (
     multiply,
     zero_form,
 )
-from analytica.geometry import Cone, GeometryError, Hyperplane, general_position, in_cone, norm_sq
+from analytica.geometry import (
+    Cone,
+    GeometryError,
+    Hyperplane,
+    VectorPlane2,
+    general_position,
+    in_cone,
+    norm_sq,
+)
 from analytica.interpolation import (
     ConeSampleSet,
     DivisibilityError,
@@ -32,6 +42,7 @@ from analytica.interpolation import (
     reconstruct_form_from_cone,
     restriction_of,
 )
+from analytica.jsonio import form_from_data
 
 from conftest import (
     rand_axis_plane,
@@ -433,6 +444,21 @@ def test_cone_reconstruction_float_mode():
     assert res.max_residual <= 1e-9
     for idx, c in f.coefficients.items():
         assert abs(float(res.form.coefficients.get(idx, 0)) - float(c)) < 1e-6
+
+
+def test_float_mode_rounds_the_exact_solution():
+    # float mode solves on the plan's own elimination, as exact mode does:
+    # given exact values it finds the true coefficients and rounds each to
+    # binary64, on the planes exact mode uses
+    path = pathlib.Path(__file__).parent / "data" / "form-n4-d4.json"
+    f = form_from_data(json.loads(path.read_text()))
+    cone = Cone(VectorPlane2(((1, 0, 0, 0), (0, 1, 0, 0))), Fraction(1, 2), Fraction(1))
+    value = lambda x: evaluate_form(f, x)
+    exact = reconstruct_form_from_cone(value, cone, 4, mode="exact", seed=3)
+    res = reconstruct_form_from_cone(value, cone, 4, mode="float", seed=3)
+    assert exact.ok and res.ok and res.max_residual <= 1e-9
+    assert res.form.coefficients == {idx: Fraction(float(c)) for idx, c in f.coefficients.items()}
+    assert res.planes_used == exact.planes_used
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
