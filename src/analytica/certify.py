@@ -13,7 +13,11 @@ Everything else goes through a float route, whose pass is a diagnostic: a
 total-degree Chebyshev fit over a window by discrete Chebyshev projection
 (a truncated DCT-I under the Lobatto weights), a held-out residual, and a
 falsifier that walks valleys of the pulled-back denominator looking for
-blow-ups the fit grid missed.
+blow-ups the fit grid missed.  The falsifier is settled before it walks
+where that is possible: a pullback whose array shapes outgrow the size cap
+is skipped before any array is multiplied, and a chart whose divisors all
+dominate at the center of the window box, with an exact enclosure of the
+pullback below the blow-up bar, is certified, since no walk there can fire.
 
 Sphere restrictions are reduced to plane checks through inversions: one
 centered at the origin (covering the sphere away from 0) and one centered
@@ -27,13 +31,14 @@ the exact verdict, with degree bound 2d.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .geometry import (
     PoleError,
     SphereThroughOrigin,
     carrier_to_ambient,
+    float_point,
     invert_mu,
     invert_mu_centered,
     norm_sq,
@@ -74,13 +80,15 @@ from .oracle import (
 _FIT_GUARD = 4
 _VALLEY_SCALES = 15
 _BLOW_FACTOR = 1e6
+_CERTIFY_SHAPE = 16
+_CERTIFY_MARGIN = 2
 
 
 class CertifyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaneReport:
     """Verdict for one plane: "pass", "fail" (finite disagreement or
     blow-up), or "pole" (a denominator vanished at a probed point).
@@ -88,7 +96,11 @@ class PlaneReport:
     was encountered.
 
     `falsifier` says what became of the denominator-valley falsifier:
-    "ran"; "skipped-cap" (the pulled-back denominator outgrew the size cap);
+    "ran"; "certified" (every divisor of the exact pullback dominates at the
+    center of the window box, and the pullback's enclosure there stays below
+    the blow-up bar, so the walk is skipped: it could not fire);
+    "skipped-cap" (the pulled-back denominator outgrew the size cap, which
+    the array shapes alone decide, so this wins over the two skips below);
     "skipped-zero-divisor" (a divisor pulled back to zero);
     "skipped-nonfinite" (a coefficient of the pullback overflowed or turned
     NaN); "constant-denominator" (no valleys to walk); or "off" (the exact
@@ -170,28 +182,28 @@ def _cheb_design(total: int):
     return nodes, cheb, proj, mask, held_nodes
 
 
-def _cheb_fit(f: FunctionOracle, plane: AffinePlane2, window: float, fit_degree: int):
-    """Total-degree Chebyshev fit of the restriction over the window by
-    discrete Chebyshev projection: C = P F P' of the grid values F, a
-    truncated 2-D DCT-I and their Lobatto-weighted least-squares fit.  einsum
+def _cheb_fit(f: FunctionOracle, coords, window: float, fit_degree: int):
+    """Total-degree Chebyshev fit of the restriction to the plane with float
+    coordinates `coords` over the window by discrete Chebyshev projection:
+    C = P F P' of the grid values F, a truncated 2-D DCT-I and their
+    Lobatto-weighted least-squares fit.  einsum
     runs numpy's own loops, not BLAS, so the bits do not depend on the BLAS
     thread count.  Returns (status, residual, witness, grid_max); status is
     "ok" or "pole"."""
     total = fit_degree + _FIT_GUARD
     nodes, cheb, proj, mask, held_nodes = _cheb_design(total)
-    base, b1, b2 = plane.float_coordinates
 
     def sample_grid(xs: np.ndarray):
         """The restriction on the xs x xs grid, indexed [s, t], or None and
         the first point in row-major order that is a pole or not finite."""
         w = window * xs
         s, t = w[:, None], w[None, :]
-        # point_at_float's x + s*u + t*v, coordinate by coordinate
-        values, pole = evaluate_grid(f, [x + s * u + t * v for x, u, v in zip(base, b1, b2)])
+        # float_point's x + s*u + t*v, coordinate by coordinate
+        values, pole = evaluate_grid(f, [x + s * u + t * v for x, u, v in zip(*coords)])
         bad = (pole | ~np.isfinite(values)).ravel()
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), len(xs))
-            return None, plane.point_at_float(window * xs[i], window * xs[j])
+            return None, float_point(coords, window * xs[i], window * xs[j])
         return values, None
 
     fv, bad = sample_grid(nodes)
@@ -212,7 +224,7 @@ def _cheb_fit(f: FunctionOracle, plane: AffinePlane2, window: float, fit_degree:
     k = int(np.argmax(errs))
     held_max = float(np.max(np.abs(hv)))
     residual = max(node_resid, float(errs[k])) / max(1.0, grid_max, held_max)
-    witness = plane.point_at_float(window * float(hs[k]), window * float(ht[k]))
+    witness = float_point(coords, window * float(hs[k]), window * float(ht[k]))
     return "ok", residual, witness, max(grid_max, held_max)
 
 
@@ -222,52 +234,44 @@ class _ScanCap(Exception):
     "skipped-nonfinite")."""
 
 
-def _poly2_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    if out.shape[0] > cap or out.shape[1] > cap:
-        raise _ScanCap("skipped-cap")
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            c = a[i, j]
-            if c != 0.0:
-                out[i : i + b.shape[0], j : j + b.shape[1]] += c * b
-    return out
+class _Undominated(Exception):
+    """A divisor of the chart pullback does not dominate at the center."""
 
 
-def _poly2_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(tuple(map(max, a.shape, b.shape)))
-    out[: a.shape[0], : a.shape[1]] += a
-    out[: b.shape[0], : b.shape[1]] += b
-    return out
+class _Ring(NamedTuple):
+    """The coefficient operations of one pass of `_fold_fraction`: a
+    bivariate polynomial in the chart coordinates (s, t) and how to add,
+    negate and multiply two of them.  `divisor` sees the numerator of every
+    divisor before it enters a denominator, and `norm` may rescale a
+    (numerator, denominator) pair."""
+
+    one: object
+    const: Callable  # Fraction -> (numerator, denominator)
+    var: Callable  # variable index -> (numerator, denominator)
+    add: Callable
+    neg: Callable
+    mul: Callable
+    divisor: Callable = lambda d: d
+    norm: Callable = lambda n, d: (n, d)
 
 
-def _pullback_fraction(e: Expression, var_polys: list[np.ndarray], cap: int):
-    """Float numerator/denominator coefficient arrays (in the chart
-    coordinates s, t) for an expression pulled back to a plane.
-    A coefficient that overflows or turns NaN (an infinite constant makes
-    every operation on it do so) raises _ScanCap("skipped-nonfinite")."""
-    one = np.ones((1, 1))
-    mul = partial(_poly2_mul, cap=cap)
-
-    def norm(n, d):
-        m = max(float(np.max(np.abs(n))), float(np.max(np.abs(d))))
-        if m > 1e120 or (0.0 < m < 1e-120):
-            n = n / m
-            d = d / m
-        return n, d
+def _fold_fraction(e: Expression, ring: _Ring):
+    """The (numerator, denominator) pair of the expression pulled back to a
+    chart, unreduced, in the ring's polynomials: a sum cross-multiplies, a
+    quotient swaps the divisor's pair, a power squares repeatedly."""
+    one, mul, norm = ring.one, ring.mul, ring.norm
 
     def add(negate):
         def step(a, b):
             (n1, d1), (n2, d2) = a, b
             t2 = mul(n2, d1)
-            return norm(_poly2_add(mul(n1, d2), -t2 if negate else t2), mul(d1, d2))
+            return norm(ring.add(mul(n1, d2), ring.neg(t2) if negate else t2), mul(d1, d2))
 
         return step
 
     def div(a, b):
         (n1, d1), (n2, d2) = a, b
-        if not np.any(n2):
-            raise _ScanCap("skipped-zero-divisor")
+        n2 = ring.divisor(n2)
         return norm(mul(n1, d2), mul(d1, n2))
 
     def power(a, k):
@@ -282,20 +286,150 @@ def _pullback_fraction(e: Expression, var_polys: list[np.ndarray], cap: int):
         return rn, rd
 
     algebra = {
-        Const: lambda v: (np.array([[to_float(v)]]), one),
-        Var: lambda i: (var_polys[i - 1], one),
-        Neg: lambda a: (-a[0], a[1]),
+        Const: ring.const,
+        Var: ring.var,
+        Neg: lambda a: (ring.neg(a[0]), a[1]),
         Add: add(False),
         Sub: add(True),
         Mul: lambda a, b: norm(mul(a[0], b[0]), mul(a[1], b[1])),
         Div: div,
         Pow: power,
     }
+    return fold(e, algebra)[-1]
+
+
+def _poly2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=a.dtype)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            c = a[i, j]
+            if c != 0:
+                out[i : i + b.shape[0], j : j + b.shape[1]] += c * b
+    return out
+
+
+def _poly2_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros(tuple(map(max, a.shape, b.shape)), dtype=a.dtype)
+    out[: a.shape[0], : a.shape[1]] += a
+    out[: b.shape[0], : b.shape[1]] += b
+    return out
+
+
+def _shape_ring(cap: int) -> _Ring:
+    """Array shapes alone: a variable is 2x2, a constant 1x1, a product of
+    a x b and c x d is (a + c - 1) x (b + d - 1), and a sum takes the larger
+    size.  A product over the cap raises _ScanCap("skipped-cap")."""
+
+    def mul(a, b):
+        shape = (a[0] + b[0] - 1, a[1] + b[1] - 1)
+        if max(shape) > cap:
+            raise _ScanCap("skipped-cap")
+        return shape
+
+    one = (1, 1)
+    return _Ring(
+        one, lambda v: (one, one), lambda i: ((2, 2), one),
+        lambda a, b: tuple(map(max, a, b)), lambda a: a, mul,
+    )
+
+
+def _float_ring(coords) -> _Ring:
+    """float64 coefficient arrays, indexed [i, j] for s^i t^j.  A pair whose
+    largest coefficient leaves [1e-120, 1e120] is rescaled, and a divisor
+    that pulls back to zero raises _ScanCap("skipped-zero-divisor")."""
+    one = np.ones((1, 1))
+    var_polys = [np.array([[x, v], [u, 0.0]]) for x, u, v in zip(*coords)]
+
+    def divisor(d):
+        if not np.any(d):
+            raise _ScanCap("skipped-zero-divisor")
+        return d
+
+    def norm(n, d):
+        m = max(float(np.max(np.abs(n))), float(np.max(np.abs(d))))
+        if m > 1e120 or (0.0 < m < 1e-120):
+            n = n / m
+            d = d / m
+        return n, d
+
+    return _Ring(
+        one, lambda v: (np.array([[to_float(v)]]), one), lambda i: (var_polys[i - 1], one),
+        _poly2_add, operator.neg, _poly2_mul, divisor, norm,
+    )
+
+
+def _pullback_fraction(e: Expression, coords, cap: int):
+    """Float numerator/denominator coefficient arrays (in the chart
+    coordinates s, t) for an expression pulled back to the plane with float
+    coordinates `coords`.  The shapes are folded first, so a pullback over
+    the size cap raises _ScanCap("skipped-cap") before any array is
+    multiplied.  A coefficient that overflows or turns NaN (an infinite
+    constant makes every operation on it do so) raises
+    _ScanCap("skipped-nonfinite")."""
+    _fold_fraction(e, _shape_ring(cap))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return fold(e, algebra)[-1]
+            return _fold_fraction(e, _float_ring(coords))
     except FloatingPointError:
         raise _ScanCap("skipped-nonfinite") from None
+
+
+def _box_norm(c: np.ndarray, w: Fraction) -> Fraction:
+    """sum |c_ij| w^(i+j), which bounds |c(s, t)| on the box |s|, |t| <= w."""
+    p, q = w.numerator, w.denominator
+    top = c.shape[0] + c.shape[1] - 2
+    scale = [p**k * q ** (top - k) for k in range(top + 1)]
+    return Fraction(sum(abs(x) * scale[i + j] for (i, j), x in np.ndenumerate(c)), q**top)
+
+
+def _exact_ring(plane: AffinePlane2, w: Fraction) -> _Ring:
+    """Integer coefficient arrays (dtype object) paired with a lower bound
+    on the polynomial's absolute value over the box |s|, |t| <= w (0 where
+    none is known).  Each coordinate of the plane is cleared to integers
+    once.  A divisor must dominate at the center, |d_00| > sum over the
+    other terms of |d_ij| w^(i+j), and is then at least the difference on
+    the box; otherwise the fold raises _Undominated."""
+
+    def poly(rows, low=0):
+        return np.array(rows, dtype=object), low
+
+    one = poly([[1]], 1)
+    var_pairs = []
+    for x, u, v in zip(plane.base_point, *plane.basis):
+        (kx, ku, kv), den = la.clear_denominators((x, u, v))
+        var_pairs.append((poly([[kx, kv], [ku, 0]]), poly([[den]], den)))
+
+    def const(v):
+        v = frac(v)
+        return poly([[v.numerator]]), poly([[v.denominator]], v.denominator)
+
+    def divisor(d):
+        c, _ = d
+        low = 2 * abs(c[0, 0]) - _box_norm(c, w)
+        if low <= 0:
+            raise _Undominated
+        return c, low
+
+    return _Ring(
+        one, const, lambda i: var_pairs[i - 1],
+        lambda a, b: (_poly2_add(a[0], b[0]), 0), lambda a: (-a[0], a[1]),
+        lambda a, b: (_poly2_mul(a[0], b[0]), a[1] * b[1]), divisor,
+    )
+
+
+def _certified(e: Expression, plane: AffinePlane2, w: Fraction, bar: float) -> bool:
+    """A proof that the pullback of e to the plane stays below
+    bar / _CERTIFY_MARGIN on the box |s|, |t| <= w, so that no valley walk
+    there can find a blow-up over the bar.  The pullback is folded exactly;
+    every divisor must dominate at the center (a first-order Taylor-model
+    enclosure), and |f| <= sum |n_ij| w^(i+j) over the product of the
+    divisors' lower bounds.  The margin leaves room for the rounding of the
+    walk's float evaluations."""
+    try:
+        (num, _), (_, low) = _fold_fraction(e, _exact_ring(plane, w))
+    except _Undominated:
+        return False
+    return math.isinf(bar) or _CERTIFY_MARGIN * _box_norm(num, w) < Fraction(bar) * low
 
 
 def _golden_min(
@@ -323,31 +457,49 @@ def _golden_min(
 
 
 def _valley_scan(
-    f: FunctionOracle, plane: AffinePlane2, window: float, grid_max: float, status: list[str]
+    f: FunctionOracle, plane: AffinePlane2, coords, window: float, grid_max: float, status: list[str]
 ):
-    """Walk minima of |denominator| along lines with one chart coordinate
-    pinned to +-window/2^k and probe the function there.  Returns None, or
-    ("fail"|"pole", witness, magnitude) on a blow-up.  The blow-up bar does
-    not depend on the fit tolerance.
+    """The denominator-valley falsifier on the plane, whose float
+    coordinates are `coords`.  Returns None, or ("fail"|"pole", witness,
+    magnitude) on a blow-up.  The blow-up bar does not depend on the fit
+    tolerance.
 
-    All lines are searched in one batched golden-section pass; the function
-    is then probed at the minimisers in line order, so the first hit is the
-    one a line-by-line walk would find.  The falsifier status is appended
-    to `status`: "ran", "skipped-cap", "skipped-zero-divisor",
-    "skipped-nonfinite" or "constant-denominator"."""
-    base, b1, b2 = plane.float_coordinates
-    var_polys = [np.array([[x, v], [u, 0.0]]) for x, u, v in zip(base, b1, b2)]
+    Before it walks, the falsifier is settled where it can be: a pullback
+    over the size cap, with a zero divisor or with a coefficient that is not
+    finite is skipped, a constant denominator has no valley, and an
+    unguarded chart whose denominator fits in _CERTIFY_SHAPE x
+    _CERTIFY_SHAPE and which `_certified` bounds below the bar cannot blow
+    up.  The falsifier status is appended to `status`: "ran", "certified",
+    "skipped-cap", "skipped-zero-divisor", "skipped-nonfinite" or
+    "constant-denominator"."""
     try:
-        _, den = _pullback_fraction(f.expression, var_polys, cap=65)
+        _, den = _pullback_fraction(f.expression, coords, cap=65)
     except _ScanCap as exc:
         status.append(exc.args[0])
         return None
     if den.size == 1:
         status.append("constant-denominator")
         return None
-    status.append("ran")
-
     blow = _BLOW_FACTOR * max(1.0, grid_max)
+    if (
+        f.guard is None
+        and max(den.shape) <= _CERTIFY_SHAPE
+        and _certified(f.expression, plane, Fraction(window), blow)
+    ):
+        status.append("certified")
+        return None
+    status.append("ran")
+    return _walk_valleys(f, coords, den, window, blow)
+
+
+def _walk_valleys(f: FunctionOracle, coords, den: np.ndarray, window: float, blow: float):
+    """Walk minima of |den| along lines with one chart coordinate pinned to
+    +-window/2^k and probe the function there; a value over `blow` is a
+    hit.
+
+    All lines are searched in one batched golden-section pass; the function
+    is then probed at the minimisers in line order, so the first hit is the
+    one a line-by-line walk would find."""
     pv = np.polynomial.polynomial.polyval
     grid = np.linspace(-window, window, 257)
     lines = [
@@ -381,7 +533,7 @@ def _valley_scan(
     minimisers = _golden_min(den_abs, lo, hi)
     for (axis, pinned), u in zip(lines, minimisers):
         s, t = (pinned, u) if axis == 0 else (u, pinned)
-        x = plane.point_at_float(s, t)
+        x = float_point(coords, s, t)
         try:
             v = float(evaluate_oracle(f, x, mode="float"))
         except PoleError:
@@ -429,7 +581,8 @@ def check_plane_analytic(
     if bound is not None:
         return _exact_tensor_check(f, plane, bound, window)
 
-    status, residual, witness, grid_max = _cheb_fit(f, plane, wf, fit_degree)
+    coords = plane.float_coordinates
+    status, residual, witness, grid_max = _cheb_fit(f, coords, wf, fit_degree)
     if status == "pole":
         return PlaneReport(
             plane, "pole", math.inf, witness, "float", fit_degree, wf,
@@ -441,7 +594,7 @@ def check_plane_analytic(
             "fit does not reproduce held-out samples",
         )
     status: list[str] = []
-    hit = _valley_scan(f, plane, wf, grid_max, status)
+    hit = _valley_scan(f, plane, coords, wf, grid_max, status)
     falsifier = status[0]
     if hit is not None:
         verdict, where, magnitude = hit
@@ -554,7 +707,7 @@ def sample_spheres(dimension: int, count: int, rng: random.Random) -> list[Spher
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SphereOutcome:
     sphere: SphereThroughOrigin
     parts: tuple[tuple[str, PlaneReport], ...]
@@ -564,7 +717,7 @@ class SphereOutcome:
         return all(rep.verdict == "pass" for _, rep in self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanFailure:
     index: int
     sphere: SphereThroughOrigin
@@ -574,7 +727,7 @@ class ScanFailure:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanReport:
     checked: int
     passed: int

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -95,7 +94,7 @@ class VectorPlane2:
         return la.rank(m) <= 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePlane2:
     """An affine 2-plane: base point plus two spanning directions."""
 
@@ -125,15 +124,20 @@ class AffinePlane2:
         except InconsistentSystemError:
             return None
 
-    @cached_property
+    @property
     def float_coordinates(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """The base point and the two directions as float tuples, converted once."""
+        """The base point and the two directions as float tuples, converted
+        on every call and not kept on the plane: a check converts them once
+        and passes the triple to `float_point`."""
         b1, b2 = self.basis
         return tuple(map(float, self.base_point)), tuple(map(float, b1)), tuple(map(float, b2))
 
-    def point_at_float(self, s: float, t: float) -> tuple[float, ...]:
-        base, b1, b2 = self.float_coordinates
-        return tuple(x + s * u + t * v for x, u, v in zip(base, b1, b2))
+
+def float_point(coords, s: float, t: float) -> tuple[float, ...]:
+    """The point x + s*u + t*v of the plane with float coordinates
+    coords = (x, u, v), coordinate by coordinate."""
+    base, b1, b2 = coords
+    return tuple(x + s * u + t * v for x, u, v in zip(base, b1, b2))
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,7 @@ def tidy_plane_basis(b1: Sequence, b2: Sequence) -> tuple[Vec, Vec]:
     return rescale(u), rescale(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SphereThroughOrigin:
     """The 2-sphere {x : |x|^2 = c . x} inside the 3-space spanned by
     `basis` (three vectors in R^n).  Degenerate when c annihilates the

@@ -3,7 +3,7 @@ import operator
 import random
 import warnings
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -22,12 +22,18 @@ from analytica.certify import (
     _golden_min,
     _valley_scan,
 )
-from analytica.geometry import AffinePlane2, GeometryError, norm_sq
+from analytica.geometry import AffinePlane2, GeometryError, float_point, norm_sq
 from analytica.jsonio import dumps, scan_report_to_data
 from analytica.oracle import (
+    Add,
+    Const,
+    Div,
     FunctionOracle,
     Mul,
+    Neg,
     Pow,
+    Sub,
+    Var,
     builtin_counterexample,
     degree_bound,
     oracle_from_text,
@@ -38,6 +44,7 @@ from conftest import rand_form, rand_point
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 XY = AffinePlane2((0, 0, 0), (E1, E2))
+XY_COORDS = XY.float_coordinates
 
 
 def poly_text(rng, n, d):
@@ -420,7 +427,7 @@ def test_a_random_polynomial_passes_the_float_route_to_rounding():
         text = " + ".join(
             f"({rng.randint(-9, 9)}/{rng.randint(1, 9)})*x1^{i}*x2^{d - i}" for i in range(d + 1)
         ) + " + x3 - 1"
-        status, residual, _, _ = certify._cheb_fit(oracle_from_text(text, 3), XY, 1.0, 12)
+        status, residual, _, _ = certify._cheb_fit(oracle_from_text(text, 3), XY_COORDS, 1.0, 12)
         assert status == "ok" and residual < 1e-12
 
 
@@ -461,7 +468,7 @@ def test_valley_scan_finds_interior_blowup():
     # a denominator valley far sharper than the fit grid spacing
     f = oracle_from_text("1/((x1 - 1/64)^2 + x2^2 + 1/100000000000000)", 3)
     status = []
-    hit = _valley_scan(f, XY, 0.1, 1.0, status)
+    hit = _valley_scan(f, XY, XY_COORDS, 0.1, 1.0, status)
     assert status == ["ran"]
     assert hit is not None
     verdict, witness, magnitude = hit
@@ -471,10 +478,10 @@ def test_valley_scan_finds_interior_blowup():
 
 def test_valley_scan_reports_its_skips():
     status = []
-    assert _valley_scan(oracle_from_text("(x1 + 1)/3", 3), XY, 0.1, 1.0, status) is None
+    assert _valley_scan(oracle_from_text("(x1 + 1)/3", 3), XY, XY_COORDS, 0.1, 1.0, status) is None
     assert status == ["constant-denominator"]
     status = []
-    assert _valley_scan(oracle_from_text("1/(x3 - x3)", 3), XY, 0.1, 1.0, status) is None
+    assert _valley_scan(oracle_from_text("1/(x3 - x3)", 3), XY, XY_COORDS, 0.1, 1.0, status) is None
     assert status == ["skipped-zero-divisor"]
 
 
@@ -487,22 +494,22 @@ def test_valley_scan_skips_a_nonfinite_denominator(text):
     status = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert _valley_scan(oracle_from_text(text, 3), XY, 0.1, 1.0, status) is None
+        assert _valley_scan(oracle_from_text(text, 3), XY, XY_COORDS, 0.1, 1.0, status) is None
     assert status == ["skipped-nonfinite"]
 
 
 def test_plane_float_coordinates_match_point_at():
-    # converted once, with the arithmetic order of a per-call conversion
+    # the triple a check converts once gives the arithmetic of a per-call conversion
     plane = AffinePlane2(
         (Fraction(1, 3), Fraction(-2, 7), Fraction(5)),
         ((1, Fraction(1, 9), 0), (0, 2, Fraction(-3, 11))),
     )
-    assert plane.float_coordinates is plane.float_coordinates
+    coords = plane.float_coordinates
     for s, t in [(0.0, 0.0), (0.1, -0.37), (1e-7, 3.5)]:
         expected = tuple(
             float(x) + s * float(u) + t * float(v) for x, u, v in zip(plane.base_point, *plane.basis)
         )
-        assert plane.point_at_float(s, t) == expected
+        assert float_point(coords, s, t) == expected
 
 
 def test_falsifier_status_on_plane_reports():
@@ -510,16 +517,181 @@ def test_falsifier_status_on_plane_reports():
         report = sphere_scan(f, count=1, seed=5)
         return [rep.falsifier for _, rep in report.outcomes[0].parts]
 
-    # curve-g's pulled-back denominator outgrows the cap; the fit fails the
-    # other chart first, so its falsifier never runs
-    curve = statuses(builtin_counterexample("curve-g"))
-    assert curve[0] in ("skipped-cap", "skipped-zero-divisor")
-    assert curve[1] == "off"
-    assert statuses(oracle_from_text("1/(2 - x1 - x2*x3)", 3)) == ["ran", "ran"]
+    # curve-g's pulled-back denominator outgrows the cap, which the shapes
+    # alone decide; the fit fails the other chart first, so its falsifier
+    # never runs
+    assert statuses(builtin_counterexample("curve-g")) == ["skipped-cap", "off"]
+    # the rational function's divisors dominate on both charts, so neither walks;
+    # hartogs-f's origin chart outgrows the certificate's shape and walks
+    assert statuses(oracle_from_text("1/(2 - x1 - x2*x3)", 3)) == ["certified", "certified"]
+    assert statuses(builtin_counterexample("hartogs-f"))[0] == "ran"
     assert statuses(oracle_from_text("x1*x2", 3)) == ["off", "off"]
     f = oracle_from_text("1/(2-x1)", 3)
+    assert check_plane_analytic(f, XY).falsifier == "certified"
+    # a guarded oracle is never certified: the walk would meet its guard value
+    f = oracle_from_text("1/(2-x1)", 3, guard=((5, 5, 5), 0))
     assert check_plane_analytic(f, XY).falsifier == "ran"
 
+
+
+_S, _T = sympy.symbols("s t")
+
+
+def _real_zero_in_box(c, w):
+    """Does D = sum c[i, j] s^i t^j vanish somewhere on |s|, |t| <= w?
+
+    Along s, the number of roots in [-w, w] of D as a polynomial in t can
+    change only at a real root of its discriminant, of its leading
+    coefficient or of D(s, +-w).  One isolation of all those roots leaves
+    every root-free gap with an interval endpoint, a midpoint or +-w in it,
+    and a zero set along a line s = r makes every column of c vanish at r.
+    Only a zero set of finitely many points can slip through, which random
+    coefficients do not produce."""
+    rows, cols = range(c.shape[0]), range(c.shape[1])
+
+    def in_s(coefficients):
+        return sympy.Poly(list(reversed(coefficients)), _S, domain="QQ")
+
+    top = max(j for j in cols if c[:, j].any())
+    in_t = sympy.Poly.from_dict({(j, i): int(x) for (i, j), x in np.ndenumerate(c) if x}, _T, _S)
+    critical = [
+        in_t.discriminant(),
+        in_s([c[i, top] for i in rows]),
+        *(in_s([sum(c[i, j] * (sign * w) ** j for j in cols) for i in rows]) for sign in (1, -1)),
+    ]
+    product = reduce(operator.mul, [g for g in critical if not g.is_zero])
+    ends = {Fraction(int(x.p), int(x.q)) for (a, b), _ in product.intervals() for x in (a, b)}
+    ends = sorted({x for x in ends if -w <= x <= w} | {-w, w})
+    lines = reduce(sympy.gcd, [in_s(list(c[:, j])) for j in cols])
+    if lines.degree() > 0 and lines.count_roots(-w, w) > 0:
+        return True
+    for sigma in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
+        h = [sum(c[i, j] * sigma**i for i in rows) for j in cols]
+        if not any(h) or sympy.Poly(list(reversed(h)), _T, domain="QQ").count_roots(-w, w) > 0:
+            return True
+    return False
+
+
+def _dominates(c, w):
+    try:
+        certify._exact_ring(XY, w).divisor((c, 0))
+    except certify._Undominated:
+        return False
+    return True
+
+
+def test_the_certificate_never_passes_a_divisor_with_a_real_zero_in_the_box():
+    rng = random.Random(2027)
+    dominant = planted = 0
+    for k in range(240):
+        d = rng.randint(1, 3)
+        w = Fraction(rng.randint(1, 12), rng.randint(1, 8))
+        c = np.zeros((d + 1, d + 1), dtype=object)
+        for i in range(d + 1):
+            for j in range(d + 1 - i):
+                c[i, j] = Fraction(rng.randint(-9, 9))
+        if k % 2:
+            # a zero planted at a rational point of the box, corners and edges included
+            s0, t0 = (w * Fraction(rng.randint(-4, 4), 4) for _ in range(2))
+            c[0, 0] -= sum(x * s0**i * t0**j for (i, j), x in np.ndenumerate(c))
+            assert _real_zero_in_box(c, w)
+            assert not _dominates(c, w)
+            planted += 1
+            continue
+        # the center term within a quarter of the rest's bound, on either side
+        rest = certify._box_norm(c, w) - abs(c[0, 0])
+        c[0, 0] = rng.choice((1, -1)) * (int(rest * Fraction(rng.randint(80, 125), 100)) or 1)
+        if _dominates(c, w):
+            dominant += 1
+            assert not _real_zero_in_box(c, w), (c.tolist(), w)
+    assert planted == 120 and dominant > 30
+
+
+def _rand_poly_text(rng):
+    return " + ".join(
+        f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}*"
+        + "*".join(f"x{rng.randint(1, 3)}" for _ in range(rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 4))
+    )
+
+
+def test_a_certified_chart_walks_to_no_blowup():
+    # random rational functions on random planes and inversion charts, with
+    # windows and blow-up bars that leave many charts uncertified and let
+    # many walks hit; a certified chart's walk never does
+    rng = random.Random(11)
+    certified = hits = 0
+    for k in range(100):
+        offset = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        f = oracle_from_text(f"({_rand_poly_text(rng)} + 1)/({offset} + {_rand_poly_text(rng)})", 3)
+        if k % 2:
+            g, plane = pullback_through_inversion(f, sample_spheres(3, 1, rng)[0])
+        else:
+            base = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+            slope = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2))
+            g, plane = f, AffinePlane2(base, (E1, slope + (1,)))
+        window, bar = rng.randint(1, 20) / 20, 10.0 ** rng.randint(1, 6)
+        coords = plane.float_coordinates
+        _, den = certify._pullback_fraction(g.expression, coords, cap=65)
+        if den.size == 1:
+            continue
+        ok = certify._certified(g.expression, plane, Fraction(window), bar)
+        hit = certify._walk_valleys(g, coords, den, window, bar)
+        assert not (ok and hit is not None), (to_text(g.expression), plane, window, bar)
+        certified += ok
+        hits += hit is not None
+    assert certified > 30 and hits > 15
+
+
+def _rand_program(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return Var(rng.randint(1, 3))
+        return Const(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+    op = rng.choice([Add, Sub, Mul, Div, Neg, Pow])
+    if op is Neg:
+        return Neg(_rand_program(rng, depth - 1))
+    if op is Pow:
+        return Pow(_rand_program(rng, depth - 1), rng.randint(0, 3))
+    return op(_rand_program(rng, depth - 1), _rand_program(rng, depth - 1))
+
+
+def test_the_shape_pass_caps_where_the_array_products_would(monkeypatch):
+    rng = random.Random(5)
+    sizes = []
+    multiply = certify._poly2_mul
+
+    def recorded(a, b):
+        out = multiply(a, b)
+        sizes.append(max(out.shape))
+        return out
+
+    monkeypatch.setattr(certify, "_poly2_mul", recorded)
+    plane = AffinePlane2((Fraction(1, 3), 2, Fraction(-1, 7)), ((1, Fraction(1, 2), 0), (0, 3, 1)))
+    coords = plane.float_coordinates
+    checked = capped = 0
+    while checked < 200:
+        e = _rand_program(rng, rng.randint(1, 6))
+        sizes.clear()
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                num, den = certify._fold_fraction(e, certify._float_ring(coords))
+        except (certify._ScanCap, FloatingPointError):
+            continue
+        largest = max(sizes, default=0)
+        assert certify._fold_fraction(e, certify._shape_ring(largest)) == (num.shape, den.shape)
+        for cap in {largest - 1, largest, rng.randint(1, 2 * largest + 1)} - {0, -1}:
+            sizes.clear()
+            try:
+                got = certify._pullback_fraction(e, coords, cap)
+            except certify._ScanCap as exc:
+                assert exc.args == ("skipped-cap",) and largest > cap and not sizes
+                capped += 1
+            else:
+                assert largest <= cap
+                assert got[0].tobytes() == num.tobytes() and got[1].tobytes() == den.tobytes()
+        checked += 1
+    assert capped > 100
 
 def _golden_min_scalar(fn, lo, hi, iters=96):
     # the line-at-a-time search the batched minimiser must reproduce bit for bit
@@ -573,7 +745,9 @@ def test_batched_golden_min_matches_scalar_search(family):
     ids=["hartogs-f", "rational", "shell"],
 )
 def test_valley_scan_evaluates_the_denominator_like_polyval2d(monkeypatch, text, sphere_seed):
-    # the shared inner Horner pass must reproduce per-line polyval2d bit for bit
+    # the shared inner Horner pass must reproduce per-line polyval2d bit for bit;
+    # the certificate settles the rational charts, so it is turned off to
+    # make the scan walk them
     f = builtin_counterexample("hartogs-f") if text is None else oracle_from_text(text, 3)
     sphere = sample_spheres(3, 1, random.Random(sphere_seed))[0]
     g, plane = pullback_through_inversion(f, sphere)
@@ -585,9 +759,10 @@ def test_valley_scan_evaluates_the_denominator_like_polyval2d(monkeypatch, text,
     monkeypatch.setattr(
         certify, "_golden_min", lambda fn, lo, hi: calls.append((fn, lo, hi)) or 0.5 * (lo + hi)
     )
+    monkeypatch.setattr(certify, "_certified", lambda *a: False)
     window = 0.05
     status = []
-    _valley_scan(g, plane, window, 1.0, status)
+    _valley_scan(g, plane, plane.float_coordinates, window, 1.0, status)
     assert status == ["ran"]
     ((_, den),), ((fn, lo, hi),) = dens, calls
     assert den.shape[0] > 2 and den.shape[1] > 2

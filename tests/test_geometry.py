@@ -13,6 +13,7 @@ from analytica.geometry import (
     PoleError,
     SphereThroughOrigin,
     VectorPlane2,
+    float_point,
     general_position,
     in_cone,
     integer_plane_in_subcone,
@@ -84,7 +85,7 @@ def test_plane_point_at():
         assert p == tuple(
             x + s * u + t * v for x, u, v in zip(plane.base_point, b1, b2)
         )
-        fp = plane.point_at_float(float(s), float(t))
+        fp = float_point(plane.float_coordinates, float(s), float(t))
         assert all(abs(a - float(b)) < 1e-12 for a, b in zip(fp, p))
 
 
