@@ -44,6 +44,17 @@ CASES = {
     "tower-polynomial": (
         ["tower", "--expr", "x1^3 - 2*x1*x2 + 3/5*x2*x3^3 + 1", "--order", "6", "--seed", "9"], 0
     ),
+    # every jet divides one power series by another
+    "tower-rational": (
+        ["tower", "--expr", "1/(2 - x1 - x2*x3)", "--order", "8", "--eta", "1/2", "--seed", "5"], 0
+    ),
+    # every jet's divisor vanishes at the origin, so it takes the unreduced
+    # numerator/denominator route and cancels the removable singularity
+    "tower-removable": (
+        ["tower", "--expr", "(x1^2 + x2^2 + x3^2)*(1 + x1)/(x1^2 + x2^2 + x3^2)", "--order", "4", "--seed", "5"], 0
+    ),
+    # the held-out jet values disagree with the solved form at degree 1
+    "tower-curve": (["tower", "--builtin", "curve-g", "--order", "4", "--seed", "5"], 2),
     "cone-exact": (["reconstruct", "cone", "--input", FORM_N4_D4, "--seed", "3"], 0),
     "cone-exact-low-degree": (
         ["reconstruct", "cone", "--input", FORM_N4_D4, "--degree", "3", "--seed", "3"], 2
