@@ -15,6 +15,7 @@ an error.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,9 +33,7 @@ from .forms import (
     compose_linear,
     constant_form,
     form_from_coefficients,
-    integer_value,
     linear_form,
-    monomial_basis,
     multiply,
     zero_form,
 )
@@ -531,8 +530,7 @@ def reconstruct_form_from_cone(
     if samples is None:
         samples = ConeSampleSet(cone, random.Random(0 if seed is None else seed))
     n = samples.dimension
-    basis = monomial_basis(n, degree)
-    need = len(basis)
+    need = basis_size(n, degree)
     for _ in range(_MAX_RETRIES + 1):
         design, held, solve = samples.plan(degree)
         if len(design) < need:
@@ -550,11 +548,13 @@ def reconstruct_form_from_cone(
         worst = 0.0
         witness = None
         for p, v in checked:
-            # form(q / D) = integer_value(q) / scale, cross-multiplied with
-            # the value; a Fraction only for a nonzero residual
+            # form(q / D) = (ints . monomials of q) / scale, cross-multiplied
+            # with the value; a Fraction only for a nonzero residual
             q, qden = la.clear_denominators(p)
             scale = den * qden**degree
-            diff = integer_value(basis, ints, q) * v.denominator - v.numerator * scale
+            powers = [[x**e for e in range(degree + 1)] for x in q]
+            value = sum(map(operator.mul, ints, _monomials(powers, degree)))
+            diff = value * v.denominator - v.numerator * scale
             if diff:
                 r = abs(float(Fraction(diff, scale * v.denominator)))
                 if witness is None or r > worst:

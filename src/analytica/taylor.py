@@ -4,11 +4,14 @@ A radial jet at a point p collects the derivatives d^r/dt^r f(t p) at t = 0.
 Summing the degree-r terms over enough directions pins down homogeneous
 forms T_r with f ~ sum T_r / r!, the Taylor tower of f.  Jets are computed
 exactly for expression-backed functions and by a guarded Chebyshev fit for
-black-box callables.  An exact jet folds the expression program in power
-series of t truncated after the jet's order (Taylor-mode arithmetic); only
-when some divisor vanishes at the base point does it fold the program into
-one unreduced numerator/denominator pair of polynomials in t, which cancels
-removable singularities and locates poles without taking a gcd.
+black-box callables.  An exact jet clears the base point and direction to
+integers over one denominator and folds the expression program in integer
+power series of t, one denominator per series, truncated after the jet's
+order (Taylor-mode arithmetic, `_series`); only when some divisor vanishes
+at the base point does it fold the program into one unreduced
+numerator/denominator pair of integer polynomials in t, which cancels
+removable singularities and locates poles without taking a gcd.  One
+Fraction is built per returned coefficient.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _series as rs
-from ._linalg import Vec, vec
+from ._linalg import Vec, clear_denominators, vec
 from .forms import HomogeneousForm, TaylorTower, zero_form
 from .geometry import Cone, PoleError
 from .interpolation import ConeSampleSet, ReconstructionError, reconstruct_form_from_cone
@@ -44,28 +47,39 @@ class RadialJet:
         return len(self.coefficients) - 1
 
 
+_ZERO = Fraction(0)
+
+
 class _VanishingDivisor(ArithmeticError):
     """A divisor's series has constant term 0, so series division cannot go on."""
 
 
-def _line_truncated(
-    program: Expression, base: Sequence[Fraction], direction: Sequence[Fraction], n: int
-) -> rs.Poly:
-    """The first n Taylor coefficients at t = 0 of the program with
-    x_i := base_i + t * direction_i, folded in truncated power series.
-    Raises _VanishingDivisor at the first divisor whose constant term is 0."""
+def _cleared(base: Vec, direction: Vec) -> tuple[list[int], list[int], int]:
+    """Integers B, P and one D > 0 with base = B / D and direction = P / D."""
+    ints, den = clear_denominators(base + direction)
+    return ints[: len(base)], ints[len(base) :], den
 
-    def divide(a: rs.Poly, b: rs.Poly) -> rs.Poly:
-        if not b or b[0] == 0:
+
+def _line_truncated(program: Expression, base: Vec, direction: Vec, n: int) -> rs.Series:
+    """The first n Taylor coefficients at t = 0 of the program with
+    x_i := base_i + t * direction_i, folded in integer power series
+    truncated to n terms, one denominator per series (`_series`): with
+    base and direction cleared to B / D and P / D, the variable x_i is the
+    series ([B_i, P_i], D).  Raises _VanishingDivisor at the first divisor
+    whose constant term is 0."""
+    bq, pq, den = _cleared(base, direction)
+
+    def divide(a: rs.Series, b: rs.Series) -> rs.Series:
+        if not b[0] or b[0][0] == 0:
             raise _VanishingDivisor
         return rs.s_div(a, b, n)
 
     algebra = {
-        Const: rs.p_const,
-        Var: lambda i: rs.p_normalize([base[i - 1], direction[i - 1]][:n]),
-        Neg: rs.p_neg,
-        Add: rs.p_add,
-        Sub: rs.p_sub,
+        Const: lambda c: rs.s_reduce([c.numerator], c.denominator),
+        Var: lambda i: rs.s_reduce([bq[i - 1], pq[i - 1]][:n], den),
+        Neg: rs.s_neg,
+        Add: rs.s_add,
+        Sub: rs.s_sub,
         Mul: lambda a, b: rs.s_mul(a, b, n),
         Div: divide,
         Pow: lambda a, k: rs.s_pow(a, k, n),
@@ -73,12 +87,12 @@ def _line_truncated(
     return fold(program, algebra)[-1]
 
 
-def _line_fraction(
-    program: Expression, base: Sequence[Fraction], direction: Sequence[Fraction]
-) -> tuple[rs.Poly, rs.Poly]:
+def _line_fraction(program: Expression, base: Vec, direction: Vec) -> tuple[rs.Poly, rs.Poly]:
     """The program with x_i := base_i + t * direction_i as one unreduced
-    (numerator, denominator) pair of polynomials in t.  No gcd is taken:
-    `line_series` cancels only the power of t that matters at t = 0."""
+    (numerator, denominator) pair of integer polynomials in t: the variable
+    x_i is ([B_i, P_i], [D]) for the cleared base and direction.  No gcd is
+    taken: `line_series` cancels only the power of t that matters at t = 0."""
+    bq, pq, den = _cleared(base, direction)
 
     def cross(combine):
         return lambda a, b: (
@@ -92,8 +106,8 @@ def _line_fraction(
         return rs.p_mul(a[0], b[1]), rs.p_mul(a[1], b[0])
 
     algebra = {
-        Const: lambda c: (rs.p_const(c), [rs.ONE]),
-        Var: lambda i: (rs.p_normalize([base[i - 1], direction[i - 1]]), [rs.ONE]),
+        Const: lambda c: (rs.p_normalize([c.numerator]), [c.denominator]),
+        Var: lambda i: (rs.p_normalize([bq[i - 1], pq[i - 1]]), [den]),
         Neg: lambda a: (rs.p_neg(a[0]), a[1]),
         Add: cross(rs.p_add),
         Sub: cross(rs.p_sub),
@@ -107,12 +121,14 @@ def _line_fraction(
 def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: int) -> list[Fraction]:
     """Exact Taylor coefficients of t -> f(base + t * direction) at t = 0.
 
-    The program is folded in power series truncated to order + 1 terms.
-    When a divisor vanishes at the base point, the restriction is instead
-    folded into one unreduced fraction of t (`_line_fraction`); the lowest
-    power t^v of its denominator is cancelled and the rest expanded, so a
-    removable singularity cancels.  Both routes give the same exact
-    coefficients wherever the series route applies.
+    Base and direction are cleared to integers over one denominator, and
+    the program is folded in integer power series truncated to order + 1
+    terms.  When a divisor vanishes at the base point, the restriction is
+    instead folded into one unreduced fraction of integer polynomials in t
+    (`_line_fraction`); the lowest power t^v of its denominator is
+    cancelled and the rest expanded, so a removable singularity cancels.
+    Both routes give the same exact coefficients wherever the series route
+    applies, and one Fraction is built per returned coefficient.
 
     Raises PoleError when the restriction has a pole at t = 0 or the line
     sits inside a zero of a divisor.  When the base point carries the
@@ -125,16 +141,17 @@ def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: i
     if len(b) != f.dimension or len(p) != f.dimension:
         raise TaylorError("base or direction dimension mismatch")
     try:
-        coeffs = _line_truncated(f.expression, b, p, order + 1)
+        series = _line_truncated(f.expression, b, p, order + 1)
     except _VanishingDivisor:
-        coeffs = None
-    if coeffs is None:  # outside the handler, so its PoleErrors carry no _VanishingDivisor context
+        series = None
+    if series is None:  # outside the handler, so its PoleErrors carry no _VanishingDivisor context
         num, den = _line_fraction(f.expression, b, p)
         v = next(i for i, c in enumerate(den) if c)
         if any(num[:v]):
             raise PoleError("restriction to the line has a pole at its base point", tuple(b))
-        coeffs = rs.s_div(num[v:], den[v:], order + 1)
-    coeffs = coeffs + [rs.ZERO] * (order + 1 - len(coeffs))
+        series = rs.s_div((num[v:], 1), (den[v:], 1), order + 1)
+    ints, den = series
+    coeffs = [Fraction(c, den) for c in ints] + [_ZERO] * (order + 1 - len(ints))
     if f.guard is not None and tuple(b) == tuple(f.guard[0]) and coeffs[0] != f.guard[1]:
         raise PoleError(
             "limit along the line disagrees with the declared value at the base point",

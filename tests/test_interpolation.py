@@ -13,6 +13,7 @@ from analytica.forms import (
     basis_size,
     compose_linear,
     evaluate_form,
+    integer_value,
     linear_form,
     monomial,
     monomial_basis,
@@ -531,3 +532,75 @@ def test_cone_reconstruction_shifted_values_rejected():
         lambda x: evaluate_form(f, x) + norm_sq(x) ** 2, cone, 2, mode="exact", seed=3
     )
     assert not res.ok
+
+
+def _reference_reconstruct(value_fn, cone, degree, mode, seed, tol=1e-9):
+    """reconstruct_form_from_cone as it was before the held-out loop built
+    monomial rows: each point cleared with `clear_denominators` and valued
+    with `forms.integer_value`, which reads the basis keys per point."""
+    samples = ConeSampleSet(cone, random.Random(seed))
+    basis = monomial_basis(samples.dimension, degree)
+    while True:
+        design, held, solve = samples.plan(degree)
+        if len(design) == len(basis):
+            break
+        samples.add_planes(2)
+    values = [la.frac(value_fn(p)) for p in design]
+    coeffs = solve(values)
+    checked = []
+    if mode == "float":
+        coeffs = [Fraction(float(c)) for c in coeffs]
+        checked = list(zip(design, values))
+    checked += [(p, la.frac(value_fn(p))) for p in held]
+    ints, den = la.clear_denominators(coeffs)
+    worst, witness = 0.0, None
+    for p, v in checked:
+        q, qden = la.clear_denominators(p)
+        scale = den * qden**degree
+        diff = integer_value(basis, ints, q) * v.denominator - v.numerator * scale
+        if diff:
+            r = abs(float(Fraction(diff, scale * v.denominator)))
+            if witness is None or r > worst:
+                worst, witness = r, p
+    if mode == "float":
+        worst /= max(1.0, max(abs(float(v)) for _, v in checked))
+        if worst <= tol:
+            witness = None
+    return witness is None, worst, witness
+
+
+def _held_out_cases():
+    """(value function, cone, degree, seed, whether it should pass)."""
+    path = pathlib.Path(__file__).parent / "data" / "form-n4-d4.json"
+    f4 = form_from_data(json.loads(path.read_text()))
+    axis4 = VectorPlane2(((1, 0, 0, 0), (0, 1, 0, 0)))
+    cases = [
+        # the golden cone-exact input, and cone-exact-low-degree's degree-3 read
+        (lambda x: evaluate_form(f4, x), Cone(axis4, Fraction(1, 2), Fraction(1)), 4, 3, True),
+        (lambda x: evaluate_form(f4, x), Cone(axis4, Fraction(1, 2), Fraction(1)), 3, 3, False),
+    ]
+    rng = random.Random(417)
+    for k in range(10):
+        n, d = rng.randint(2, 4), rng.randint(0, 4)
+        f = rand_form(rng, n, d, bound=30)
+        cone = Cone(rand_axis_plane(rng, n), Fraction(1, 2), Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        if k % 2:
+            bump = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            value = lambda x, f=f, b=bump, d=d: evaluate_form(f, x) + b * norm_sq(x) ** (d + 1)
+        else:
+            value = lambda x, f=f: evaluate_form(f, x)
+        cases.append((value, cone, d, rng.randrange(10**6), not k % 2))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("case", range(12))
+def test_held_out_check_matches_the_integer_value_reference(mode, case):
+    value, cone, d, seed, passes = _held_out_cases()[case]
+    if mode == "float":
+        value = lambda x, exact=value: float(exact(x))
+    res = reconstruct_form_from_cone(value, cone, d, mode=mode, seed=seed)
+    assert (res.ok, res.max_residual, res.witness) == _reference_reconstruct(value, cone, d, mode, seed)
+    assert res.ok == passes
+    if mode == "exact" and not passes:
+        assert res.max_residual > 0 and res.witness is not None

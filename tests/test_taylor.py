@@ -153,12 +153,13 @@ def test_series_route_matches_the_rational_route(seed):
         order = rng.randint(0, 8)
         want = outcome(sympy_route, f, base, direction, order)
         try:
-            got = taylor._line_truncated(f.expression, base, direction, order + 1)
+            ints, den = taylor._line_truncated(f.expression, base, direction, order + 1)
         except taylor._VanishingDivisor:
             fallbacks += 1
         else:
             series += 1
-            assert len(got) <= order + 1
+            assert len(ints) <= order + 1 and den > 0
+            got = [Fraction(c, den) for c in ints]
             assert got + [0] * (order + 1 - len(got)) == want, (seed, f.expression)
         got = outcome(line_series, f, base, direction, order)
         assert got == want, (seed, f.expression)
@@ -272,6 +273,227 @@ def test_fitted_jet_close_to_exact():
     fitted = radial_jet(f, (0.25, 0.0, 0.0), 4, mode="fitted", window=0.5)
     for a, b in zip(exact.coefficients, fitted.coefficients):
         assert abs(float(a) - b) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the Fraction fold that the integer series replaced, kept as a reference
+
+
+def _f_normalize(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _f_add(a, b):
+    zero = Fraction(0)
+    return _f_normalize([(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero) for i in range(max(len(a), len(b)))])
+
+
+def _f_mul(a, b, n):
+    if not a or not b:
+        return []
+    m = min(len(a) + len(b) - 1, n)
+    out = [Fraction(0)] * m
+    for i, x in enumerate(a[:m]):
+        for j, y in enumerate(b[: m - i]):
+            out[i + j] += x * y
+    return _f_normalize(out)
+
+
+def _f_div(a, b, n):
+    out = []
+    for k in range(n):
+        acc = a[k] if k < len(a) else Fraction(0)
+        for j in range(1, min(k, len(b) - 1) + 1):
+            acc -= b[j] * out[k - j]
+        out.append(acc / b[0])
+    return _f_normalize(out)
+
+
+def _f_pow(a, k, n):
+    if k < 0:
+        raise ValueError("negative exponent")
+    out = [Fraction(1)]
+    while k:
+        if k & 1:
+            out = _f_mul(out, a, n)
+        k >>= 1
+        if k:
+            a = _f_mul(a, a, n)
+    return out
+
+
+class _Vanishes(ArithmeticError):
+    pass
+
+
+def fraction_truncated(program, base, direction, n):
+    """The truncated series fold on Fraction coefficients."""
+
+    def divide(a, b):
+        if not b or b[0] == 0:
+            raise _Vanishes
+        return _f_div(a, b, n)
+
+    algebra = {
+        Const: lambda c: _f_normalize([Fraction(c)]),
+        Var: lambda i: _f_normalize([base[i - 1], direction[i - 1]][:n]),
+        Neg: lambda a: [-x for x in a],
+        Add: _f_add,
+        Sub: lambda a, b: _f_add(a, [-x for x in b]),
+        Mul: lambda a, b: _f_mul(a, b, n),
+        Div: divide,
+        Pow: lambda a, k: _f_pow(a, k, n),
+    }
+    return fold(program, algebra)[-1]
+
+
+def fraction_line_series(f, base, direction, order):
+    """line_series on Fractions throughout: the truncated fold, and an
+    unreduced pair of Fraction polynomials where a divisor vanishes."""
+    base, direction, n = tuple(map(Fraction, base)), tuple(map(Fraction, direction)), order + 1
+    try:
+        coeffs = fraction_truncated(f.expression, base, direction, n)
+    except _Vanishes:
+        coeffs = None
+    if coeffs is None:
+        mul = lambda a, b: _f_mul(a, b, len(a) + len(b))
+        neg = lambda a: [-x for x in a]
+
+        def divide(a, b):
+            if not b[0]:
+                raise PoleError("the whole line lies inside a zero divisor", base)
+            return mul(a[0], b[1]), mul(a[1], b[0])
+
+        algebra = {
+            Const: lambda c: (_f_normalize([Fraction(c)]), [Fraction(1)]),
+            Var: lambda i: (_f_normalize([base[i - 1], direction[i - 1]]), [Fraction(1)]),
+            Neg: lambda a: (neg(a[0]), a[1]),
+            Add: lambda a, b: (_f_add(mul(a[0], b[1]), mul(b[0], a[1])), mul(a[1], b[1])),
+            Sub: lambda a, b: (_f_add(mul(a[0], b[1]), neg(mul(b[0], a[1]))), mul(a[1], b[1])),
+            Mul: lambda a, b: (mul(a[0], b[0]), mul(a[1], b[1])),
+            Div: divide,
+            Pow: lambda a, k: (_f_pow(a[0], k, k * len(a[0]) + 1), _f_pow(a[1], k, k * len(a[1]) + 1)),
+        }
+        num, den = fold(f.expression, algebra)[-1]
+        v = next(i for i, c in enumerate(den) if c)
+        if any(num[:v]):
+            raise PoleError("restriction to the line has a pole at its base point", base)
+        coeffs = _f_div(num[v:], den[v:], n)
+    coeffs += [Fraction(0)] * (n - len(coeffs))
+    if f.guard is not None and base == tuple(f.guard[0]) and coeffs[0] != f.guard[1]:
+        raise PoleError("limit along the line disagrees with the declared value at the base point", base)
+    return coeffs
+
+
+def jet_outcome(f, point, order):
+    try:
+        return radial_jet(f, point, order, mode="exact").coefficients
+    except PoleError as exc:
+        return type(exc), str(exc), exc.point
+
+
+def check_against_the_fraction_fold(f, base, direction, order):
+    """_line_truncated, line_series and radial_jet (along `direction`)
+    against the Fraction reference.  Returns whether the series route
+    applied."""
+    n = order + 1
+    try:
+        want = fraction_truncated(f.expression, base, direction, n)
+    except _Vanishes:
+        want = None
+    try:
+        ints, den = taylor._line_truncated(f.expression, base, direction, n)
+    except taylor._VanishingDivisor:
+        got = None
+    else:
+        # one positive denominator in lowest terms, no trailing zero
+        assert all(type(c) is int for c in ints) and type(den) is int
+        assert den > 0 and math.gcd(den, *ints) == 1 and ints[-1:] != [0]
+        got = [Fraction(c, den) for c in ints]
+    assert got == want, f.expression
+    lines = outcome(line_series, f, base, direction, order)
+    assert lines == outcome(fraction_line_series, f, base, direction, order), f.expression
+    if isinstance(lines, list):
+        assert len(lines) == n and all(type(c) is Fraction for c in lines)
+    jet = jet_outcome(f, direction, order)
+    zero = (Fraction(0),) * len(direction)
+    ref = outcome(fraction_line_series, f, zero, direction, order)
+    if isinstance(ref, list):
+        ref = tuple(c * math.factorial(r) for r, c in enumerate(ref))
+        assert all(type(c) is Fraction for c in jet)
+    assert jet == ref, f.expression
+    return want is not None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_fold_matches_the_fraction_fold(seed):
+    # the 320 programs of test_series_route_matches_the_rational_route
+    rng = random.Random(7100 + seed)
+    series = 0
+    for case in range(40):
+        n = rng.randint(1, 3)
+        if case % 2:
+            f = rand_program_oracle(rng, n, constants=0)
+            base = (Fraction(0),) * n
+        else:
+            f = rand_program_oracle(rng, n)
+            base = tuple(rand_nonzero(rng) for _ in range(n))
+        direction = tuple(rand_nonzero(rng) for _ in range(n))
+        series += check_against_the_fraction_fold(f, base, direction, rng.randint(0, 8))
+    assert 20 <= series < 40
+
+
+# 400-digit numerators and denominators
+HUGE_A = Fraction(10**399 + 7, 2 * 10**399 + 3)
+HUGE_B = Fraction(-(3 * 10**399 + 11), 10**399 + 1)
+X1, X2, X3 = Var(1), Var(2), Var(3)
+
+FOLD_CASES = {
+    "huge-constants": (
+        Add(Div(Add(Const(HUGE_A), Mul(X1, X2)), Sub(Const(HUGE_B), X1)), Pow(Sub(X2, Const(HUGE_A)), 3)),
+        (HUGE_A, HUGE_B),
+        (Fraction(1, 3), HUGE_B),
+        6,
+    ),
+    "zero-direction-components": (
+        Div(Add(X1, Mul(X2, X3)), Sub(Const(Fraction(5, 2)), Mul(X3, X3))),
+        (Fraction(1, 2), Fraction(0), Fraction(-2, 3)),
+        (Fraction(0), Fraction(1, 3), Fraction(0)),
+        7,
+    ),
+    # b_0 = -3, so b_0^n is negative for odd n
+    "negative-b0-odd-n": (Div(Const(Fraction(1)), Sub(X1, Const(Fraction(3)))), (Fraction(0),), (Fraction(1, 2),), 6),
+    "negative-b0-even-n": (
+        Div(Add(X1, Const(Fraction(2, 7))), Sub(Mul(X1, X1), Const(Fraction(3, 5)))),
+        (Fraction(0),),
+        (Fraction(-1, 2),),
+        7,
+    ),
+    "pow-exponent-0": (
+        Add(Pow(X1, 0), Mul(Pow(Sub(X1, X1), 0), Div(Const(Fraction(1)), Pow(Add(X2, Const(Fraction(2))), 0)))),
+        (Fraction(0), Fraction(1, 5)),
+        (Fraction(2), Fraction(-1, 3)),
+        4,
+    ),
+    "order-0": (oracle_from_text("1/(2 - x1 - x2*x3)", 3).expression, (Fraction(1, 3),) * 3, (Fraction(1, 4),) * 3, 0),
+    "order-12": (oracle_from_text("1/(2 - x1 - x2*x3)", 3).expression, (Fraction(0),) * 3, (Fraction(1, 4),) * 3, 12),
+    "order-12-fallback": (
+        oracle_from_text("(x1^2 - x2^2)/(x1 - x2) + 1/(3 - x1)", 2).expression,
+        (Fraction(0),) * 2,
+        (Fraction(1), Fraction(2)),
+        12,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_integer_fold_matches_the_fraction_fold_on_edge_cases(name):
+    expr, base, direction, order = FOLD_CASES[name]
+    f = FunctionOracle(expr, len(base))
+    series = check_against_the_fraction_fold(f, base, direction, order)
+    assert series == (name != "order-12-fallback")
 
 
 # ---------------------------------------------------------------------------
