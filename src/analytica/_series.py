@@ -2,9 +2,9 @@
 
 Polynomials are lists of coefficients in ascending degree with no
 trailing zeros.  The `p_*` operations are generic over the coefficient
-type (they use only +, -, * and the literals 0 and 1); they build exact
-polynomials, such as the unreduced integer numerator/denominator pairs of
-`taylor._line_fraction`.
+type (they use only +, -, * and the literal 0); they are the ring in which
+`taylor._line_fraction` runs `oracle.fold_fraction`, the fold that builds
+the unreduced integer numerator/denominator pair of a line restriction.
 
 A power series truncated to n terms is a pair (ints, den) that stands for
 the coefficients ints[k] / den: one denominator per series, with ints a
@@ -44,16 +44,8 @@ def p_neg(a: Poly) -> Poly:
     return [-x for x in a]
 
 
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
-
-
 def p_mul(a: Poly, b: Poly) -> Poly:
     return _mul(a, b, len(a) + len(b))
-
-
-def p_pow(a: Poly, k: int) -> Poly:
-    return _pow(a, k, k * len(a) + 1)
 
 
 def _mul(a: Poly, b: Poly, n: int) -> Poly:
@@ -71,9 +63,8 @@ def _mul(a: Poly, b: Poly, n: int) -> Poly:
 
 
 def _pow(a: Poly, k: int, n: int) -> Poly:
-    """The first n terms of a**k by repeated squaring."""
-    if k < 0:
-        raise ValueError("negative exponent")
+    """The first n terms of a**k by repeated squaring; k >= 0, as
+    `FunctionOracle` checks."""
     out = [1]
     while k:
         if k & 1:

@@ -18,6 +18,8 @@ where that is possible: a pullback whose array shapes outgrow the size cap
 is skipped before any array is multiplied, and a chart whose divisors all
 dominate at the center of the window box, with an exact enclosure of the
 pullback below the blow-up bar, is certified, since no walk there can fire.
+The shapes, the float arrays and the certificate's integer arrays are three
+rings of `oracle.fold_fraction`.
 
 Sphere restrictions are reduced to plane checks through inversions: one
 centered at the origin (covering the sphere away from 0) and one centered
@@ -38,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,16 +65,15 @@ from .oracle import (
     Const,
     Div,
     Expression,
+    FractionRing,
     FunctionOracle,
-    Mul,
-    Neg,
     Pow,
     Sub,
     Var,
     degree_bound,
     evaluate_grid,
     evaluate_oracle,
-    fold,
+    fold_fraction,
     substitute,
     to_float,
 )
@@ -82,6 +83,7 @@ _VALLEY_SCALES = 15
 _BLOW_FACTOR = 1e6
 _CERTIFY_SHAPE = 16
 _CERTIFY_MARGIN = 2
+_GOLDEN_STEPS = 96
 
 
 class CertifyError(ValueError):
@@ -238,66 +240,6 @@ class _Undominated(Exception):
     """A divisor of the chart pullback does not dominate at the center."""
 
 
-class _Ring(NamedTuple):
-    """The coefficient operations of one pass of `_fold_fraction`: a
-    bivariate polynomial in the chart coordinates (s, t) and how to add,
-    negate and multiply two of them.  `divisor` sees the numerator of every
-    divisor before it enters a denominator, and `norm` may rescale a
-    (numerator, denominator) pair."""
-
-    one: object
-    const: Callable  # Fraction -> (numerator, denominator)
-    var: Callable  # variable index -> (numerator, denominator)
-    add: Callable
-    neg: Callable
-    mul: Callable
-    divisor: Callable = lambda d: d
-    norm: Callable = lambda n, d: (n, d)
-
-
-def _fold_fraction(e: Expression, ring: _Ring):
-    """The (numerator, denominator) pair of the expression pulled back to a
-    chart, unreduced, in the ring's polynomials: a sum cross-multiplies, a
-    quotient swaps the divisor's pair, a power squares repeatedly."""
-    one, mul, norm = ring.one, ring.mul, ring.norm
-
-    def add(negate):
-        def step(a, b):
-            (n1, d1), (n2, d2) = a, b
-            t2 = mul(n2, d1)
-            return norm(ring.add(mul(n1, d2), ring.neg(t2) if negate else t2), mul(d1, d2))
-
-        return step
-
-    def div(a, b):
-        (n1, d1), (n2, d2) = a, b
-        n2 = ring.divisor(n2)
-        return norm(mul(n1, d2), mul(d1, n2))
-
-    def power(a, k):
-        n, d = a
-        rn, rd = one, one
-        while k:
-            if k & 1:
-                rn, rd = norm(mul(rn, n), mul(rd, d))
-            k >>= 1
-            if k:
-                n, d = norm(mul(n, n), mul(d, d))
-        return rn, rd
-
-    algebra = {
-        Const: ring.const,
-        Var: ring.var,
-        Neg: lambda a: (ring.neg(a[0]), a[1]),
-        Add: add(False),
-        Sub: add(True),
-        Mul: lambda a, b: norm(mul(a[0], b[0]), mul(a[1], b[1])),
-        Div: div,
-        Pow: power,
-    }
-    return fold(e, algebra)[-1]
-
-
 def _poly2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=a.dtype)
     for i in range(a.shape[0]):
@@ -315,7 +257,7 @@ def _poly2_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shape_ring(cap: int) -> _Ring:
+def _shape_ring(cap: int) -> FractionRing:
     """Array shapes alone: a variable is 2x2, a constant 1x1, a product of
     a x b and c x d is (a + c - 1) x (b + d - 1), and a sum takes the larger
     size.  A product over the cap raises _ScanCap("skipped-cap")."""
@@ -327,13 +269,13 @@ def _shape_ring(cap: int) -> _Ring:
         return shape
 
     one = (1, 1)
-    return _Ring(
+    return FractionRing(
         one, lambda v: (one, one), lambda i: ((2, 2), one),
         lambda a, b: tuple(map(max, a, b)), lambda a: a, mul,
     )
 
 
-def _float_ring(coords) -> _Ring:
+def _float_ring(coords) -> FractionRing:
     """float64 coefficient arrays, indexed [i, j] for s^i t^j.  A pair whose
     largest coefficient leaves [1e-120, 1e120] is rescaled, and a divisor
     that pulls back to zero raises _ScanCap("skipped-zero-divisor")."""
@@ -352,7 +294,7 @@ def _float_ring(coords) -> _Ring:
             d = d / m
         return n, d
 
-    return _Ring(
+    return FractionRing(
         one, lambda v: (np.array([[to_float(v)]]), one), lambda i: (var_polys[i - 1], one),
         _poly2_add, operator.neg, _poly2_mul, divisor, norm,
     )
@@ -366,10 +308,10 @@ def _pullback_fraction(e: Expression, coords, cap: int):
     multiplied.  A coefficient that overflows or turns NaN (an infinite
     constant makes every operation on it do so) raises
     _ScanCap("skipped-nonfinite")."""
-    _fold_fraction(e, _shape_ring(cap))
+    fold_fraction(e, _shape_ring(cap))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _fold_fraction(e, _float_ring(coords))
+            return fold_fraction(e, _float_ring(coords))
     except FloatingPointError:
         raise _ScanCap("skipped-nonfinite") from None
 
@@ -382,7 +324,7 @@ def _box_norm(c: np.ndarray, w: Fraction) -> Fraction:
     return Fraction(sum(abs(x) * scale[i + j] for (i, j), x in np.ndenumerate(c)), q**top)
 
 
-def _exact_ring(plane: AffinePlane2, w: Fraction) -> _Ring:
+def _exact_ring(plane: AffinePlane2, w: Fraction) -> FractionRing:
     """Integer coefficient arrays (dtype object) paired with a lower bound
     on the polynomial's absolute value over the box |s|, |t| <= w (0 where
     none is known).  Each coordinate of the plane is cleared to integers
@@ -410,7 +352,7 @@ def _exact_ring(plane: AffinePlane2, w: Fraction) -> _Ring:
             raise _Undominated
         return c, low
 
-    return _Ring(
+    return FractionRing(
         one, const, lambda i: var_pairs[i - 1],
         lambda a, b: (_poly2_add(a[0], b[0]), 0), lambda a: (-a[0], a[1]),
         lambda a, b: (_poly2_mul(a[0], b[0]), a[1] * b[1]), divisor,
@@ -426,15 +368,13 @@ def _certified(e: Expression, plane: AffinePlane2, w: Fraction, bar: float) -> b
     divisors' lower bounds.  The margin leaves room for the rounding of the
     walk's float evaluations."""
     try:
-        (num, _), (_, low) = _fold_fraction(e, _exact_ring(plane, w))
+        (num, _), (_, low) = fold_fraction(e, _exact_ring(plane, w))
     except _Undominated:
         return False
     return math.isinf(bar) or _CERTIFY_MARGIN * _box_norm(num, w) < Fraction(bar) * low
 
 
-def _golden_min(
-    fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, iters: int = 96
-) -> np.ndarray:
+def _golden_min(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Golden-section minimisers of fn over the intervals [lo, hi], run
     elementwise: fn maps an array of abscissae to an array of values, one
     per interval.  Each element takes the branches and floating-point steps
@@ -444,7 +384,7 @@ def _golden_min(
     c = b - ratio * (b - a)
     d = a + ratio * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         left = fc <= fd
         a = np.where(left, a, c)
         b = np.where(left, d, b)

@@ -262,14 +262,11 @@ def integer_value(keys: Sequence[MultiIndex], ints: Sequence[int], q: Sequence[i
     return total
 
 
-def form_from_coefficients(n: int, d: int, coeffs: Sequence, basis: Sequence[MultiIndex] | None = None) -> HomogeneousForm:
-    given = basis is not None
-    if not given:
-        basis = monomial_basis(n, d)
+def form_from_coefficients(n: int, d: int, coeffs: Sequence) -> HomogeneousForm:
+    """The form with the given coefficients in `monomial_basis(n, d)` order."""
+    basis = monomial_basis(n, d)
     if len(coeffs) != len(basis):
         raise FormError("coefficient vector length does not match basis size")
-    if given:
-        return HomogeneousForm(n, d, dict(zip(basis, map(frac, coeffs))))
     _check_shape(n, d)  # monomial_basis made the keys shared and valid
     return HomogeneousForm._trusted(n, d, {i: c for i, c in zip(basis, map(frac, coeffs)) if c})
 

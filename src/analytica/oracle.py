@@ -19,7 +19,10 @@ non-negative integers at parse time.
 
 The parser, the eight constructors (Const, Var, Neg, Add, Sub, Mul, Div,
 Pow) and `substitute` all build one representation, a hash-consed program
-(see Expression), and every analysis is a `fold` of it.
+(see Expression), and every analysis is a `fold` of it.  `fold_fraction`
+folds a program into an unreduced (numerator, denominator) pair over a
+`FractionRing`; chart pullbacks (`certify`) and the line-series fallback
+(`taylor`) are its rings.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,6 +264,67 @@ def fold(e: Expression, algebra: dict) -> list:
     return values
 
 
+class FractionRing(NamedTuple):
+    """The coefficient operations of one pass of `fold_fraction`: a
+    polynomial in the restriction's coordinates and how to add, negate and
+    multiply two of them.  `divisor` sees the numerator of every divisor
+    before it enters a denominator, and `norm` may rescale a (numerator,
+    denominator) pair."""
+
+    one: object
+    const: Callable  # Fraction -> (numerator, denominator)
+    var: Callable  # variable index -> (numerator, denominator)
+    add: Callable
+    neg: Callable
+    mul: Callable
+    divisor: Callable = lambda d: d
+    norm: Callable = lambda n, d: (n, d)
+
+
+def fold_fraction(e: Expression, ring: FractionRing):
+    """The (numerator, denominator) pair of the program, unreduced, in the
+    ring's polynomials: a sum cross-multiplies, a quotient swaps the
+    divisor's pair, a power squares repeatedly.  Exponents are
+    non-negative, as `FunctionOracle` checks."""
+    one, mul, norm = ring.one, ring.mul, ring.norm
+
+    def add(negate):
+        def step(a, b):
+            (n1, d1), (n2, d2) = a, b
+            t2 = mul(n2, d1)
+            return norm(ring.add(mul(n1, d2), ring.neg(t2) if negate else t2), mul(d1, d2))
+
+        return step
+
+    def div(a, b):
+        (n1, d1), (n2, d2) = a, b
+        n2 = ring.divisor(n2)
+        return norm(mul(n1, d2), mul(d1, n2))
+
+    def power(a, k):
+        n, d = a
+        rn, rd = one, one
+        while k:
+            if k & 1:
+                rn, rd = norm(mul(rn, n), mul(rd, d))
+            k >>= 1
+            if k:
+                n, d = norm(mul(n, n), mul(d, d))
+        return rn, rd
+
+    algebra = {
+        Const: ring.const,
+        Var: ring.var,
+        Neg: lambda a: (ring.neg(a[0]), a[1]),
+        Add: add(False),
+        Sub: add(True),
+        Mul: lambda a, b: norm(mul(a[0], b[0]), mul(a[1], b[1])),
+        Div: div,
+        Pow: power,
+    }
+    return fold(e, algebra)[-1]
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -443,6 +507,10 @@ class FunctionOracle:
 
     def __post_init__(self) -> None:
         _operand(self.expression)
+        # the parser refuses these; a program built in code may carry one
+        for kind, _, k in self.expression:
+            if kind is Pow and not (isinstance(k, int) and k >= 0):
+                raise OracleError(f"exponent {k!r}: a negative exponent or a non-integer one is refused")
         if self.guard is not None:
             point, value = self.guard
             point = tuple(frac(x) for x in point)

@@ -9,9 +9,9 @@ integers over one denominator and folds the expression program in integer
 power series of t, one denominator per series, truncated after the jet's
 order (Taylor-mode arithmetic, `_series`); only when some divisor vanishes
 at the base point does it fold the program into one unreduced
-numerator/denominator pair of integer polynomials in t, which cancels
-removable singularities and locates poles without taking a gcd.  One
-Fraction is built per returned coefficient.
+numerator/denominator pair of integer polynomials in t (a ring of
+`oracle.fold_fraction`), which cancels removable singularities and locates
+poles without taking a gcd.  One Fraction is built per returned coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from ._linalg import Vec, clear_denominators, vec
 from .forms import HomogeneousForm, TaylorTower, zero_form
 from .geometry import Cone, PoleError
 from .interpolation import ConeSampleSet, ReconstructionError, reconstruct_form_from_cone
-from .oracle import Add, Const, Div, Expression, FunctionOracle, Mul, Neg, Pow, Sub, Var, fold
+from .oracle import (
+    Add, Const, Div, Expression, FractionRing, FunctionOracle, Mul, Neg, Pow, Sub, Var, fold, fold_fraction,
+)
 
 
 class TaylorError(ValueError):
@@ -89,33 +91,24 @@ def _line_truncated(program: Expression, base: Vec, direction: Vec, n: int) -> r
 
 def _line_fraction(program: Expression, base: Vec, direction: Vec) -> tuple[rs.Poly, rs.Poly]:
     """The program with x_i := base_i + t * direction_i as one unreduced
-    (numerator, denominator) pair of integer polynomials in t: the variable
-    x_i is ([B_i, P_i], [D]) for the cleared base and direction.  No gcd is
-    taken: `line_series` cancels only the power of t that matters at t = 0."""
+    (numerator, denominator) pair of integer polynomials in t, folded by
+    `fold_fraction`: the variable x_i is ([B_i, P_i], [D]) for the cleared
+    base and direction.  No gcd is taken: `line_series` cancels only the
+    power of t that matters at t = 0."""
     bq, pq, den = _cleared(base, direction)
 
-    def cross(combine):
-        return lambda a, b: (
-            combine(rs.p_mul(a[0], b[1]), rs.p_mul(b[0], a[1])),
-            rs.p_mul(a[1], b[1]),
-        )
-
-    def divide(a, b):
-        if not b[0]:
+    def divisor(n: rs.Poly) -> rs.Poly:
+        if not n:
             raise PoleError("the whole line lies inside a zero divisor", tuple(base))
-        return rs.p_mul(a[0], b[1]), rs.p_mul(a[1], b[0])
+        return n
 
-    algebra = {
-        Const: lambda c: (rs.p_normalize([c.numerator]), [c.denominator]),
-        Var: lambda i: (rs.p_normalize([bq[i - 1], pq[i - 1]]), [den]),
-        Neg: lambda a: (rs.p_neg(a[0]), a[1]),
-        Add: cross(rs.p_add),
-        Sub: cross(rs.p_sub),
-        Mul: lambda a, b: (rs.p_mul(a[0], b[0]), rs.p_mul(a[1], b[1])),
-        Div: divide,
-        Pow: lambda a, k: (rs.p_pow(a[0], k), rs.p_pow(a[1], k)),
-    }
-    return fold(program, algebra)[-1]
+    ring = FractionRing(
+        [1],
+        lambda c: (rs.p_normalize([c.numerator]), [c.denominator]),
+        lambda i: (rs.p_normalize([bq[i - 1], pq[i - 1]]), [den]),
+        rs.p_add, rs.p_neg, rs.p_mul, divisor,
+    )
+    return fold_fraction(program, ring)
 
 
 def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: int) -> list[Fraction]:

@@ -547,6 +547,20 @@ def test_constructors_refuse_what_is_not_an_expression(build, culprit):
         build()
 
 
+@pytest.mark.parametrize(
+    "expr, dimension",
+    [
+        # a plane check once folded this one's shapes until they outgrew the size cap
+        (Pow(Div(Const(Fraction(1)), Add(Var(1), Const(Fraction(3)))), -2), 3),
+        (Pow(Var(1), -1), 1),
+    ],
+)
+def test_oracle_refuses_a_negative_exponent(expr, dimension):
+    # the parser refuses these; only a program built in code can carry one
+    with pytest.raises(OracleError, match="negative exponent"):
+        FunctionOracle(expr, dimension)
+
+
 # ---------------------------------------------------------------------------
 # grid evaluation against scalar float evaluation
 

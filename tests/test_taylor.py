@@ -7,6 +7,7 @@ import sympy
 
 from analytica.forms import evaluate_form, monomial, tower_evaluate
 from analytica import taylor
+from analytica._series import p_add, p_mul, p_neg, p_normalize
 from analytica.geometry import Cone, PoleError, VectorPlane2
 from analytica.interpolation import ConeSampleSet
 from analytica.oracle import (
@@ -494,6 +495,96 @@ def test_integer_fold_matches_the_fraction_fold_on_edge_cases(name):
     f = FunctionOracle(expr, len(base))
     series = check_against_the_fraction_fold(f, base, direction, order)
     assert series == (name != "order-12-fallback")
+
+
+# ---------------------------------------------------------------------------
+# the fallback's fraction fold against its former hand-written algebra
+
+
+def _p_pow(a, k):
+    out = [1]
+    for _ in range(k):
+        out = p_mul(out, a)
+    return out
+
+
+def dict_line_fraction(program, base, direction):
+    """The unreduced integer (numerator, denominator) pair of the line
+    restriction, folded by an algebra dict of its own rather than by
+    oracle.fold_fraction."""
+    bq, pq, den = taylor._cleared(base, direction)
+
+    def cross(combine):
+        return lambda a, b: (combine(p_mul(a[0], b[1]), p_mul(b[0], a[1])), p_mul(a[1], b[1]))
+
+    def divide(a, b):
+        if not b[0]:
+            raise PoleError("the whole line lies inside a zero divisor", tuple(base))
+        return p_mul(a[0], b[1]), p_mul(a[1], b[0])
+
+    algebra = {
+        Const: lambda c: (p_normalize([c.numerator]), [c.denominator]),
+        Var: lambda i: (p_normalize([bq[i - 1], pq[i - 1]]), [den]),
+        Neg: lambda a: (p_neg(a[0]), a[1]),
+        Add: cross(p_add),
+        Sub: cross(lambda a, b: p_add(a, p_neg(b))),
+        Mul: lambda a, b: (p_mul(a[0], b[0]), p_mul(a[1], b[1])),
+        Div: divide,
+        Pow: lambda a, k: (_p_pow(a[0], k), _p_pow(a[1], k)),
+    }
+    return fold(program, algebra)[-1]
+
+
+def fraction_outcome(fold_line, program, base, direction):
+    try:
+        return fold_line(program, base, direction)
+    except PoleError as exc:
+        return type(exc), str(exc), exc.point
+
+
+def seeded_lines(seed):
+    """The 40 programs and lines of test_series_route_matches_the_rational_route
+    for this seed, drawn in the same order."""
+    rng = random.Random(7100 + seed)
+    for case in range(40):
+        n = rng.randint(1, 3)
+        if case % 2:
+            f = rand_program_oracle(rng, n, constants=0)
+            base = (Fraction(0),) * n
+        else:
+            f = rand_program_oracle(rng, n)
+            base = tuple(rand_nonzero(rng) for _ in range(n))
+        direction = tuple(rand_nonzero(rng) for _ in range(n))
+        rng.randint(0, 8)  # the order, which the pair does not depend on
+        yield f, base, direction
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fraction_ring_matches_the_algebra_dict(seed):
+    # every base, including those where line_series never falls back
+    poles = 0
+    for f, base, direction in seeded_lines(seed):
+        want = fraction_outcome(dict_line_fraction, f.expression, base, direction)
+        got = fraction_outcome(taylor._line_fraction, f.expression, base, direction)
+        assert got == want, (seed, f.expression)
+        poles += got[0] is PoleError
+    assert poles <= 1  # the rest are pairs
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_fraction_ring_matches_the_algebra_dict_on_edge_cases(name):
+    expr, base, direction, _ = FOLD_CASES[name]
+    got = taylor._line_fraction(expr, base, direction)
+    assert got == dict_line_fraction(expr, base, direction)
+    assert all(type(c) is int for p in got for c in p) and got[1]
+
+
+def test_fraction_ring_reports_the_line_inside_a_zero_divisor():
+    program = oracle_from_text("x2 + 1/(x1 - x1)", 2).expression
+    base, direction = (Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))
+    want = (PoleError, "the whole line lies inside a zero divisor", base)
+    assert fraction_outcome(taylor._line_fraction, program, base, direction) == want
+    assert fraction_outcome(dict_line_fraction, program, base, direction) == want
 
 
 # ---------------------------------------------------------------------------
