@@ -50,7 +50,6 @@ from .geometry import (
     AffinePlane2,
     DegenerateSphereError,
     GeometryError,
-    PoleError,
     SphereThroughOrigin,
     carrier_to_ambient,
     float_point,
@@ -199,13 +198,12 @@ def _cheb_fit(f: FunctionOracle, coords, window: float, fit_degree: int):
         """The restriction on the xs x xs grid, indexed [s, t], or None and
         the first point in row-major order that is a pole or not finite."""
         w = window * xs
-        s, t = w[:, None], w[None, :]
-        # float_point's x + s*u + t*v, coordinate by coordinate
-        values, pole = evaluate_grid(f, [x + s * u + t * v for x, u, v in zip(*coords)])
+        points = float_point(coords, w[:, None], w[None, :])
+        values, pole = evaluate_grid(f, points)
         bad = (pole | ~np.isfinite(values)).ravel()
         if bad.any():
-            i, j = divmod(int(np.argmax(bad)), len(xs))
-            return None, float_point(coords, window * xs[i], window * xs[j])
+            k = int(np.argmax(bad))
+            return None, tuple(c.flat[k] for c in points)
         return values, None
 
     fv, bad = sample_grid(nodes)
@@ -437,9 +435,10 @@ def _walk_valleys(f: FunctionOracle, coords, den: np.ndarray, window: float, blo
     +-window/2^k and probe the function there; a value over `blow` is a
     hit.
 
-    All lines are searched in one batched golden-section pass; the function
-    is then probed at the minimisers in line order, so the first hit is the
-    one a line-by-line walk would find."""
+    All lines are searched in one batched golden-section pass, and the
+    function is probed at the 60 minimisers in one `evaluate_grid` call; the
+    hit reported is the first in line order, the one a line-by-line walk
+    would find.  A pole or a value that is not finite is a "pole" hit."""
     pv = np.polynomial.polynomial.polyval
     grid = np.linspace(-window, window, 257)
     lines = [
@@ -471,18 +470,16 @@ def _walk_valleys(f: FunctionOracle, coords, den: np.ndarray, window: float, blo
         return np.abs(pv(np.where(on_s, u, pins), inner, tensor=False))
 
     minimisers = _golden_min(den_abs, lo, hi)
-    for (axis, pinned), u in zip(lines, minimisers):
-        s, t = (pinned, u) if axis == 0 else (u, pinned)
-        x = float_point(coords, s, t)
-        try:
-            v = float(evaluate_oracle(f, x, mode="float"))
-        except PoleError:
-            return ("pole", x, math.inf)
-        if not math.isfinite(v):
-            return ("pole", x, math.inf)
-        if abs(v) > blow:
-            return ("fail", x, abs(v))
-    return None
+    points = float_point(coords, np.where(on_s, pins, minimisers), np.where(on_s, minimisers, pins))
+    values, pole = evaluate_grid(f, points)
+    magnitude = np.abs(values)
+    bad = pole | ~np.isfinite(values)
+    hit = bad | (magnitude > blow)
+    if not hit.any():
+        return None
+    k = int(np.argmax(hit))
+    witness = tuple(c[k] for c in points)
+    return ("pole", witness, math.inf) if bad[k] else ("fail", witness, float(magnitude[k]))
 
 
 def check_plane_analytic(

@@ -54,7 +54,7 @@ from .oracle import (
     OracleError,
     ParseError,
     builtin_counterexample,
-    evaluate_oracle,
+    evaluate_grid,
     oracle_from_text,
     to_text,
     translate,
@@ -207,17 +207,14 @@ def _diagnostic_lines(f, result, directions, eta: Fraction) -> list[dict]:
     """Tabulate f and the tower's partial sums along the given sample
     directions, for plotting.  Pole rows show f as nan."""
     lines = []
+    ts = [Fraction(i, 16) * eta for i in range(17)]
     for p in directions:
-        rows = []
-        for i in range(17):
-            t = Fraction(i, 16) * eta
-            x = tuple(t * xi for xi in p)
-            try:
-                fv = float(evaluate_oracle(f, tuple(map(float, x)), mode="float"))
-            except PoleError:
-                fv = float("nan")
-            tv = tower_evaluate(result.tower, tuple(map(float, x)))
-            rows.append([float(t), fv, float(tv)])
+        xs = [tuple(float(t * xi) for xi in p) for t in ts]
+        values, pole = evaluate_grid(f, list(zip(*xs)))
+        rows = [
+            [float(t), float("nan") if at_pole else fv, float(tower_evaluate(result.tower, x))]
+            for t, x, fv, at_pole in zip(ts, xs, values.tolist(), pole.tolist())
+        ]
         lines.append({"direction": vector_to_data(p), "rows": rows})
     return lines
 

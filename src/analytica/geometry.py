@@ -133,9 +133,11 @@ class AffinePlane2:
         return tuple(map(float, self.base_point)), tuple(map(float, b1)), tuple(map(float, b2))
 
 
-def float_point(coords, s: float, t: float) -> tuple[float, ...]:
+def float_point(coords, s, t) -> tuple:
     """The point x + s*u + t*v of the plane with float coordinates
-    coords = (x, u, v), coordinate by coordinate."""
+    coords = (x, u, v), coordinate by coordinate; s and t may be numpy
+    arrays, and the point's coordinates are then arrays of their broadcast
+    shape."""
     base, b1, b2 = coords
     return tuple(x + s * u + t * v for x, u, v in zip(base, b1, b2))
 

@@ -22,7 +22,10 @@ Pow) and `substitute` all build one representation, a hash-consed program
 (see Expression), and every analysis is a `fold` of it.  `fold_fraction`
 folds a program into an unreduced (numerator, denominator) pair over a
 `FractionRing`; chart pullbacks (`certify`) and the line-series fallback
-(`taylor`) are its rings.
+(`taylor`) are its rings.  Exact evaluation folds over Fractions, and
+`evaluate_grid` is the one float evaluation: the Chebyshev fit, the valley
+walk, the tower's diagnostic lines and `evaluate_oracle`'s float mode all
+run it.
 """
 
 from __future__ import annotations
@@ -412,10 +415,10 @@ def substitute(e: Expression, mapping: dict[int, Expression]) -> Expression:
     return tuple(table)
 
 
-# Python's operators on the operand values: exact evaluation over Fractions,
-# and the base of the float algebra and of its grid form (evaluate_grid).  A
-# division by an exact zero raises ZeroDivisionError for Fractions and floats
-# alike.
+# Python's operators on the operand values: exact evaluation runs them over
+# Fractions, where a division by zero raises ZeroDivisionError, and
+# evaluate_grid, the float evaluation, replaces the constants, the division
+# and the power.
 ARITHMETIC = {
     Const: lambda v: v,
     Neg: operator.neg,
@@ -442,9 +445,6 @@ def _float_pow(a: float, k: int) -> float:
         return math.copysign(math.inf, a) if k % 2 else math.inf
 
 
-_FLOAT = {**ARITHMETIC, Const: to_float, Pow: _float_pow}
-
-
 def _pow_each(a, k: int):
     """_float_pow on every element of an array (or on one float).  numpy's
     a**k rounds differently from Python's float ** k on a few percent of
@@ -459,15 +459,16 @@ def _pow_each(a, k: int):
 
 
 def evaluate_grid(f: FunctionOracle, coords: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Float evaluation at many points at once: coords holds one array per
-    coordinate, all of one shape.  Returns the values and a boolean mask of
-    the points where a divisor was exactly zero, which evaluate_oracle
-    reports as a PoleError; values there mean nothing.  Every other value
-    has the bits of evaluate_oracle(f, point, "float") at that point:
-    + - * / are one elementwise float64 operation each, which rounds as
-    Python's scalar operation does, constant subexpressions stay Python
-    floats, a power goes element by element, and points on the guard point
-    take the guard value."""
+    """The float evaluation of a program, at many points at once: coords
+    holds one array (or float) per coordinate, broadcast to one shape.
+    Returns the values and a boolean mask of the points where a divisor was
+    exactly zero, the poles; values there mean nothing.  A value is what
+    Python's scalar float arithmetic gives at that point: + - * / are one
+    elementwise float64 operation each, which rounds as Python's scalar
+    operation does, constant subexpressions stay Python floats, a power
+    goes element by element through Python's float ** k, a constant or a
+    power beyond binary64 range is +-inf, and a point whose coordinates
+    equal the guard point's takes the guard value and is no pole."""
     if len(coords) != f.dimension:
         raise OracleError(f"got {len(coords)} coordinate arrays, oracle dimension is {f.dimension}")
     arrays = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
@@ -483,7 +484,7 @@ def evaluate_grid(f: FunctionOracle, coords: Sequence) -> tuple[np.ndarray, np.n
             return math.nan
         return a / b
 
-    algebra = {**_FLOAT, Var: lambda i: flat[i - 1], Div: divide, Pow: _pow_each}
+    algebra = {**ARITHMETIC, Const: to_float, Var: lambda i: flat[i - 1], Div: divide, Pow: _pow_each}
     with np.errstate(all="ignore"):
         value = fold(f.expression, algebra)[-1]
     values = np.array(np.broadcast_to(value, pole.shape))  # a copy: for "x1", value is flat[0]
@@ -511,6 +512,8 @@ class FunctionOracle:
         for kind, _, k in self.expression:
             if kind is Pow and not (isinstance(k, int) and k >= 0):
                 raise OracleError(f"exponent {k!r}: a negative exponent or a non-integer one is refused")
+            if kind is Var and not (isinstance(k, int) and 1 <= k <= self.dimension):
+                raise OracleError(f"variable index {k!r} is outside 1..{self.dimension}")
         if self.guard is not None:
             point, value = self.guard
             point = tuple(frac(x) for x in point)
@@ -539,26 +542,26 @@ def oracle_from_text(text: str, dimension: int, guard=None) -> FunctionOracle:
 
 def evaluate_oracle(f: FunctionOracle, point: Sequence, mode: str = "exact"):
     """Evaluate with the guard applied first.  Exact mode coerces the point
-    to Fractions and returns a Fraction; float mode works in binary64 and
-    matches the guard on exact input bits."""
+    to Fractions and returns a Fraction; float mode is evaluate_grid at the
+    point's floats and returns a float.  A pole raises PoleError with the
+    point, as Fractions or as floats."""
     if len(point) != f.dimension:
         raise OracleError(
             f"point has length {len(point)}, oracle dimension is {f.dimension}"
         )
-    if mode == "exact":
-        p = tuple(map(frac, point))
-        if f.guard is not None and p == f.guard[0]:
-            return f.guard[1]
-        algebra = ARITHMETIC
-    elif mode == "float":
+    if mode == "float":
         p = tuple(map(float, point))
-        if f.guard is not None and p == tuple(map(float, f.guard[0])):
-            return float(f.guard[1])
-        algebra = _FLOAT
-    else:
+        values, pole = evaluate_grid(f, p)
+        if pole:
+            raise PoleError("division by zero", p)
+        return float(values)
+    if mode != "exact":
         raise OracleError(f"unknown evaluation mode {mode!r}")
+    p = tuple(map(frac, point))
+    if f.guard is not None and p == f.guard[0]:
+        return f.guard[1]
     try:
-        return fold(f.expression, {**algebra, Var: lambda i: p[i - 1]})[-1]
+        return fold(f.expression, {**ARITHMETIC, Var: lambda i: p[i - 1]})[-1]
     except ZeroDivisionError:
         raise PoleError("division by zero", p) from None
 

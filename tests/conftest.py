@@ -4,6 +4,8 @@ Everything takes an explicit random.Random so failures reproduce from the
 seed printed by the test that drew it.
 """
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -12,7 +14,8 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from analytica.forms import HomogeneousForm, monomial_basis
-from analytica.geometry import Hyperplane, VectorPlane2
+from analytica.geometry import Hyperplane, PoleError, VectorPlane2
+from analytica.oracle import Add, Const, Div, Mul, Neg, Pow, Sub, Var, fold
 from analytica._linalg import mat, rank
 
 
@@ -62,6 +65,46 @@ def rand_axis_plane(rng, n, bound=5):
         b2 = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
         if rank(mat((b1, b2))) == 2:
             return VectorPlane2((b1, b2))
+
+
+def _float_constant(value):
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _float_pow(a, k):
+    try:
+        return a**k
+    except OverflowError:
+        return math.copysign(math.inf, a) if k % 2 else math.inf
+
+
+_SCALAR_FLOAT = {
+    Const: _float_constant,
+    Neg: operator.neg,
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Pow: _float_pow,
+}
+
+
+def scalar_float(f, point):
+    """The oracle f at a point, folded over Python floats one op at a time:
+    the scalar float evaluation that evaluate_grid and evaluate_oracle's
+    float mode must reproduce bit for bit.  The guard wins on exact input
+    bits, a constant or a power beyond binary64 range is +-inf, and an exact
+    zero divisor (either sign) raises PoleError with the float point."""
+    p = tuple(map(float, point))
+    if f.guard is not None and p == tuple(map(float, f.guard[0])):
+        return float(f.guard[1])
+    try:
+        return fold(f.expression, {**_SCALAR_FLOAT, Var: lambda i: p[i - 1]})[-1]
+    except ZeroDivisionError:
+        raise PoleError("division by zero", p) from None
 
 
 def to_domain(m, ncols=0):

@@ -22,7 +22,7 @@ from analytica.certify import (
     _golden_min,
     _valley_scan,
 )
-from analytica.geometry import AffinePlane2, GeometryError, float_point, norm_sq
+from analytica.geometry import AffinePlane2, GeometryError, PoleError, float_point, norm_sq
 from analytica.jsonio import dumps, scan_report_to_data
 from analytica.oracle import (
     Add,
@@ -40,7 +40,7 @@ from analytica.oracle import (
     to_text,
 )
 
-from conftest import rand_form, rand_point
+from conftest import rand_form, rand_point, scalar_float
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 XY = AffinePlane2((0, 0, 0), (E1, E2))
@@ -615,12 +615,12 @@ def _rand_poly_text(rng):
     )
 
 
-def test_a_certified_chart_walks_to_no_blowup():
-    # random rational functions on random planes and inversion charts, with
-    # windows and blow-up bars that leave many charts uncertified and let
-    # many walks hit; a certified chart's walk never does
+def _walk_charts():
+    """Random rational functions on random planes and inversion charts, with
+    windows and blow-up bars that leave many charts uncertified and let
+    many walks hit: (g, plane, coords, den, window, bar) for each of 100
+    draws, skipping a constant denominator."""
     rng = random.Random(11)
-    certified = hits = 0
     for k in range(100):
         offset = Fraction(rng.randint(1, 6), rng.randint(1, 6))
         f = oracle_from_text(f"({_rand_poly_text(rng)} + 1)/({offset} + {_rand_poly_text(rng)})", 3)
@@ -633,14 +633,54 @@ def test_a_certified_chart_walks_to_no_blowup():
         window, bar = rng.randint(1, 20) / 20, 10.0 ** rng.randint(1, 6)
         coords = plane.float_coordinates
         _, den = certify._pullback_fraction(g.expression, coords, cap=65)
-        if den.size == 1:
-            continue
+        if den.size > 1:
+            yield g, plane, coords, den, window, bar
+
+
+def test_a_certified_chart_walks_to_no_blowup():
+    # a certified chart's walk never hits
+    certified = hits = 0
+    for g, plane, coords, den, window, bar in _walk_charts():
         ok = certify._certified(g.expression, plane, Fraction(window), bar)
         hit = certify._walk_valleys(g, coords, den, window, bar)
         assert not (ok and hit is not None), (to_text(g.expression), plane, window, bar)
         certified += ok
         hits += hit is not None
     assert certified > 30 and hits > 15
+
+
+def _probe_line_by_line(f, coords, minimisers, window, blow):
+    # the reference walk: one scalar float evaluation per line, in line
+    # order, stopping at the first hit
+    lines = [(axis, sign * window * 0.5**k) for axis in (0, 1) for sign in (1.0, -1.0) for k in range(15)]
+    for (axis, pinned), u in zip(lines, minimisers):
+        s, t = (pinned, u) if axis == 0 else (u, pinned)
+        x = float_point(coords, s, t)
+        try:
+            v = float(scalar_float(f, x))
+        except PoleError:
+            return ("pole", x, math.inf)
+        if not math.isfinite(v):
+            return ("pole", x, math.inf)
+        if abs(v) > blow:
+            return ("fail", x, abs(v))
+    return None
+
+
+def test_the_batched_probes_report_the_line_by_line_walks_first_hit(monkeypatch):
+    searched = []
+    search = certify._golden_min
+    monkeypatch.setattr(certify, "_golden_min", lambda *a: searched.append(search(*a)) or searched[-1])
+    kinds = {"pole": 0, "fail": 0}
+    for g, _, coords, den, window, bar in _walk_charts():
+        searched.clear()
+        got = certify._walk_valleys(g, coords, den, window, bar)
+        (minimisers,) = searched
+        want = _probe_line_by_line(g, coords, minimisers, window, bar)
+        assert got == want and repr(got) == repr(want), (to_text(g.expression), window, bar)
+        if got is not None:
+            kinds[got[0]] += 1
+    assert kinds["pole"] >= 1 and kinds["fail"] >= 1, kinds
 
 
 def _rand_program(rng, depth):

@@ -41,7 +41,7 @@ from analytica.oracle import (
     translate,
 )
 
-from conftest import rand_point
+from conftest import rand_point, scalar_float
 
 
 def test_parser_arithmetic():
@@ -561,17 +561,89 @@ def test_oracle_refuses_a_negative_exponent(expr, dimension):
         FunctionOracle(expr, dimension)
 
 
+@pytest.mark.parametrize(
+    "expr, dimension",
+    [
+        # x0 must not read p[-1], the last coordinate
+        (Var(0), 3),
+        # x4 must not get as far as an IndexError
+        (Var(4), 3),
+        (Add(Var(1), Mul(Var(2), Var(3))), 2),
+        (Var(-1), 1),
+    ],
+)
+def test_oracle_refuses_a_variable_outside_its_dimension(expr, dimension):
+    # the parser refuses these; only a program built in code can carry one
+    with pytest.raises(OracleError, match=rf"variable index -?\d+ is outside 1\.\.{dimension}"):
+        FunctionOracle(expr, dimension)
+
+
 # ---------------------------------------------------------------------------
-# grid evaluation against scalar float evaluation
+# evaluate_oracle's contract
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_evaluate_oracle_checks_the_point_length_first(mode):
+    f = oracle_from_text("x1 + x2", 2)
+    for point in [(1,), (1, 2, 3)]:
+        with pytest.raises(OracleError, match=rf"^point has length {len(point)}, oracle dimension is 2$"):
+            evaluate_oracle(f, point, mode=mode)
+
+
+def test_evaluate_oracle_refuses_an_unknown_mode():
+    with pytest.raises(OracleError, match="unknown evaluation mode 'interval'"):
+        evaluate_oracle(oracle_from_text("x1", 1), (1,), mode="interval")
+
+
+def test_a_float_pole_carries_the_point_as_floats():
+    f = oracle_from_text("x2 / (x1 - 1/2)", 2)
+    for point in [(Fraction(1, 2), 3), (0.5, Fraction(3)), (np.float64(0.5), np.int64(3))]:
+        with pytest.raises(PoleError, match="^division by zero$") as exc:
+            evaluate_oracle(f, point, mode="float")
+        assert exc.value.point == (0.5, 3.0)
+        assert all(type(x) is float for x in exc.value.point)
+
+
+@pytest.mark.parametrize(
+    "text, guard, point",
+    [
+        ("x1 * x2 + 1/3", None, (Fraction(1, 3), 2)),
+        ("2/3", None, (1, 2)),  # no variable: the value is a constant's
+        ("x1 / x2", ((0, 0), 5), (0, 0)),  # the guard value
+        ("x1", None, (np.float64(0.25), 0)),
+        ("x1^2000 + x2", None, (2, 1)),  # +inf
+    ],
+)
+def test_float_mode_returns_a_python_float(text, guard, point):
+    value = evaluate_oracle(oracle_from_text(text, 2, guard=guard), point, mode="float")
+    assert type(value) is float
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation and evaluate_oracle's float mode against scalar float
+# evaluation (conftest.scalar_float, a fold over Python floats)
 
 
 def _scalar_outcomes(g, points):
     out = []
     for p in points:
         try:
-            out.append(float.hex(evaluate_oracle(g, p, mode="float")))
+            out.append(float.hex(scalar_float(g, p)))
         except PoleError:
             out.append("pole")
+    return out
+
+
+def _oracle_outcomes(g, points):
+    out = []
+    for p in points:
+        try:
+            value = evaluate_oracle(g, p, mode="float")
+        except PoleError:
+            out.append("pole")
+        else:
+            assert type(value) is float
+            out.append(float.hex(value))
     return out
 
 
@@ -583,7 +655,9 @@ def _grid_outcomes(g, points):
 
 
 def _assert_grid_is_scalar(g, points):
-    assert _grid_outcomes(g, points) == _scalar_outcomes(g, points)
+    want = _scalar_outcomes(g, points)
+    assert _grid_outcomes(g, points) == want
+    assert _oracle_outcomes(g, points) == want
 
 
 def _random_points(rng, n, count):
@@ -617,7 +691,10 @@ def test_grid_shapes_and_dimension():
     s = np.linspace(-1, 1, 4)
     values, pole = evaluate_grid(f, [s[:, None], s[None, :]])
     assert values.shape == pole.shape == (4, 4) and not pole.any()
-    assert values[2, 3] == evaluate_oracle(f, (s[2], s[3]), mode="float")
+    for i in range(4):
+        for j in range(4):
+            want = float.hex(scalar_float(f, (s[i], s[j])))
+            assert float.hex(values[i, j]) == float.hex(evaluate_oracle(f, (s[i], s[j]), mode="float")) == want
     constant = oracle_from_text("2/3", 2)
     values, pole = evaluate_grid(constant, [s, s])
     assert values.tolist() == [2 / 3] * 4 and not pole.any()
