@@ -168,7 +168,8 @@ def _cheb_design(total: int):
     P = diag(1/|T_i|^2) T' diag(w) with the Lobatto weights w = (1/2, 1, ...,
     1, 1/2), under which T_0 .. T_{m-1} are orthogonal on the nodes
     (|T_0|^2 = m - 1, else (m - 1)/2), the mask i + j <= total, and the
-    m + 2 held-out (Chebyshev-Gauss) nodes."""
+    m + 2 held-out (Chebyshev-Gauss) nodes.  The fitted radial jets
+    (`taylor._fitted_jet`) use the nodes and P in one variable."""
     m = total + 3
     nodes = np.cos(np.pi * np.arange(m) / (m - 1))
     cheb = np.polynomial.chebyshev.chebvander(nodes, total)

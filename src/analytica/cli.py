@@ -227,10 +227,7 @@ def _cmd_tower(args) -> int:
     eta = Fraction(args.eta)
     cone = Cone(axis, Fraction(args.theta), eta)
     samples = ConeSampleSet(cone, random.Random(_resolve_seed(args.seed)))
-    result = build_tower(
-        f, cone, args.order, mode=args.mode, samples=samples, tol=args.tol,
-        window=float(eta),
-    )
+    result = build_tower(f, cone, args.order, mode=args.mode, samples=samples, tol=args.tol)
     pts = samples.plan(2)[0][:3]
     radii = []
     if result.ok and args.order >= 4:

@@ -2,16 +2,17 @@
 
 A radial jet at a point p collects the derivatives d^r/dt^r f(t p) at t = 0.
 Summing the degree-r terms over enough directions pins down homogeneous
-forms T_r with f ~ sum T_r / r!, the Taylor tower of f.  Jets are computed
-exactly for expression-backed functions and by a guarded Chebyshev fit for
-black-box callables.  An exact jet clears the base point and direction to
-integers over one denominator and folds the expression program in integer
-power series of t, one denominator per series, truncated after the jet's
-order (Taylor-mode arithmetic, `_series`); only when some divisor vanishes
-at the base point does it fold the program into one unreduced
-numerator/denominator pair of integer polynomials in t (a ring of
-`oracle.fold_fraction`), which cancels removable singularities and locates
-poles without taking a gcd.  One Fraction is built per returned coefficient.
+forms T_r with f ~ sum T_r / r!, the Taylor tower of f.  f is an
+expression-backed oracle.  Jets are exact, or fitted by the sphere fit's
+discrete Chebyshev projection in one variable (`certify._cheb_design`).  An
+exact jet clears the base point and direction to integers over one
+denominator and folds the expression program in integer power series of t,
+one denominator per series, truncated after the jet's order (Taylor-mode
+arithmetic, `_series`); only when some divisor vanishes at the base point
+does it fold the program into one unreduced numerator/denominator pair of
+integer polynomials in t (a ring of `oracle.fold_fraction`), which cancels
+removable singularities and locates poles without taking a gcd.  One
+Fraction is built per returned coefficient.
 """
 
 from __future__ import annotations
@@ -20,15 +21,19 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from . import _series as rs
 from ._linalg import Vec, clear_denominators, vec
+from .certify import _cheb_design
 from .forms import HomogeneousForm, TaylorTower, zero_form
 from .geometry import Cone, PoleError
 from .interpolation import ConeSampleSet, ReconstructionError, reconstruct_form_from_cone
 from .oracle import (
-    Add, Const, Div, Expression, FractionRing, FunctionOracle, Mul, Neg, Pow, Sub, Var, fold, fold_fraction,
+    Add, Const, Div, Expression, FractionRing, FunctionOracle, Mul, Neg, Pow, Sub, Var, evaluate_grid, fold,
+    fold_fraction,
 )
 
 
@@ -154,75 +159,55 @@ def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: i
 
 
 def radial_jet(
-    f,
-    point: Sequence,
-    order: int,
-    *,
-    mode: str = "auto",
-    window: float = 1.0,
+    f: FunctionOracle, point: Sequence, order: int, *, mode: str = "exact", window: float = 1.0
 ) -> RadialJet:
     """Jet of f along the ray through `point`.
 
-    mode "exact" needs an expression-backed oracle; "fitted" samples the ray
-    at Chebyshev nodes and differentiates the fit; "auto" picks exact when
-    available.
+    mode "exact" folds the program in power series (`line_series`);
+    "fitted" projects the ray's float values at Chebyshev-Lobatto nodes on
+    [-window, window] onto Chebyshev polynomials and reads the monomial
+    coefficients off the projection (`_fitted_jet`).
     """
-    if mode not in ("auto", "exact", "fitted"):
-        raise TaylorError(f"unknown jet mode {mode!r}")
-    exact_ok = isinstance(f, FunctionOracle)
-    if mode == "exact" and not exact_ok:
-        raise TaylorError("exact jets need an expression-backed oracle")
-    if mode == "auto":
-        mode = "exact" if exact_ok else "fitted"
-
+    if not isinstance(f, FunctionOracle):
+        raise TaylorError("the function must be an expression-backed oracle")
     if mode == "exact":
         p = vec(point)
         zero = (Fraction(0),) * len(p)
         coeffs = line_series(f, zero, p, order)
         tau = tuple(c * math.factorial(r) for r, c in enumerate(coeffs))
         return RadialJet(p, tau, "exact")
-
-    return _fitted_jet(f, point, order, window)
+    if mode == "fitted":
+        return _fitted_jet(f, point, order, window)
+    raise TaylorError(f"unknown jet mode {mode!r}")
 
 
 _GUARD_DEGREES = 4
 
 
-def _fitted_jet(fn: Callable, point: Sequence, order: int, window: float) -> RadialJet:
-    import numpy as np
-
-    p = tuple(float(x) for x in point)
-    eps = float(window)
-    if eps <= 0:
+def _fitted_jet(f: FunctionOracle, point: Sequence, order: int, window: float) -> RadialJet:
+    """The sphere fit's discrete Chebyshev projection (`certify._cheb_design`)
+    in one variable: the values of t -> f(t * window * point) at the
+    Chebyshev-Lobatto nodes, from one `evaluate_grid` call, projected onto
+    T_0 .. T_{order + 4} in einsum loops (no BLAS, so the bits do not depend
+    on the BLAS thread count), converted to monomials and scaled back from
+    the unit interval.  A pole or a non-finite value at a node raises
+    PoleError with that node's point."""
+    if not window > 0:
         raise TaylorError("window must be positive")
-    top = order + _GUARD_DEGREES
-    count = 2 * top + 1
-    nodes = [math.cos(math.pi * k / (count - 1)) for k in range(count)]
-    step = math.pi / (count - 1)
-
-    svals: list[float] = []
-    fvals: list[float] = []
-    for s in nodes:
-        for nudge in (0.0, 0.5 * step, -0.5 * step, 0.25 * step, -0.25 * step):
-            s_try = s + nudge
-            if abs(s_try) > 1.0:
-                continue
-            x = tuple(s_try * eps * c for c in p)
-            try:
-                v = float(fn(x))
-            except (PoleError, ZeroDivisionError):
-                continue
-            if math.isfinite(v):
-                svals.append(s_try)
-                fvals.append(v)
-                break
-        else:
-            raise PoleError("could not evaluate near a sample node on the ray", tuple(point))
-
-    v_matrix = np.vander(np.array(svals), N=top + 1, increasing=True)
-    fv = np.array(fvals)
-    b, *_ = np.linalg.lstsq(v_matrix, fv, rcond=None)
-    tau = tuple(float(b[r]) * math.factorial(r) / eps**r for r in range(order + 1))
+    if order < 0:
+        raise TaylorError("order must be nonnegative")
+    nodes, _, proj, _, _ = _cheb_design(order + _GUARD_DEGREES)
+    coords = [nodes * (window * float(x)) for x in point]
+    values, pole = evaluate_grid(f, coords)
+    bad = pole | ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        witness = tuple(float(c[k]) for c in coords)
+        raise PoleError("the ray has a pole or a non-finite value at a fit node", witness)
+    cheb = np.einsum("ik,k->i", proj, values, optimize=False)
+    # cheb2poly drops trailing zeros, so a ray where f vanishes needs the padding
+    mono = np.r_[np.polynomial.chebyshev.cheb2poly(cheb), np.zeros(order + 1)]
+    tau = tuple(float(mono[r]) * math.factorial(r) / window**r for r in range(order + 1))
     return RadialJet(tuple(point), tau, "fitted")
 
 
@@ -252,7 +237,7 @@ class TowerResult:
 
 
 def build_tower(
-    f,
+    f: FunctionOracle,
     cone: Cone,
     order: int,
     *,
@@ -260,15 +245,15 @@ def build_tower(
     samples: ConeSampleSet | None = None,
     seed: int | None = None,
     tol: float = 1e-9,
-    window: float = 1.0,
 ) -> TowerResult:
     """Assemble the Taylor tower of f up to the given order from radial jets
     at sample points inside the cone.
 
-    Each sample point's jet is computed once and reused for every degree.
-    Degree r is recovered by an exactly-determined solve plus held-out
-    verification; a jet pole or a held-out mismatch marks the result failed
-    instead of raising.
+    Each sample point's jet is computed once and reused for every degree: an
+    exact jet, or in float mode a jet fitted over the cone's window (1 when
+    the cone has none).  Degree r is recovered by an exactly-determined
+    solve plus held-out verification; a jet pole or a held-out mismatch
+    marks the result failed instead of raising.
     """
     if order < 0:
         raise TaylorError("order must be nonnegative")
@@ -276,17 +261,17 @@ def build_tower(
         raise TaylorError(f"unknown tower mode {mode!r}")
     if not 0 < tol < math.inf:
         raise TaylorError("tol must be positive and finite")
-    exact_ok = isinstance(f, FunctionOracle)
+    if not isinstance(f, FunctionOracle):
+        raise TaylorError("the function must be an expression-backed oracle")
     if mode == "auto":
-        mode = "exact" if exact_ok else "float"
-    if mode == "exact" and not exact_ok:
-        raise TaylorError("exact towers need an expression-backed oracle")
+        mode = "exact"
     if samples is None:
         samples = ConeSampleSet(cone, random.Random(0 if seed is None else seed))
     n = samples.dimension
 
     jets: dict[tuple, RadialJet] = {}
     jet_mode = "exact" if mode == "exact" else "fitted"
+    window = 1.0 if cone.window is None else float(cone.window)
 
     def jet_at(p: Vec) -> RadialJet:
         j = jets.get(p)

@@ -358,6 +358,22 @@ def test_tower_pole_at_base_is_diagnosed(capsys):
     assert data["diagnostics"]["failures"]
 
 
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        # f vanishes on some rays, so their fitted jets are all zeros
+        (["--builtin", "hartogs-f", "--order", "4"], {"degree": 0, "kind": "held-out"}),
+        # every fit node is a pole
+        (["--expr", "1/(x1-x1)", "--order", "2"], {"degree": 0, "kind": "jet-pole"}),
+    ],
+    ids=["hartogs-f", "zero-divisor"],
+)
+def test_float_tower_failures_exit_2(argv, failure, capsys):
+    assert run(["tower", "--mode", "float", *argv, "--seed", "5"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert [{k: fl[k] for k in failure} for fl in data["diagnostics"]["failures"]] == [failure]
+
+
 def test_tower_bad_axis(capsys):
     assert run(["tower", "--expr", "x1", "--axis", "1,0,0", "--order", "2"]) == 1
     capsys.readouterr()

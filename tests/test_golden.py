@@ -55,6 +55,10 @@ CASES = {
     ),
     # the held-out jet values disagree with the solved form at degree 1
     "tower-curve": (["tower", "--builtin", "curve-g", "--order", "4", "--seed", "5"], 2),
+    # fitted jets: the degree-3 held-out residual, about 4.3e-8, misses tol 1e-9
+    "tower-float": (
+        ["tower", "--mode", "float", "--expr", "1/(1 - x1)", "--order", "4", "--eta", "1/2", "--seed", "5"], 2
+    ),
     "cone-exact": (["reconstruct", "cone", "--input", FORM_N4_D4, "--seed", "3"], 0),
     "cone-exact-low-degree": (
         ["reconstruct", "cone", "--input", FORM_N4_D4, "--degree", "3", "--seed", "3"], 2
@@ -80,13 +84,15 @@ def test_report_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-# the reports that go through the float route's Chebyshev fit
-FLOAT_ROUTE = ("counterexample-curve", "counterexample-hartogs", "probe-curve", "probe-hartogs", "probe-rational")
+# the reports that go through a Chebyshev fit: the float route's, or the fitted jets'
+FLOAT_ROUTE = (
+    "counterexample-curve", "counterexample-hartogs", "probe-curve", "probe-hartogs", "probe-rational", "tower-float"
+)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_float_route_reports_do_not_depend_on_blas_threads(threads, tmp_path):
-    """The fit runs no BLAS routine, so its report bytes are the same at
+    """The fits run no BLAS routine, so their report bytes are the same at
     any OpenBLAS thread count.  OpenBLAS reads the count when numpy loads,
     so each count runs in a process of its own."""
     runs = [CASES[name][0] + ["--out", str(tmp_path / f"{name}.json")] for name in FLOAT_ROUTE]

@@ -276,6 +276,49 @@ def test_fitted_jet_close_to_exact():
         assert abs(float(a) - b) < 1e-5
 
 
+def test_fitted_jet_of_a_function_vanishing_on_the_ray_is_all_zeros():
+    # cheb2poly drops trailing zeros; the jet still has order + 1 entries
+    f = oracle_from_text("x1*x2*x3", 3)
+    for order in (0, 4):
+        jet = radial_jet(f, (Fraction(1, 4), 0, 0), order, mode="fitted")
+        assert jet.coefficients == (0.0,) * (order + 1)
+
+
+def test_fitted_jet_reports_a_pole_at_a_node():
+    # the first Chebyshev-Lobatto node is t = 1, where 1 - x1 vanishes
+    f = oracle_from_text("1/(1 - x1)", 3)
+    with pytest.raises(PoleError, match="fit node") as caught:
+        radial_jet(f, (1, 0, 0), 3, mode="fitted")
+    assert caught.value.point == (1.0, 0.0, 0.0)
+    with pytest.raises(PoleError, match="fit node"):
+        radial_jet(oracle_from_text("1/(x1 - x1)", 3), (Fraction(1, 4), 0, 0), 2, mode="fitted")
+
+
+def test_jets_and_towers_refuse_a_plain_callable():
+    def f(x):
+        return 1 / (1 - x[0])
+
+    cone = Cone(E12, Fraction(1, 2), Fraction(1))
+    for mode in ("exact", "fitted"):
+        with pytest.raises(TaylorError, match="expression-backed oracle"):
+            radial_jet(f, (Fraction(1, 4), 0, 0), 3, mode=mode)
+    for mode in ("auto", "exact", "float"):
+        with pytest.raises(TaylorError, match="expression-backed oracle"):
+            build_tower(f, cone, 3, mode=mode, seed=1)
+
+
+def test_radial_jet_refuses_bad_arguments():
+    f = oracle_from_text("1/(1 - x1)", 3)
+    with pytest.raises(TaylorError, match="unknown jet mode 'auto'"):
+        radial_jet(f, (Fraction(1, 4), 0, 0), 3, mode="auto")
+    for window in (0.0, -1.0, math.nan):
+        with pytest.raises(TaylorError, match="window must be positive"):
+            radial_jet(f, (Fraction(1, 4), 0, 0), 3, mode="fitted", window=window)
+    for mode in ("exact", "fitted"):
+        with pytest.raises(TaylorError, match="order must be nonnegative"):
+            radial_jet(f, (Fraction(1, 4), 0, 0), -1, mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # the Fraction fold that the integer series replaced, kept as a reference
 
@@ -639,7 +682,8 @@ def test_random_axis_tower_matches_function():
 def test_float_mode_tower():
     f = oracle_from_text("1/(1-x1)", 3)
     cone = Cone(E12, Fraction(1, 2), Fraction(1, 2))
-    res = build_tower(f, cone, 4, mode="float", seed=31, window=0.25, tol=1e-6)
+    # the fitted jets take the cone's window, 1/2
+    res = build_tower(f, cone, 4, mode="float", seed=31, tol=1e-6)
     assert res.mode == "float"
     assert res.ok
     got = res.tower.forms[3].coefficients.get((3, 0, 0))
