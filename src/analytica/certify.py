@@ -15,11 +15,16 @@ total-degree Chebyshev fit over a window by discrete Chebyshev projection
 falsifier that walks valleys of the pulled-back denominator looking for
 blow-ups the fit grid missed.  The falsifier is settled before it walks
 where that is possible: a pullback whose array shapes outgrow the size cap
-is skipped before any array is multiplied, and a chart whose divisors all
-dominate at the center of the window box, with an exact enclosure of the
-pullback below the blow-up bar, is certified, since no walk there can fire.
-The shapes, the float arrays and the certificate's integer arrays are three
-rings of `oracle.fold_fraction`.
+is skipped before any array is multiplied, and an unguarded chart whose
+divisors are all bounded away from zero on the window box (by center
+dominance, or on each of its four quarters), with an exact enclosure of
+the pullback below the blow-up bar, is certified, since no walk there can
+fire.  Only the charts the certificate leaves open fold the float
+denominator and walk.  The shapes, the certificate's integer arrays and
+the float arrays are three rings of `oracle.fold_fraction`, whose
+denominators are products of powers of divisor atoms, so the |y|^2 of an
+inversion does not pile up: hartogs-f's origin-inversion denominators are
+7x7, and curve-g's 19x19.
 
 Sphere restrictions are reduced to plane checks through inversions: one
 centered at the origin (covering the sphere away from 0) and one centered
@@ -33,7 +38,6 @@ the exact verdict, with degree bound 2d.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -73,6 +77,7 @@ from .oracle import (
     evaluate_grid,
     evaluate_oracle,
     fold_fraction,
+    multiply_out,
     substitute,
     to_float,
 )
@@ -80,7 +85,6 @@ from .oracle import (
 _FIT_GUARD = 4
 _VALLEY_SCALES = 15
 _BLOW_FACTOR = 1e6
-_CERTIFY_SHAPE = 16
 _CERTIFY_MARGIN = 2
 _GOLDEN_STEPS = 96
 
@@ -96,24 +100,23 @@ class PlaneReport:
     Pass always means the residual cleared the tolerance and no pole
     was encountered.
 
-    `falsifier` says what became of the denominator-valley falsifier:
-    "ran"; "certified" (every divisor of the exact pullback dominates at the
-    center of the window box, and the pullback's enclosure there stays below
-    the blow-up bar, so the walk is skipped: it could not fire);
-    "skipped-cap" (the pulled-back denominator outgrew the size cap, which
-    the array shapes alone decide, so this wins over the two skips below);
-    "skipped-zero-divisor" (a divisor pulled back to zero);
-    "skipped-nonfinite" (a coefficient of the pullback overflowed or turned
-    NaN); "constant-denominator" (no valleys to walk); or "off" (the exact
-    route, or a fit that already failed).  It is not part of the JSON
-    reports.
+    `falsifier` says what became of the denominator-valley falsifier, in
+    the order it is settled: "skipped-cap" (the pullback's factored shapes
+    outgrew the size cap, which the shapes alone decide);
+    "constant-denominator" (no valleys to walk); "certified" (an unguarded
+    chart whose every divisor is bounded away from zero on the window box,
+    and whose exact enclosure there stays below the blow-up bar, so the walk
+    is skipped: it could not fire); "skipped-zero-divisor" (a divisor pulled
+    back to zero in floats); "skipped-nonfinite" (a constant of the pullback
+    is beyond binary64 range); "ran"; or "off" (the exact route, or a fit
+    that already failed).  It is not part of the JSON reports, and neither
+    is the plane, which the caller holds.
 
     On the exact route `fit_degree` holds the degree bound (2d for a sphere
     chart of a degree-d polynomial), a pass is a proof, and a "fail" carries
     the guard point, where the guard value is not the restriction's limit,
     with the relative gap there as the residual."""
 
-    plane: AffinePlane2
     verdict: str
     residual: float
     witness: tuple | None
@@ -151,10 +154,10 @@ def _exact_tensor_check(f: FunctionOracle, plane: AffinePlane2, bound: int, wind
             gap = evaluate_oracle(FunctionOracle(f.expression, f.dimension), point) - value
             if gap:
                 return PlaneReport(
-                    plane, "fail", float(abs(gap)) / max(1.0, float(abs(value))), point,
+                    "fail", float(abs(gap)) / max(1.0, float(abs(value))), point,
                     "exact", bound, wf, "guard value differs from the limit at the guard point",
                 )
-    return PlaneReport(plane, "pass", 0.0, None, "exact", bound, wf)
+    return PlaneReport("pass", 0.0, None, "exact", bound, wf)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +239,14 @@ class _ScanCap(Exception):
 
 
 class _Undominated(Exception):
-    """A divisor of the chart pullback does not dominate at the center."""
+    """A divisor of the chart pullback has no positive `_lower_bound` on the box."""
 
 
 def _poly2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two coefficient arrays, one shifted copy of the larger
+    per nonzero coefficient of the smaller."""
+    if a.size > b.size:
+        a, b = b, a
     out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), dtype=a.dtype)
     for i in range(a.shape[0]):
         for j in range(a.shape[1]):
@@ -274,87 +281,159 @@ def _shape_ring(cap: int) -> FractionRing:
     )
 
 
+def _denominator_shape(e: Expression, cap: int) -> tuple[int, int]:
+    """The shape of the pullback's multiplied-out denominator, from the
+    shapes alone; a numerator or a denominator over the size cap raises
+    _ScanCap("skipped-cap")."""
+    ring = _shape_ring(cap)
+    return multiply_out(ring, fold_fraction(e, ring)[1])
+
+
 def _float_ring(coords) -> FractionRing:
-    """float64 coefficient arrays, indexed [i, j] for s^i t^j.  A pair whose
-    largest coefficient leaves [1e-120, 1e120] is rescaled, and a divisor
-    that pulls back to zero raises _ScanCap("skipped-zero-divisor")."""
-    one = np.ones((1, 1))
-    var_polys = [np.array([[x, v], [u, 0.0]]) for x, u, v in zip(*coords)]
+    """float64 coefficient arrays, indexed [i, j] for s^i t^j, each with a
+    binary exponent: (a, k) stands for a * 2^k.  Every sum and product
+    rescales its array by a power of two, which rounds nothing, so that its
+    largest coefficient lies in [1/2, 1); so no coefficient overflows.  A
+    constant beyond binary64 range raises _ScanCap("skipped-nonfinite"), and
+    a divisor that pulls back to zero _ScanCap("skipped-zero-divisor")."""
+
+    def scaled(a, k):
+        m = float(np.max(np.abs(a)))
+        if not m:
+            return a, 0
+        e = math.frexp(m)[1]
+        return np.ldexp(a, -e), k + e
+
+    def const(v):
+        x = to_float(v)
+        if math.isinf(x):
+            raise _ScanCap("skipped-nonfinite")
+        return scaled(np.array([[x]]), 0), one
+
+    def add(a, b):
+        k = max(a[1], b[1])
+        return scaled(_poly2_add(np.ldexp(a[0], a[1] - k), np.ldexp(b[0], b[1] - k)), k)
 
     def divisor(d):
-        if not np.any(d):
+        if not np.any(d[0]):
             raise _ScanCap("skipped-zero-divisor")
         return d
 
-    def norm(n, d):
-        m = max(float(np.max(np.abs(n))), float(np.max(np.abs(d))))
-        if m > 1e120 or (0.0 < m < 1e-120):
-            n = n / m
-            d = d / m
-        return n, d
-
+    one = (np.ones((1, 1)), 0)
+    var_polys = [((np.array([[x, v], [u, 0.0]]), 0), one) for x, u, v in zip(*coords)]
     return FractionRing(
-        one, lambda v: (np.array([[to_float(v)]]), one), lambda i: (var_polys[i - 1], one),
-        _poly2_add, operator.neg, _poly2_mul, divisor, norm,
+        one, const, lambda i: var_polys[i - 1], add, lambda a: (-a[0], a[1]),
+        lambda a, b: scaled(_poly2_mul(a[0], b[0]), a[1] + b[1]), divisor,
     )
 
 
-def _pullback_fraction(e: Expression, coords, cap: int):
-    """Float numerator/denominator coefficient arrays (in the chart
-    coordinates s, t) for an expression pulled back to the plane with float
-    coordinates `coords`.  The shapes are folded first, so a pullback over
-    the size cap raises _ScanCap("skipped-cap") before any array is
-    multiplied.  A coefficient that overflows or turns NaN (an infinite
-    constant makes every operation on it do so) raises
-    _ScanCap("skipped-nonfinite")."""
-    fold_fraction(e, _shape_ring(cap))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return fold_fraction(e, _float_ring(coords))
-    except FloatingPointError:
-        raise _ScanCap("skipped-nonfinite") from None
+def _pullback_fraction(e: Expression, coords) -> np.ndarray:
+    """The float coefficient array, in the chart coordinates s, t, of the
+    denominator of an expression pulled back to the plane with float
+    coordinates `coords`: its atoms multiplied out, up to a power of two.
+    Raises _ScanCap("skipped-zero-divisor") or _ScanCap("skipped-nonfinite")
+    as `_float_ring` says.  (The name, from when it returned the numerator
+    too, is the one `bench/tracing.py` hooks.)"""
+    ring = _float_ring(coords)
+    return multiply_out(ring, fold_fraction(e, ring)[1])[0]
 
 
 def _box_norm(c: np.ndarray, w: Fraction) -> Fraction:
-    """sum |c_ij| w^(i+j), which bounds |c(s, t)| on the box |s|, |t| <= w."""
+    """sum |c_ij| w^(i+j), which bounds |c(s, t)| on the box |s|, |t| <= w:
+    the sums of |c_ij| along the antidiagonals i + j = k, weighted by w^k in
+    one Horner pass over integers."""
+    rows, cols = c.shape
+    diagonals = np.zeros(rows + cols - 1, dtype=object)
+    for i, row in enumerate(np.abs(c)):
+        diagonals[i : i + cols] += row
     p, q = w.numerator, w.denominator
-    top = c.shape[0] + c.shape[1] - 2
-    scale = [p**k * q ** (top - k) for k in range(top + 1)]
-    return Fraction(sum(abs(x) * scale[i + j] for (i, j), x in np.ndenumerate(c)), q**top)
+    total, scale = 0, 1
+    for a in diagonals[::-1]:
+        total = total * p + a * scale
+        scale *= q
+    return Fraction(total, scale // q)
+
+
+@lru_cache(maxsize=None)
+def _pascal(n: int, sign: int) -> np.ndarray:
+    """The n x n integer matrix L with L[k, i] = C(i, k) sign^(i - k), so
+    that L c holds the coefficients of c(x + sign) for those of c(x)."""
+    out = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        for k in range(i + 1):
+            out[k, i] = math.comb(i, k) * sign ** (i - k)
+    out.setflags(write=False)
+    return out
+
+
+def _lower_bound(c: np.ndarray, w: Fraction) -> Fraction:
+    """A lower bound on |c(s, t)| over the box |s|, |t| <= w by center
+    dominance, a first-order Taylor-model enclosure: |c_00| minus the sum of
+    the other |c_ij| w^(i+j).  Where that is not positive, the box is split
+    once into four quarters, each re-centered by an exact integer Taylor
+    shift and tested with half the width, and the bound is the least of the
+    four.  The half width h is w / 2 rounded up to 12 significant bits, so
+    the quarters cover the box and their integers stay short: with h = P / Q
+    and top the total degree of c, C_ij = c_ij P^(i+j) Q^(top-i-j) is the
+    array of c(h x, h y) Q^top, and the quarters are the unit boxes around
+    (+-1, +-1), reached by Pascal-matrix products.  Returns 0 where no
+    positive bound is found."""
+    low = 2 * abs(c[0, 0]) - _box_norm(c, w)
+    if low > 0:
+        return low
+    unit = Fraction(2) ** (math.frexp(float(w))[1] - 13)
+    h = math.ceil(w / 2 / unit) * unit
+    rows, cols = c.shape
+    degree = np.add.outer(np.arange(rows), np.arange(cols))
+    top = max(degree[c != 0].tolist(), default=0)
+    scale = [h.numerator**k * h.denominator ** (top - k) for k in range(top + 1)]
+    scale += [0] * (rows + cols - 2 - top)
+    scaled = c * np.array(scale, dtype=object)[degree]
+    margins = []
+    for sx in (1, -1):
+        rows_shifted = np.dot(_pascal(rows, sx), scaled)
+        for sy in (1, -1):
+            quarter = np.dot(rows_shifted, _pascal(cols, sy).T)
+            margins.append(2 * abs(quarter[0, 0]) - np.sum(np.abs(quarter)))
+            if margins[-1] <= 0:
+                return Fraction(0)
+    return Fraction(min(margins), h.denominator**top)
 
 
 def _exact_ring(plane: AffinePlane2, w: Fraction) -> FractionRing:
     """Integer coefficient arrays (dtype object) paired with a lower bound
     on the polynomial's absolute value over the box |s|, |t| <= w (0 where
-    none is known).  Each coordinate of the plane is cleared to integers
-    once.  A divisor must dominate at the center, |d_00| > sum over the
-    other terms of |d_ij| w^(i+j), and is then at least the difference on
-    the box; otherwise the fold raises _Undominated."""
+    none is known; a constant denominator and every divisor carry one).
+    Each coordinate of the plane is cleared to integers once.  A divisor
+    whose `_lower_bound` is not positive raises _Undominated."""
 
     def poly(rows, low=0):
         return np.array(rows, dtype=object), low
 
     one = poly([[1]], 1)
+
+    def denominator(den):
+        return one if den == 1 else poly([[den]], den)
+
     var_pairs = []
     for x, u, v in zip(plane.base_point, *plane.basis):
         (kx, ku, kv), den = la.clear_denominators((x, u, v))
-        var_pairs.append((poly([[kx, kv], [ku, 0]]), poly([[den]], den)))
+        var_pairs.append((poly([[kx, kv], [ku, 0]]), denominator(den)))
 
     def const(v):
         v = frac(v)
-        return poly([[v.numerator]]), poly([[v.denominator]], v.denominator)
+        return poly([[v.numerator]]), denominator(v.denominator)
 
     def divisor(d):
-        c, _ = d
-        low = 2 * abs(c[0, 0]) - _box_norm(c, w)
+        low = _lower_bound(d[0], w)
         if low <= 0:
             raise _Undominated
-        return c, low
+        return d[0], low
 
     return FractionRing(
         one, const, lambda i: var_pairs[i - 1],
-        lambda a, b: (_poly2_add(a[0], b[0]), 0), lambda a: (-a[0], a[1]),
-        lambda a, b: (_poly2_mul(a[0], b[0]), a[1] * b[1]), divisor,
+        lambda a, b: (_poly2_add(a[0], b[0]), 0), lambda a: (-a[0], 0),
+        lambda a, b: (_poly2_mul(a[0], b[0]), 0), divisor,
     )
 
 
@@ -362,14 +441,15 @@ def _certified(e: Expression, plane: AffinePlane2, w: Fraction, bar: float) -> b
     """A proof that the pullback of e to the plane stays below
     bar / _CERTIFY_MARGIN on the box |s|, |t| <= w, so that no valley walk
     there can find a blow-up over the bar.  The pullback is folded exactly;
-    every divisor must dominate at the center (a first-order Taylor-model
-    enclosure), and |f| <= sum |n_ij| w^(i+j) over the product of the
-    divisors' lower bounds.  The margin leaves room for the rounding of the
-    walk's float evaluations."""
+    every divisor must have a positive `_lower_bound` on the box, and |f| <=
+    sum |n_ij| w^(i+j) over the product of the atoms' lower bounds to their
+    powers.  The margin leaves room for the rounding of the walk's float
+    evaluations."""
     try:
-        (num, _), (_, low) = fold_fraction(e, _exact_ring(plane, w))
+        (num, _), factors = fold_fraction(e, _exact_ring(plane, w))
     except _Undominated:
         return False
+    low = math.prod(atom[1] ** k for atom, k in factors)
     return math.isinf(bar) or _CERTIFY_MARGIN * _box_norm(num, w) < Fraction(bar) * low
 
 
@@ -404,28 +484,24 @@ def _valley_scan(
     tolerance.
 
     Before it walks, the falsifier is settled where it can be: a pullback
-    over the size cap, with a zero divisor or with a coefficient that is not
-    finite is skipped, a constant denominator has no valley, and an
-    unguarded chart whose denominator fits in _CERTIFY_SHAPE x
-    _CERTIFY_SHAPE and which `_certified` bounds below the bar cannot blow
-    up.  The falsifier status is appended to `status`: "ran", "certified",
-    "skipped-cap", "skipped-zero-divisor", "skipped-nonfinite" or
-    "constant-denominator"."""
+    whose factored shapes outgrow the size cap is skipped, a constant
+    denominator has no valley, an unguarded chart that `_certified` bounds
+    below the bar cannot blow up, and a float pullback with a zero divisor
+    or a constant that is not finite is skipped.  Only then is the float
+    denominator folded and walked.  The falsifier status is appended to
+    `status`: "ran", "certified", "skipped-cap", "skipped-zero-divisor",
+    "skipped-nonfinite" or "constant-denominator"."""
     try:
-        _, den = _pullback_fraction(f.expression, coords, cap=65)
+        if _denominator_shape(f.expression, cap=65) == (1, 1):
+            status.append("constant-denominator")
+            return None
+        blow = _BLOW_FACTOR * max(1.0, grid_max)
+        if f.guard is None and _certified(f.expression, plane, Fraction(window), blow):
+            status.append("certified")
+            return None
+        den = _pullback_fraction(f.expression, coords)
     except _ScanCap as exc:
         status.append(exc.args[0])
-        return None
-    if den.size == 1:
-        status.append("constant-denominator")
-        return None
-    blow = _BLOW_FACTOR * max(1.0, grid_max)
-    if (
-        f.guard is None
-        and max(den.shape) <= _CERTIFY_SHAPE
-        and _certified(f.expression, plane, Fraction(window), blow)
-    ):
-        status.append("certified")
         return None
     status.append("ran")
     return _walk_valleys(f, coords, den, window, blow)
@@ -523,12 +599,12 @@ def check_plane_analytic(
     status, residual, witness, grid_max = _cheb_fit(f, coords, wf, fit_degree)
     if status == "pole":
         return PlaneReport(
-            plane, "pole", math.inf, witness, "float", fit_degree, wf,
+            "pole", math.inf, witness, "float", fit_degree, wf,
             "denominator vanishes at a probed point",
         )
     if residual > tol:
         return PlaneReport(
-            plane, "fail", residual, witness, "float", fit_degree, wf,
+            "fail", residual, witness, "float", fit_degree, wf,
             "fit does not reproduce held-out samples",
         )
     status: list[str] = []
@@ -537,10 +613,10 @@ def check_plane_analytic(
     if hit is not None:
         verdict, where, magnitude = hit
         return PlaneReport(
-            plane, verdict, magnitude, where, "float", fit_degree, wf,
+            verdict, magnitude, where, "float", fit_degree, wf,
             "blow-up along a denominator valley", falsifier,
         )
-    return PlaneReport(plane, "pass", residual, None, "float", fit_degree, wf, "", falsifier)
+    return PlaneReport("pass", residual, None, "float", fit_degree, wf, "", falsifier)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ non-negative integers at parse time.
 The parser, the eight constructors (Const, Var, Neg, Add, Sub, Mul, Div,
 Pow) and `substitute` all build one representation, a hash-consed program
 (see Expression), and every analysis is a `fold` of it.  `fold_fraction`
-folds a program into an unreduced (numerator, denominator) pair over a
-`FractionRing`; chart pullbacks (`certify`) and the line-series fallback
-(`taylor`) are its rings.  Exact evaluation folds over Fractions, and
+folds a program into an unreduced numerator over a factored denominator,
+a product of powers of divisor atoms, over a `FractionRing`; chart
+pullbacks (`certify`) and the line-series fallback (`taylor`) are its
+rings.  Exact evaluation folds over Fractions, and
 `evaluate_grid` is the one float evaluation: the Chebyshev fit, the valley
 walk, the tower's diagnostic lines and `evaluate_oracle`'s float mode all
 run it.
@@ -30,11 +31,14 @@ run it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -270,9 +274,10 @@ def fold(e: Expression, algebra: dict) -> list:
 class FractionRing(NamedTuple):
     """The coefficient operations of one pass of `fold_fraction`: a
     polynomial in the restriction's coordinates and how to add, negate and
-    multiply two of them.  `divisor` sees the numerator of every divisor
-    before it enters a denominator, and `norm` may rescale a (numerator,
-    denominator) pair."""
+    multiply two of them.  `const` and `var` return a (numerator,
+    denominator) pair whose denominator is `one` itself where there is
+    none, and `divisor` sees the numerator of every divisor before it
+    becomes an atom of a denominator."""
 
     one: object
     const: Callable  # Fraction -> (numerator, denominator)
@@ -281,51 +286,92 @@ class FractionRing(NamedTuple):
     neg: Callable
     mul: Callable
     divisor: Callable = lambda d: d
-    norm: Callable = lambda n, d: (n, d)
+
+
+def _ring_power(ring: FractionRing, p, k: int):
+    """p**k in the ring by repeated squaring; k >= 1."""
+    if k == 1:
+        return p
+    half = _ring_power(ring, ring.mul(p, p), k // 2)
+    return ring.mul(half, p) if k % 2 else half
+
+
+def multiply_out(ring: FractionRing, factors) -> object:
+    """The product of the (atom, power) pairs in the ring; `one` for none."""
+    terms = [_ring_power(ring, atom, k) for atom, k in factors]
+    return reduce(ring.mul, terms) if terms else ring.one
 
 
 def fold_fraction(e: Expression, ring: FractionRing):
-    """The (numerator, denominator) pair of the program, unreduced, in the
-    ring's polynomials: a sum cross-multiplies, a quotient swaps the
-    divisor's pair, a power squares repeatedly.  Exponents are
-    non-negative, as `FunctionOracle` checks."""
-    one, mul, norm = ring.one, ring.mul, ring.norm
+    """The program as one fraction in the ring's polynomials, with a
+    factored denominator: returns (numerator, factors), where factors is a
+    tuple of (atom, power) pairs whose product (`multiply_out`) is the
+    denominator.  An atom is the numerator of a divisor, through
+    `ring.divisor`, keyed by the divisor's program slot, or the
+    denominator of a constant or a variable that is not `ring.one`.
+
+    A denominator is a Counter of atom powers.  A sum brings both
+    numerators over the lcm of the powers, each multiplied by the powers
+    the other side has more of; a product adds the powers; a quotient
+    cancels the divisor's powers against the dividend's, multiplies what is
+    left into the numerator and adds the divisor's atom; a power scales the
+    powers.  No gcd is taken, so the fraction is unreduced, but a divisor
+    the program repeats is one atom whose powers do not pile up: an
+    inversion pullback divides every variable by the same |y|^2, which is
+    one op.  Exponents are non-negative, as `FunctionOracle` checks."""
+    atoms: dict = {}
+    raised: dict = {}  # (key, k) -> the atom to the power k
+    leaves = itertools.count(-1, -1)  # keys apart from the program's slots
+    divisors = iter([args[1] for kind, args, _ in e if kind is Div])  # in the order fold runs them
+
+    def over(n, powers: Counter):
+        """n times each atom to its power."""
+        for key, k in powers.items():
+            if (key, k) not in raised:
+                raised[key, k] = _ring_power(ring, atoms[key], k)
+            n = ring.mul(raised[key, k], n)
+        return n
+
+    def leaf(pair):
+        n, d = pair
+        if d is ring.one:
+            return n, Counter()
+        key = next(leaves)
+        atoms[key] = d
+        return n, Counter({key: 1})
 
     def add(negate):
         def step(a, b):
             (n1, d1), (n2, d2) = a, b
-            t2 = mul(n2, d1)
-            return norm(ring.add(mul(n1, d2), ring.neg(t2) if negate else t2), mul(d1, d2))
+            n2 = over(n2, d1 - d2)
+            return ring.add(over(n1, d2 - d1), ring.neg(n2) if negate else n2), d1 | d2
 
         return step
 
     def div(a, b):
         (n1, d1), (n2, d2) = a, b
-        n2 = ring.divisor(n2)
-        return norm(mul(n1, d2), mul(d1, n2))
+        key = next(divisors)
+        if key not in atoms:
+            atoms[key] = ring.divisor(n2)
+        return over(n1, d2 - d1), d1 - d2 + Counter({key: 1})
 
     def power(a, k):
-        n, d = a
-        rn, rd = one, one
-        while k:
-            if k & 1:
-                rn, rd = norm(mul(rn, n), mul(rd, d))
-            k >>= 1
-            if k:
-                n, d = norm(mul(n, n), mul(d, d))
-        return rn, rd
+        if not k:
+            return ring.one, Counter()
+        return _ring_power(ring, a[0], k), Counter({key: p * k for key, p in a[1].items()})
 
     algebra = {
-        Const: ring.const,
-        Var: ring.var,
+        Const: lambda v: leaf(ring.const(v)),
+        Var: lambda i: leaf(ring.var(i)),
         Neg: lambda a: (ring.neg(a[0]), a[1]),
         Add: add(False),
         Sub: add(True),
-        Mul: lambda a, b: norm(mul(a[0], b[0]), mul(a[1], b[1])),
+        Mul: lambda a, b: (ring.mul(a[0], b[0]), a[1] + b[1]),
         Div: div,
         Pow: power,
     }
-    return fold(e, algebra)[-1]
+    n, d = fold(e, algebra)[-1]
+    return n, tuple((atoms[key], k) for key, k in d.items())
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .geometry import Cone, PoleError
 from .interpolation import ConeSampleSet, ReconstructionError, reconstruct_form_from_cone
 from .oracle import (
     Add, Const, Div, Expression, FractionRing, FunctionOracle, Mul, Neg, Pow, Sub, Var, evaluate_grid, fold,
-    fold_fraction,
+    fold_fraction, multiply_out,
 )
 
 
@@ -97,23 +97,28 @@ def _line_truncated(program: Expression, base: Vec, direction: Vec, n: int) -> r
 def _line_fraction(program: Expression, base: Vec, direction: Vec) -> tuple[rs.Poly, rs.Poly]:
     """The program with x_i := base_i + t * direction_i as one unreduced
     (numerator, denominator) pair of integer polynomials in t, folded by
-    `fold_fraction`: the variable x_i is ([B_i, P_i], [D]) for the cleared
-    base and direction.  No gcd is taken: `line_series` cancels only the
-    power of t that matters at t = 0."""
+    `fold_fraction` with its atoms multiplied out: the variable x_i is
+    ([B_i, P_i], [D]) for the cleared base and direction.  No gcd is taken:
+    `line_series` cancels only the power of t that matters at t = 0."""
     bq, pq, den = _cleared(base, direction)
+    one = [1]
 
     def divisor(n: rs.Poly) -> rs.Poly:
         if not n:
             raise PoleError("the whole line lies inside a zero divisor", tuple(base))
         return n
 
+    def constant(d: int):
+        return one if d == 1 else [d]
+
     ring = FractionRing(
-        [1],
-        lambda c: (rs.p_normalize([c.numerator]), [c.denominator]),
-        lambda i: (rs.p_normalize([bq[i - 1], pq[i - 1]]), [den]),
+        one,
+        lambda c: (rs.p_normalize([c.numerator]), constant(c.denominator)),
+        lambda i: (rs.p_normalize([bq[i - 1], pq[i - 1]]), constant(den)),
         rs.p_add, rs.p_neg, rs.p_mul, divisor,
     )
-    return fold_fraction(program, ring)
+    num, factors = fold_fraction(program, ring)
+    return num, multiply_out(ring, factors)
 
 
 def line_series(f: FunctionOracle, base: Sequence, direction: Sequence, order: int) -> list[Fraction]:

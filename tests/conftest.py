@@ -107,6 +107,63 @@ def scalar_float(f, point):
         raise PoleError("division by zero", p) from None
 
 
+def unfactored_fold(e, ring):
+    """The (numerator, denominator) pair of the program in the ring's
+    polynomials as oracle.fold_fraction built it before its denominators
+    were factored: a sum cross-multiplies, a quotient swaps the divisor's
+    pair, and a power multiplies k times.  The reference the factored fold
+    is checked against."""
+    one, mul = ring.one, ring.mul
+
+    def add(negate):
+        def step(a, b):
+            (n1, d1), (n2, d2) = a, b
+            t2 = mul(n2, d1)
+            return ring.add(mul(n1, d2), ring.neg(t2) if negate else t2), mul(d1, d2)
+
+        return step
+
+    def power(a, k):
+        n, d = one, one
+        for _ in range(k):
+            n, d = mul(n, a[0]), mul(d, a[1])
+        return n, d
+
+    algebra = {
+        Const: ring.const,
+        Var: ring.var,
+        Neg: lambda a: (ring.neg(a[0]), a[1]),
+        Add: add(False),
+        Sub: add(True),
+        Mul: lambda a, b: (mul(a[0], b[0]), mul(a[1], b[1])),
+        Div: lambda a, b: (mul(a[0], b[1]), mul(a[1], ring.divisor(b[0]))),
+        Pow: power,
+    }
+    return fold(e, algebra)[-1]
+
+
+def divisor_programs():
+    """Programs in x1..x3 whose divisors nest and repeat: quotients by
+    q = |x|^2 and by its powers, quotients of quotients, sums of quotients
+    over shared and distinct divisors, powers of quotients, a power 0 and a
+    rational constant."""
+    x1, x2, x3 = Var(1), Var(2), Var(3)
+    q = Add(Add(Pow(x1, 2), Pow(x2, 2)), Pow(x3, 2))
+    third = Const(Fraction(1, 3))
+    return [
+        Div(x1, q),
+        Div(Div(x1, q), q),
+        Div(x1, Div(x2, q)),
+        Add(Div(x1, q), Div(x2, Pow(q, 2))),
+        Sub(Div(x1, Pow(q, 3)), Div(Mul(x2, x3), Pow(q, 2))),
+        Div(Const(Fraction(1)), Add(Div(Const(Fraction(1)), q), Div(x1, q))),
+        Div(Div(x1, Sub(x2, third)), Div(x3, Sub(x2, third))),
+        Mul(Pow(Div(x1, q), 3), Pow(Div(q, Add(x2, third)), 2)),
+        Add(Pow(Div(x1, Sub(x2, third)), 0), Div(third, Mul(q, Add(x1, third)))),
+        Neg(Div(Add(Div(x1, q), third), Sub(Div(x2, q), Div(x3, Pow(q, 2))))),
+    ]
+
+
 def to_domain(m, ncols=0):
     """A matrix of Fractions or ints as a sympy DomainMatrix over QQ, the
     independent reference for the exact linear algebra; ncols is only read

@@ -22,7 +22,7 @@ from analytica.certify import (
     _golden_min,
     _valley_scan,
 )
-from analytica.geometry import AffinePlane2, GeometryError, PoleError, float_point, norm_sq
+from analytica.geometry import AffinePlane2, GeometryError, PoleError, SphereThroughOrigin, float_point, norm_sq
 from analytica.jsonio import dumps, scan_report_to_data
 from analytica.oracle import (
     Add,
@@ -40,7 +40,7 @@ from analytica.oracle import (
     to_text,
 )
 
-from conftest import rand_form, rand_point, scalar_float
+from conftest import divisor_programs, rand_form, rand_point, scalar_float, unfactored_fold
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 XY = AffinePlane2((0, 0, 0), (E1, E2))
@@ -371,7 +371,6 @@ def test_rational_pass_and_report_fields():
     assert rep.verdict == "pass"
     assert rep.mode == "float"
     assert rep.residual <= 1e-9
-    assert rep.plane is XY
     assert bool(rep)
 
 
@@ -486,16 +485,24 @@ def test_valley_scan_reports_its_skips():
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["x1/(1" + "0" * 400 + " + x2)", "x1/(x2 + 1" + "0" * 300 + "*1" + "0" * 300 + ")"],
+    "text, guarded",
+    [
+        ("x1/(1" + "0" * 400 + " + x2)", "skipped-nonfinite"),
+        ("x1/(x2 + 1" + "0" * 300 + "*1" + "0" * 300 + ")", "ran"),
+    ],
     ids=["infinite-constant", "overflowing-product"],
 )
-def test_valley_scan_skips_a_nonfinite_denominator(text):
-    status = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert _valley_scan(oracle_from_text(text, 3), XY, XY_COORDS, 0.1, 1.0, status) is None
-    assert status == ["skipped-nonfinite"]
+def test_valley_scan_skips_a_nonfinite_denominator(text, guarded):
+    # the exact certificate settles both unguarded charts before any float is
+    # folded.  With a guard off the plane the float pullback runs: a constant
+    # beyond binary64 range is skipped, and a product past it keeps its binary
+    # exponent, so the walk runs and finds nothing
+    for guard, want in ((None, "certified"), (((5, 5, 5), 0), guarded)):
+        status = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _valley_scan(oracle_from_text(text, 3, guard), XY, XY_COORDS, 0.1, 1.0, status) is None
+        assert status == [want]
 
 
 def test_plane_float_coordinates_match_point_at():
@@ -517,17 +524,19 @@ def test_falsifier_status_on_plane_reports():
         report = sphere_scan(f, count=1, seed=5)
         return [rep.falsifier for _, rep in report.outcomes[0].parts]
 
-    # curve-g's pulled-back denominator outgrows the cap, which the shapes
-    # alone decide; the fit fails the other chart first, so its falsifier
-    # never runs
-    assert statuses(builtin_counterexample("curve-g")) == ["skipped-cap", "off"]
-    # the rational function's divisors dominate on both charts, so neither walks;
-    # hartogs-f's origin chart outgrows the certificate's shape and walks
+    # the factored denominators of curve-g's and hartogs-f's origin charts fit
+    # under the cap, and the certificate settles them; the fit fails the other
+    # chart first, so its falsifier never runs
+    assert statuses(builtin_counterexample("curve-g")) == ["certified", "off"]
+    assert statuses(builtin_counterexample("hartogs-f")) == ["certified", "off"]
+    # the rational function's divisors dominate on both charts, so neither walks
     assert statuses(oracle_from_text("1/(2 - x1 - x2*x3)", 3)) == ["certified", "certified"]
-    assert statuses(builtin_counterexample("hartogs-f"))[0] == "ran"
     assert statuses(oracle_from_text("x1*x2", 3)) == ["off", "off"]
     f = oracle_from_text("1/(2-x1)", 3)
     assert check_plane_analytic(f, XY).falsifier == "certified"
+    # an 81 x 81 denominator outgrows the cap, which the shapes alone decide
+    f = oracle_from_text("1/(3 - x1^40*x2^40)", 3)
+    assert check_plane_analytic(f, XY).falsifier == "skipped-cap"
     # a guarded oracle is never certified: the walk would meet its guard value
     f = oracle_from_text("1/(2-x1)", 3, guard=((5, 5, 5), 0))
     assert check_plane_analytic(f, XY).falsifier == "ran"
@@ -580,9 +589,17 @@ def _dominates(c, w):
     return True
 
 
+def _center_dominates(c, w):
+    return 2 * abs(c[0, 0]) > certify._box_norm(c, w)
+
+
 def test_the_certificate_never_passes_a_divisor_with_a_real_zero_in_the_box():
+    # a zero planted in any quarter of the box, its edges and corners
+    # included, is never certified, and no divisor certified at the center
+    # or after the quarter split has a real zero in the box
     rng = random.Random(2027)
-    dominant = planted = 0
+    dominant = split = planted = 0
+    quarters = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     for k in range(240):
         d = rng.randint(1, 3)
         w = Fraction(rng.randint(1, 12), rng.randint(1, 8))
@@ -591,8 +608,9 @@ def test_the_certificate_never_passes_a_divisor_with_a_real_zero_in_the_box():
             for j in range(d + 1 - i):
                 c[i, j] = Fraction(rng.randint(-9, 9))
         if k % 2:
-            # a zero planted at a rational point of the box, corners and edges included
-            s0, t0 = (w * Fraction(rng.randint(-4, 4), 4) for _ in range(2))
+            # a zero planted at a rational point of one quarter
+            sx, sy = quarters[k // 2 % 4]
+            s0, t0 = (sign * w * Fraction(rng.randint(0, 8), 8) for sign in (sx, sy))
             c[0, 0] -= sum(x * s0**i * t0**j for (i, j), x in np.ndenumerate(c))
             assert _real_zero_in_box(c, w)
             assert not _dominates(c, w)
@@ -603,8 +621,32 @@ def test_the_certificate_never_passes_a_divisor_with_a_real_zero_in_the_box():
         c[0, 0] = rng.choice((1, -1)) * (int(rest * Fraction(rng.randint(80, 125), 100)) or 1)
         if _dominates(c, w):
             dominant += 1
+            split += not _center_dominates(c, w)
             assert not _real_zero_in_box(c, w), (c.tolist(), w)
-    assert planted == 120 and dominant > 30
+    assert planted == 120 and dominant > 30 and split > 5, (dominant, split)
+
+
+def test_the_quarter_split_bounds_each_quarter_from_below():
+    # the split's bound is at most |c| at sampled points of every quarter, and
+    # positive where the quarters dominate though the center does not
+    rng = random.Random(31)
+    checked = 0
+    while checked < 40:
+        d = rng.randint(1, 4)
+        w = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        c = np.array(
+            [[rng.randint(-9, 9) if i + j <= d else 0 for j in range(d + 1)] for i in range(d + 1)], dtype=object
+        )
+        c[0, 0] = int(certify._box_norm(c, w) - abs(c[0, 0])) * rng.choice((1, -1))
+        if _center_dominates(c, w):
+            continue
+        low = certify._lower_bound(c, w)
+        if low <= 0:
+            continue
+        for _ in range(30):
+            s, t = (w * Fraction(rng.randint(-64, 64), 64) for _ in range(2))
+            assert abs(_poly_at(c, s, t)) >= low
+        checked += 1
 
 
 def _rand_poly_text(rng):
@@ -632,7 +674,7 @@ def _walk_charts():
             g, plane = f, AffinePlane2(base, (E1, slope + (1,)))
         window, bar = rng.randint(1, 20) / 20, 10.0 ** rng.randint(1, 6)
         coords = plane.float_coordinates
-        _, den = certify._pullback_fraction(g.expression, coords, cap=65)
+        den = certify._pullback_fraction(g.expression, coords)
         if den.size > 1:
             yield g, plane, coords, den, window, bar
 
@@ -713,25 +755,146 @@ def test_the_shape_pass_caps_where_the_array_products_would(monkeypatch):
     while checked < 200:
         e = _rand_program(rng, rng.randint(1, 6))
         sizes.clear()
+        ring = certify._float_ring(coords)
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                num, den = oracle.fold_fraction(e, certify._float_ring(coords))
-        except (certify._ScanCap, FloatingPointError):
+            (num, _), factors = oracle.fold_fraction(e, ring)
+            den = oracle.multiply_out(ring, factors)[0]
+        except certify._ScanCap:
             continue
         largest = max(sizes, default=0)
-        assert oracle.fold_fraction(e, certify._shape_ring(largest)) == (num.shape, den.shape)
+        shapes = certify._shape_ring(largest)
+        num_shape, shape_factors = oracle.fold_fraction(e, shapes)
+        assert (num_shape, oracle.multiply_out(shapes, shape_factors)) == (num.shape, den.shape)
         for cap in {largest - 1, largest, rng.randint(1, 2 * largest + 1)} - {0, -1}:
-            sizes.clear()
             try:
-                got = certify._pullback_fraction(e, coords, cap)
+                got = certify._denominator_shape(e, cap)
             except certify._ScanCap as exc:
-                assert exc.args == ("skipped-cap",) and largest > cap and not sizes
+                assert exc.args == ("skipped-cap",) and largest > cap
                 capped += 1
             else:
-                assert largest <= cap
-                assert got[0].tobytes() == num.tobytes() and got[1].tobytes() == den.tobytes()
+                assert largest <= cap and got == den.shape
         checked += 1
     assert capped > 100
+
+
+def _poly_at(c, s, t):
+    return sum(x * s**i * t**j for (i, j), x in np.ndenumerate(c))
+
+
+def _fold_cases(rng):
+    """Programs with nested and repeated divisors, random programs and the two
+    builtins, each with its origin- and point-inversion pullbacks."""
+    sphere = SphereThroughOrigin((Fraction(1, 4), Fraction(3, 4), Fraction(-1, 2)), (E1, E2, E3))
+    programs = divisor_programs() + [_rand_program(rng, rng.randint(1, 4)) for _ in range(30)]
+    programs += [builtin_counterexample(name).expression for name in ("hartogs-f", "curve-g")]
+    for e in programs:
+        f = FunctionOracle(e, 3)
+        yield e
+        yield pullback_through_inversion(f, sphere)[0].expression
+        yield pullback_through_centered_inversion(f, sphere, sphere.sample_points(1, rng)[0])[0].expression
+
+
+def test_the_factored_fold_equals_the_unfactored_fold_at_rational_points():
+    # the certificate's integer ring, without its bounds, folds each program
+    # factored and unfactored; both fractions take the program's exact value
+    # at random rational points of the plane, and the factored denominator is
+    # never the larger
+    rng = random.Random(43)
+    plane = AffinePlane2((Fraction(1, 3), 2, Fraction(-1, 7)), ((1, Fraction(1, 2), 0), (0, 3, 1)))
+    ring = certify._exact_ring(plane, Fraction(1))._replace(divisor=lambda d: d)
+    folded = points = 0
+    for e in _fold_cases(rng):
+        try:
+            unfactored_fold(e, certify._shape_ring(40))
+        except certify._ScanCap:
+            continue  # curve-g's unfactored pullbacks
+        (num, _), factors = oracle.fold_fraction(e, ring)
+        den = oracle.multiply_out(ring, factors)[0]
+        (ref_num, _), (ref_den, _) = unfactored_fold(e, ring)
+        assert den.shape[0] <= ref_den.shape[0] and den.shape[1] <= ref_den.shape[1]
+        folded += 1
+        for _ in range(3):
+            s, t = Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            x = tuple(b + s * u + t * v for b, u, v in zip(plane.base_point, *plane.basis))
+            try:
+                want = FunctionOracle(e, 3)(x)
+            except PoleError:
+                continue
+            assert _poly_at(num, s, t) / _poly_at(den, s, t) == want, to_text(e)
+            assert _poly_at(ref_num, s, t) / _poly_at(ref_den, s, t) == want, to_text(e)
+            points += 1
+    assert folded > 100 and points > 250, (folded, points)
+
+
+def test_the_builtins_origin_pullbacks_fold_to_one_small_atom():
+    # the |y|^2 that an inversion divides every variable by is one atom, and
+    # its powers cancel against the dividend's, so the denominator is the
+    # divisor's numerator alone: hartogs-f's origin-inversion pullbacks fold
+    # to degree 9 over degree 6 and curve-g's to degree 16 over degree 18
+    for name, num_shape, den_shape in (("hartogs-f", (10, 10), (7, 7)), ("curve-g", (17, 17), (19, 19))):
+        for sphere in sample_spheres(3, 3, random.Random(7)):
+            g, plane = pullback_through_inversion(builtin_counterexample(name), sphere)
+            shapes = certify._shape_ring(65)
+            num, factors = oracle.fold_fraction(g.expression, shapes)
+            assert (num, oracle.multiply_out(shapes, factors)) == (num_shape, den_shape)
+            assert certify._denominator_shape(g.expression, 65) == den_shape
+            assert certify._pullback_fraction(g.expression, plane.float_coordinates).shape == den_shape
+            assert factors == ((den_shape, 1),)
+
+
+@pytest.mark.parametrize(
+    "c, split",
+    [
+        ((Fraction(1, 4), Fraction(3, 4), Fraction(-1, 2)), {"hartogs-f", "curve-g"}),
+        ((Fraction(-3, 16), Fraction(-1, 32), Fraction(1, 2)), set()),
+    ],
+    ids=["quarter-split", "center"],
+)
+def test_the_origin_charts_of_the_rational_builtins_are_certified(monkeypatch, c, split):
+    # each origin chart passes its fit and is certified, on one sphere after
+    # the quarter split for hartogs-f and curve-g, on the other at the center
+    splits = []
+    bound = certify._lower_bound
+    monkeypatch.setattr(
+        certify, "_lower_bound", lambda d, w: splits.append(not _center_dominates(d, w)) or bound(d, w)
+    )
+    sphere = SphereThroughOrigin(c, (E1, E2, E3))
+    functions = {
+        "hartogs-f": builtin_counterexample("hartogs-f"),
+        "curve-g": builtin_counterexample("curve-g"),
+        "rational": oracle_from_text("1/(2 - x1 - x2*x3)", 3),
+    }
+    for name, f in functions.items():
+        splits.clear()
+        rep = dict(sphere_scan(f, spheres=[sphere], seed=1).outcomes[0].parts)["origin-inversion"]
+        assert (rep.verdict, rep.falsifier) == ("pass", "certified"), name
+        assert any(splits) == (name in split), name
+
+
+def test_no_certified_chart_of_a_scan_walks_to_a_hit(monkeypatch):
+    # every chart the certificate settles in these scans is walked anyway,
+    # and no walk finds a blow-up
+    walks = []
+    certified = certify._certified
+
+    def certify_and_walk(e, plane, w, bar):
+        ok = certified(e, plane, w, bar)
+        if ok:
+            coords = plane.float_coordinates
+            den = certify._pullback_fraction(e, coords)
+            walks.append(certify._walk_valleys(FunctionOracle(e, 3), coords, den, float(w), bar))
+        return ok
+
+    monkeypatch.setattr(certify, "_certified", certify_and_walk)
+    for f in (
+        builtin_counterexample("hartogs-f"),
+        builtin_counterexample("curve-g"),
+        oracle_from_text("1/(2 - x1 - x2*x3)", 3),
+        oracle_from_text("x1/(x1^2 + x2^2 + x3^2 - 1/9)", 3),
+    ):
+        sphere_scan(f, count=8, seed=7)
+    assert len(walks) > 25 and walks == [None] * len(walks), len(walks)
+
 
 def _golden_min_scalar(fn, lo, hi, iters=96):
     # the line-at-a-time search the batched minimiser must reproduce bit for bit
@@ -804,7 +967,7 @@ def test_valley_scan_evaluates_the_denominator_like_polyval2d(monkeypatch, text,
     status = []
     _valley_scan(g, plane, plane.float_coordinates, window, 1.0, status)
     assert status == ["ran"]
-    ((_, den),), ((fn, lo, hi),) = dens, calls
+    (den,), ((fn, lo, hi),) = dens, calls
     assert den.shape[0] > 2 and den.shape[1] > 2
 
     pv2 = np.polynomial.polynomial.polyval2d
@@ -994,11 +1157,15 @@ def test_exact_scan_reports_a_discontinuous_guard():
     report = sphere_scan(f, count=2, seed=3)
     assert report.config["mode"] == "exact"
     assert not report.ok and len(report.failures) == 2
-    for fl, outcome in zip(report.failures, report.outcomes):
+    # the scan's own draws: the spheres, then one inversion center on each
+    rng = random.Random(3)
+    centers = [s.sample_points(1, rng)[0] for s in sample_spheres(3, 2, rng)]
+    for fl, outcome, p in zip(report.failures, report.outcomes, centers):
         rep = dict(outcome.parts)["point-inversion"]
+        _, plane = pullback_through_centered_inversion(f, outcome.sphere, p)
         assert fl.part == "point-inversion" and fl.verdict == "fail"
         assert rep.mode == "exact" and rep.residual == 1.0
-        assert fl.witness == rep.witness == rep.plane.base_point
+        assert fl.witness == rep.witness == plane.base_point
         assert dict(outcome.parts)["origin-inversion"].verdict == "pass"
 
 
