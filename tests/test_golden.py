@@ -28,6 +28,11 @@ CASES = {
     "probe-hartogs": (["probe", "--builtin", "hartogs-f", "--spheres", "2", "--seed", "11"], 2),
     "probe-curve": (["probe", "--builtin", "curve-g", "--spheres", "2", "--seed", "11"], 2),
     "probe-rational": (["probe", "--expr", "1/(2 - x1 - x2*x3)", "--spheres", "2", "--seed", "2718"], 0),
+    # n = 4: the carrier basis of each sphere is not the identity
+    "probe-hartogs-n4": (["probe", "--builtin", "hartogs-f", "--n", "4", "--spheres", "2", "--seed", "3"], 2),
+    "probe-rational-n4": (
+        ["probe", "--expr", "1/(2 - x1 - x2*x4)", "--n", "4", "--spheres", "2", "--seed", "3"], 0
+    ),
     "probe-polynomial": (
         ["probe", "--expr", "x1^2 + x2*x3 - 3/4*x1*x3^2", "--spheres", "3", "--seed", "7"], 0
     ),
