@@ -55,13 +55,12 @@ from .geometry import (
     DegenerateSphereError,
     GeometryError,
     SphereThroughOrigin,
-    carrier_to_ambient,
+    centered_inversion_plane,
     float_point,
     invert_mu,
     invert_mu_centered,
     norm_sq,
     sphere_to_plane,
-    tidy_plane_basis,
 )
 from .oracle import (
     Add,
@@ -187,6 +186,17 @@ def _cheb_design(total: int):
     return nodes, cheb, proj, mask, held_nodes
 
 
+def _held_out_prediction(nodes: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+    """chebval2d(np.repeat(nodes, m), np.tile(nodes, m), cmat) for the m
+    nodes, bit for bit.  chebval2d's first Clenshaw pass runs over the s
+    coordinates, which take only the m distinct node values, each m times
+    in a row: so the pass runs on the m nodes and its columns are repeated.
+    The second pass (tensor=False) is chebval2d's own."""
+    m = len(nodes)
+    first = np.polynomial.chebyshev.chebval(nodes, cmat)
+    return np.polynomial.chebyshev.chebval(np.tile(nodes, m), np.repeat(first, m, axis=1), tensor=False)
+
+
 def _cheb_fit(f: FunctionOracle, coords, window: float, fit_degree: int):
     """Total-degree Chebyshev fit of the restriction to the plane with float
     coordinates `coords` over the window by discrete Chebyshev projection:
@@ -223,7 +233,7 @@ def _cheb_fit(f: FunctionOracle, coords, window: float, fit_degree: int):
         return "pole", math.inf, bad, grid_max
     mh = len(held_nodes)
     hs, ht = np.repeat(held_nodes, mh), np.tile(held_nodes, mh)
-    pred = np.polynomial.chebyshev.chebval2d(hs, ht, cmat)
+    pred = _held_out_prediction(held_nodes, cmat)
     errs = np.abs(pred - hv.ravel())
     k = int(np.argmax(errs))
     held_max = float(np.max(np.abs(hv)))
@@ -672,18 +682,7 @@ def pullback_through_centered_inversion(
     guard = None
     if f.guard is not None and tuple(f.guard[0]) != tuple(p):
         guard = (invert_mu_centered(f.guard[0], p), f.guard[1])
-
-    ns = norm_sq(p)
-    z0 = tuple(x - x / ns for x in p)
-    c2p = tuple(ci - 2 * pi for ci, pi in zip(sphere.c, p))
-    row = tuple(la.dot(c2p, v) for v in sphere.basis)
-    kernel = la.nullspace((row,))
-    if len(kernel) != 2:
-        raise DegenerateSphereError("sphere direction space collapsed")
-    d1, d2 = tidy_plane_basis(
-        carrier_to_ambient(kernel[0], sphere.basis), carrier_to_ambient(kernel[1], sphere.basis)
-    )
-    return FunctionOracle(expr, n, guard), AffinePlane2(z0, (d1, d2))
+    return FunctionOracle(expr, n, guard), centered_inversion_plane(sphere, p)
 
 
 def sample_spheres(dimension: int, count: int, rng: random.Random) -> list[SphereThroughOrigin]:

@@ -5,7 +5,12 @@ the origin and affine planes.
 All predicates compare squared norms as rationals, so no square roots
 are ever taken and answers are exact.  The cone predicates clear every
 vector to integers and project with one integer matrix per cone
-(`Cone.projector`), so their sign tests build no Fraction.
+(`Cone.projector`), so their sign tests build no Fraction.  The sphere
+charts do the same: a sphere's carrier basis and coefficient vector are
+cleared to integers over one denominator each, the plane of a chart
+(`sphere_to_plane`, `centered_inversion_plane`), `tidy_plane_basis`,
+`SphereThroughOrigin.sample_points` and `SphereThroughOrigin.contains`
+compute on integers, and one Fraction is built per returned coordinate.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ def norm_sq(p: Sequence[Fraction]) -> Fraction:
 
 def carrier_to_ambient(u: Sequence, basis: Sequence[Sequence]) -> Vec:
     """The ambient point u0*b0 + u1*b1 + u2*b2 with carrier coordinates u
-    in the 3-space spanned by the rows of basis."""
+    in the 3-space spanned by the rows of basis; integer u and rows give an
+    integer vector."""
     return tuple(u[0] * a + u[1] * b + u[2] * c for a, b, c in zip(*basis))
 
 
@@ -286,23 +292,78 @@ def tidy_plane_basis(b1: Sequence, b2: Sequence) -> tuple[Vec, Vec]:
     """Orthogonalize b2 against b1 and rescale both by powers of two so the
     squared norms land in [1, 4).  Keeps charts metrically honest while
     staying rational."""
-    u = vec(b1)
-    v = vec(b2)
-    proj = la.dot(u, v) / la.dot(u, u)
-    v = tuple(y - proj * x for x, y in zip(u, v))
+    (u, du), (v, dv) = la.clear_denominators(vec(b1)), la.clear_denominators(vec(b2))
+    return _tidy(u, du, v, dv)
 
-    def rescale(w: Vec) -> Vec:
-        n2 = norm_sq(w)
-        if n2 == 0:
-            raise GeometryError("cannot rescale a zero vector")
-        s = Fraction(1)
-        while n2 * s * s >= 4:
-            s /= 2
-        while n2 * s * s < 1:
-            s *= 2
-        return tuple(x * s for x in w)
 
-    return rescale(u), rescale(v)
+def _tidy(u: Sequence[int], du: int, v: Sequence[int], dv: int) -> tuple[Vec, Vec]:
+    """tidy_plane_basis of u / du and v / dv, for integer vectors u, v and
+    nonzero integers du, dv: v - (u.v / u.u) u is
+    ((u.u) v - (u.v) u) / ((u.u) dv)."""
+    uu, uv = _idot(u, u), _idot(u, v)
+    if uu == 0:
+        raise GeometryError("cannot rescale a zero vector")
+    w = [uu * y - uv * x for x, y in zip(u, v)]
+    return _rescale(u, du), _rescale(w, uu * dv)
+
+
+def _rescale(w: Sequence[int], d: int) -> Vec:
+    """2^k w / d for the one integer k with 1 <= 4^k |w|^2 / d^2 < 4: the
+    least k with 4^k |w|^2 >= d^2, found from the bit lengths and moved by
+    at most a step or two."""
+    n2, d2 = _idot(w, w), d * d
+    if n2 == 0:
+        raise GeometryError("cannot rescale a zero vector")
+
+    def reaches(k: int) -> bool:
+        return n2 << 2 * k >= d2 if k >= 0 else n2 >= d2 << -2 * k
+
+    k = (d2.bit_length() - n2.bit_length()) // 2
+    while reaches(k - 1):
+        k -= 1
+    while not reaches(k):
+        k += 1
+    return tuple(Fraction(x << k, d) if k >= 0 else Fraction(x, d << -k) for x in w)
+
+
+def _carrier(sphere: SphereThroughOrigin) -> tuple[list[list[int]], int, list[int], int]:
+    """(B, db, C, dc): the sphere's carrier basis as the integer rows B over
+    one denominator db, and its coefficient vector as integers C over dc."""
+    n = sphere.dimension
+    flat, db = la.clear_denominators([x for row in sphere.basis for x in row])
+    cs, dc = la.clear_denominators(sphere.c)
+    return [flat[i : i + n] for i in range(0, 3 * n, n)], db, cs, dc
+
+
+def _gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[_idot(r, s) for s in rows] for r in rows]
+
+
+def _adjugate3(h: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The adjugate of a 3x3 integer matrix: h adj(h) = det(h) I."""
+    (a, b, c), (d, e, f), (g, k, i) = h
+    return [
+        [e * i - f * k, c * k - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * k - e * g, b * g - a * k, a * e - b * d],
+    ]
+
+
+def _kernel_directions(rows: Sequence[Sequence[int]], db: int, a: Sequence[int]) -> tuple[Vec, Vec]:
+    """The tidied ambient directions of the plane {u : a . u = 0} of carrier
+    coordinates, for the carrier rows B / db and a nonzero integer row a.
+    The kernel basis is la.nullspace's: with a_p the first nonzero entry,
+    the vector of each other column f, ascending, is e_f - (a_f / a_p) e_p,
+    here a_p e_f - a_f e_p over the denominator a_p."""
+    p = next(i for i, x in enumerate(a) if x)
+    kernel = []
+    for f in range(3):
+        if f != p:
+            k = [0, 0, 0]
+            k[f], k[p] = a[p], -a[f]
+            kernel.append(carrier_to_ambient(k, rows))
+    den = db * a[p]
+    return _tidy(kernel[0], den, kernel[1], den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,10 +395,23 @@ class SphereThroughOrigin:
         return len(self.c)
 
     def contains(self, p: Sequence) -> bool:
+        """True iff p lies in the carrier space and |p|^2 = c . p.  With p
+        cleared to Q / dq and the carrier rows B with Gram matrix H = B B',
+        p is in the carrier space iff det(H) Q = B' adj(H) B Q, the
+        projection of Q onto it times det(H)."""
         q = vec(p)
-        if la.rank(la.mat(self.basis + (q,))) > 3:
+        if len(q) != self.dimension:
+            raise GeometryError("point dimension does not match the sphere")
+        rows, _, cs, dc = _carrier(self)
+        qs, dq = la.clear_denominators(q)
+        h = _gram(rows)
+        adj = _adjugate3(h)
+        det = sum(x * row[0] for x, row in zip(h[0], adj))
+        bq = [_idot(r, qs) for r in rows]
+        projected = carrier_to_ambient([_idot(row, bq) for row in adj], rows)
+        if any(det * x != y for x, y in zip(qs, projected)):
             return False
-        return norm_sq(q) == la.dot(self.c, q)
+        return _idot(qs, qs) * dc == _idot(cs, qs) * dq
 
     def canonical(self) -> tuple:
         """Span of the carrier space plus the action of c on its canonical
@@ -347,44 +421,61 @@ class SphereThroughOrigin:
 
     def sample_points(self, count: int, rng) -> list[Vec]:
         """Rational points on the sphere, excluding the origin: each is the
-        second intersection of a random rational line through 0."""
-        g = la.matmul(la.mat(self.basis), la.transpose(la.mat(self.basis)))
-        a = tuple(la.dot(self.c, v) for v in self.basis)
+        second intersection of a random rational line through 0.  The line
+        with carrier direction m meets the sphere at t m with
+        t = (a . m) / (m' G m), where a = (c . b_i) and G is the carrier
+        Gram matrix; on the integer rows B / db and C / dc that point is
+        (A . m) B' m / (dc m' H m), with A = B C and H = B B'."""
+        rows, _, cs, dc = _carrier(self)
+        h = _gram(rows)
+        a = [_idot(r, cs) for r in rows]
         out: list[Vec] = []
         while len(out) < count:
-            m = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
+            m = [rng.randint(-9, 9) for _ in range(3)]
             if all(x == 0 for x in m):
                 continue
-            denom = la.dot(m, la.matvec(g, m))
-            numer = la.dot(a, m)
+            denom = _idot(m, [_idot(row, m) for row in h])
+            numer = _idot(a, m)
             if numer == 0 or denom == 0:
                 continue
-            t = numer / denom
-            out.append(carrier_to_ambient(tuple(t * x for x in m), self.basis))
+            out.append(tuple(Fraction(numer * x, dc * denom) for x in carrier_to_ambient(m, rows)))
         return out
 
 
 def sphere_to_plane(sphere: SphereThroughOrigin) -> AffinePlane2:
     """Image of the sphere minus the origin under the inversion: the affine
-    plane {y in span(basis) : c . y = 1}."""
-    b = la.mat(sphere.basis)           # 3 x n rows
-    gram = la.matmul(b, la.transpose(b))
-    a = la.matvec(b, sphere.c)         # action of c in carrier coordinates
-    if all(x == 0 for x in a):
+    plane {y in span(basis) : c . y = 1}.
+
+    Its base point is the point of the plane closest to the origin: in
+    carrier coordinates u, minimize u' G u subject to a . u = 1, which gives
+    u0 = adj(G) a / (a' adj(G) a).  On the integer rows B / db, C / dc,
+    with A = B C and H = B B', the ambient base point is
+    dc B' adj(H) A / (A' adj(H) A)."""
+    rows, db, cs, dc = _carrier(sphere)
+    a = [_idot(r, cs) for r in rows]
+    if not any(a):
         raise DegenerateSphereError("sphere is degenerate")
-    # closest point of {a . u = 1} to the origin of the carrier space,
-    # measured in ambient metric: minimize |W u|^2 subject to a . u = 1
-    ginv_a = la.solve(gram, a)
-    scale = la.dot(a, ginv_a)
-    u0 = tuple(x / scale for x in ginv_a)
-    kernel = la.nullspace((a,))
-    if len(kernel) != 2:
-        raise DegenerateSphereError("sphere carrier space is degenerate")
-    base = carrier_to_ambient(u0, sphere.basis)
-    d1, d2 = tidy_plane_basis(
-        carrier_to_ambient(kernel[0], sphere.basis), carrier_to_ambient(kernel[1], sphere.basis)
-    )
-    return AffinePlane2(base, (d1, d2))
+    m = [_idot(row, a) for row in _adjugate3(_gram(rows))]
+    q = _idot(a, m)  # > 0: H is positive definite, and so is adj(H)
+    base = tuple(Fraction(dc * x, q) for x in carrier_to_ambient(m, rows))
+    return AffinePlane2(base, _kernel_directions(rows, db, a))
+
+
+def centered_inversion_plane(sphere: SphereThroughOrigin, point: Sequence) -> AffinePlane2:
+    """Image of the sphere minus p under the inversion centered at the
+    nonzero sphere point p = point: the plane through mu_p(0) = p - p / |p|^2
+    spanned by the carrier directions orthogonal to c - 2p, the sphere's
+    normal at p.  With p cleared to P / dp, mu_p(0) is
+    P (|P|^2 - dp^2) / (dp |P|^2), and the normal in carrier coordinates is
+    B (dp C - 2 dc P) up to a positive factor."""
+    rows, db, cs, dc = _carrier(sphere)
+    ps, dp = la.clear_denominators(vec(point))
+    pp = _idot(ps, ps)
+    base = tuple(Fraction(x * (pp - dp * dp), dp * pp) for x in ps)
+    normal = [_idot(r, [dp * c - 2 * dc * x for c, x in zip(cs, ps)]) for r in rows]
+    if not any(normal):
+        raise DegenerateSphereError("sphere direction space collapsed")
+    return AffinePlane2(base, _kernel_directions(rows, db, normal))
 
 
 def plane_to_sphere(plane: AffinePlane2, carrier_basis: Sequence[Sequence]) -> SphereThroughOrigin:

@@ -135,23 +135,6 @@ def form_from_data(data: dict) -> HomogeneousForm:
     return HomogeneousForm(data["n"], data["d"], terms)
 
 
-def restrictions_to_data(restrictions) -> dict:
-    rs = list(restrictions)
-    if not rs:
-        raise ValueError("no restrictions to serialize")
-    return {
-        "d": rs[0].degree,
-        "restrictions": [
-            {
-                "normal": vector_to_data(r.hyperplane.normal),
-                "chart": [vector_to_data(row) for row in r.chart],
-                "form": form_to_data(r.form),
-            }
-            for r in rs
-        ],
-    }
-
-
 def restrictions_from_data(data: dict) -> list[HyperplaneRestriction]:
     try:
         entries = [(e["normal"], list(e["chart"]), e["form"]) for e in data["restrictions"]]

@@ -13,10 +13,21 @@ import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from analytica import _linalg as la
 from analytica.forms import HomogeneousForm, monomial_basis
-from analytica.geometry import Hyperplane, PoleError, VectorPlane2
+from analytica.geometry import (
+    AffinePlane2,
+    DegenerateSphereError,
+    GeometryError,
+    Hyperplane,
+    PoleError,
+    VectorPlane2,
+    carrier_to_ambient,
+    norm_sq,
+)
+from analytica.jsonio import form_to_data, vector_to_data
 from analytica.oracle import Add, Const, Div, Mul, Neg, Pow, Sub, Var, fold
-from analytica._linalg import mat, rank
+from analytica._linalg import mat, rank, vec
 
 
 def rand_fraction(rng, bound=1000):
@@ -162,6 +173,117 @@ def divisor_programs():
         Add(Pow(Div(x1, Sub(x2, third)), 0), Div(third, Mul(q, Add(x1, third)))),
         Neg(Div(Add(Div(x1, q), third), Sub(Div(x2, q), Div(x3, Pow(q, 2))))),
     ]
+
+
+def restrictions_to_data(restrictions) -> dict:
+    """The JSON data of hyperplane restrictions, as `reconstruct glue
+    --input` reads them (jsonio.restrictions_from_data)."""
+    rs = list(restrictions)
+    if not rs:
+        raise ValueError("no restrictions to serialize")
+    return {
+        "d": rs[0].degree,
+        "restrictions": [
+            {
+                "normal": vector_to_data(r.hyperplane.normal),
+                "chart": [vector_to_data(row) for row in r.chart],
+                "form": form_to_data(r.form),
+            }
+            for r in rs
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# the sphere-chart geometry in Fractions: the references that the integer
+# code in analytica.geometry must reproduce exactly
+
+
+def reference_tidy_plane_basis(b1, b2):
+    """Orthogonalize b2 against b1 and rescale both by powers of two so the
+    squared norms land in [1, 4), in Fraction arithmetic."""
+    u = vec(b1)
+    v = vec(b2)
+    proj = la.dot(u, v) / la.dot(u, u)
+    v = tuple(y - proj * x for x, y in zip(u, v))
+
+    def rescale(w):
+        n2 = norm_sq(w)
+        if n2 == 0:
+            raise GeometryError("cannot rescale a zero vector")
+        s = Fraction(1)
+        while n2 * s * s >= 4:
+            s /= 2
+        while n2 * s * s < 1:
+            s *= 2
+        return tuple(x * s for x in w)
+
+    return rescale(u), rescale(v)
+
+
+def reference_sphere_to_plane(sphere):
+    """The plane {y in span(basis) : c . y = 1}: the base point solves the
+    carrier Gram system, and the directions are la.nullspace's kernel of the
+    row a = (c . b_i), tidied."""
+    b = la.mat(sphere.basis)
+    gram = la.matmul(b, la.transpose(b))
+    a = la.matvec(b, sphere.c)
+    if all(x == 0 for x in a):
+        raise DegenerateSphereError("sphere is degenerate")
+    ginv_a = la.solve(gram, a)
+    scale = la.dot(a, ginv_a)
+    u0 = tuple(x / scale for x in ginv_a)
+    kernel = la.nullspace((a,))
+    if len(kernel) != 2:
+        raise DegenerateSphereError("sphere carrier space is degenerate")
+    base = carrier_to_ambient(u0, sphere.basis)
+    d1, d2 = reference_tidy_plane_basis(
+        carrier_to_ambient(kernel[0], sphere.basis), carrier_to_ambient(kernel[1], sphere.basis)
+    )
+    return AffinePlane2(base, (d1, d2))
+
+
+def reference_centered_inversion_plane(sphere, point):
+    """The chart plane of the inversion centered at the sphere point p: base
+    point p - p/|p|^2, directions the kernel of the row ((c - 2p) . b_i)."""
+    p = vec(point)
+    ns = norm_sq(p)
+    z0 = tuple(x - x / ns for x in p)
+    c2p = tuple(ci - 2 * pi for ci, pi in zip(sphere.c, p))
+    row = tuple(la.dot(c2p, v) for v in sphere.basis)
+    kernel = la.nullspace((row,))
+    if len(kernel) != 2:
+        raise DegenerateSphereError("sphere direction space collapsed")
+    d1, d2 = reference_tidy_plane_basis(
+        carrier_to_ambient(kernel[0], sphere.basis), carrier_to_ambient(kernel[1], sphere.basis)
+    )
+    return AffinePlane2(z0, (d1, d2))
+
+
+def reference_contains(sphere, p):
+    q = vec(p)
+    if la.rank(la.mat(sphere.basis + (q,))) > 3:
+        return False
+    return norm_sq(q) == la.dot(sphere.c, q)
+
+
+def reference_sample_points(sphere, count, rng):
+    """Second intersections of random rational lines through 0, drawing from
+    rng as SphereThroughOrigin.sample_points does."""
+    g = la.matmul(la.mat(sphere.basis), la.transpose(la.mat(sphere.basis)))
+    a = tuple(la.dot(sphere.c, v) for v in sphere.basis)
+    out = []
+    while len(out) < count:
+        m = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
+        if all(x == 0 for x in m):
+            continue
+        denom = la.dot(m, la.matvec(g, m))
+        numer = la.dot(a, m)
+        if numer == 0 or denom == 0:
+            continue
+        t = numer / denom
+        out.append(carrier_to_ambient(tuple(t * x for x in m), sphere.basis))
+    return out
 
 
 def to_domain(m, ncols=0):

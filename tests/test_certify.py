@@ -411,6 +411,19 @@ def test_projection_is_the_lobatto_weighted_least_squares_fit(total):
     assert np.max(np.abs(_project(total, values) - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("total", FIT_TOTALS)
+def test_held_out_prediction_is_chebval2d_bit_for_bit(total):
+    held_nodes = certify._cheb_design(total)[4]
+    mh = len(held_nodes)
+    hs, ht = np.repeat(held_nodes, mh), np.tile(held_nodes, mh)
+    rng = np.random.default_rng(31 + total)
+    for scale in (1.0, 1e-8, 1e12):
+        cmat = rng.uniform(-1, 1, (total + 1, total + 1)) * scale
+        got = certify._held_out_prediction(held_nodes, cmat)
+        want = np.polynomial.chebyshev.chebval2d(hs, ht, cmat)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_the_fit_design_is_read_only():
     for a in certify._cheb_design(16):
         assert not a.flags.writeable

@@ -10,7 +10,9 @@ from analytica import cli
 from analytica.forms import HomogeneousForm
 from analytica.geometry import Hyperplane, invert_mu
 from analytica.interpolation import restriction_of
-from analytica.jsonio import dumps, form_to_data, restrictions_to_data
+from analytica.jsonio import dumps, form_to_data
+
+from conftest import restrictions_to_data
 
 
 FORM_N4_D4 = str(pathlib.Path(__file__).parent / "data" / "form-n4-d4.json")

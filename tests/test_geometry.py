@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from analytica.certify import sample_spheres
+from analytica.certify import CertifyError, pullback_through_centered_inversion, sample_spheres
 from analytica.geometry import (
     AffinePlane2,
     Cone,
@@ -13,6 +13,8 @@ from analytica.geometry import (
     PoleError,
     SphereThroughOrigin,
     VectorPlane2,
+    carrier_to_ambient,
+    centered_inversion_plane,
     float_point,
     general_position,
     in_cone,
@@ -25,9 +27,19 @@ from analytica.geometry import (
     sphere_to_plane,
     tidy_plane_basis,
 )
-from analytica._linalg import clear_denominators, dot, inverse, mat, matmul, rank, transpose
+from analytica._linalg import clear_denominators, dot, inverse, mat, matmul, rank, solve, transpose
+from analytica.oracle import oracle_from_text
 
-from conftest import rand_axis_plane, rand_point
+from conftest import (
+    rand_axis_plane,
+    rand_fraction,
+    rand_point,
+    reference_centered_inversion_plane,
+    reference_contains,
+    reference_sample_points,
+    reference_sphere_to_plane,
+    reference_tidy_plane_basis,
+)
 
 
 def nonzero_point(rng, n):
@@ -198,13 +210,105 @@ def test_tidy_plane_basis_spans_same_plane():
         axis = rand_axis_plane(rng, n)
         b1, b2 = axis.basis
         u, v = tidy_plane_basis(b1, b2)
+        assert (u, v) == reference_tidy_plane_basis(b1, b2)
         assert rank(mat((b1, b2, u, v))) == 2
         assert dot(u, v) == 0
         assert 1 <= norm_sq(u) < 4 and 1 <= norm_sq(v) < 4
 
 
+def test_tidy_plane_basis_matches_reference_on_rationals():
+    """Scales far from 1 in both directions, and parallel vectors, which
+    leave a zero second direction."""
+    rng = random.Random(212)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        scale = Fraction(2) ** rng.randint(-40, 40)
+        b1 = tuple(scale * rand_fraction(rng, 50) for _ in range(n))
+        b2 = tuple(rand_fraction(rng, 50) for _ in range(n))
+        if not any(b1):
+            continue
+        assert tidy_plane_basis(b1, b2) == reference_tidy_plane_basis(b1, b2)
+        with pytest.raises(GeometryError):
+            tidy_plane_basis(b1, tuple(3 * x for x in b1))
+
+
 # ---------------------------------------------------------------------------
 # spheres
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+def _random_sphere(rng, n):
+    """A sphere with a random rational carrier basis (or the identity for
+    n = 3 now and then) and a random rational c, or None when the draw is
+    degenerate."""
+    if n == 3 and rng.random() < 0.2:
+        basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    else:
+        basis = tuple(tuple(rand_fraction(rng, rng.choice((1, 9))) for _ in range(n)) for _ in range(3))
+    c = tuple(rand_fraction(rng, rng.choice((3, 40))) for _ in range(n))
+    try:
+        return SphereThroughOrigin(c, basis)
+    except GeometryError:
+        return None
+
+
+def test_sphere_charts_match_fraction_reference():
+    """The integer sphere geometry against the Fraction code it replaced,
+    on 2,000 random spheres with n = 3..5: the chart planes, the sample
+    points and the rng state after the draws are equal, and degenerate
+    spheres and off-sphere centers raise the same exception types."""
+    rng = random.Random(213)
+    f = {n: oracle_from_text("x1", n) for n in (3, 4, 5)}
+    checked = 0
+    while checked < 2000:
+        n = rng.randint(3, 5)
+        sphere = _random_sphere(rng, n)
+        if sphere is None:
+            continue
+        checked += 1
+        assert sphere_to_plane(sphere) == reference_sphere_to_plane(sphere)
+
+        seed = rng.randrange(2**32)
+        mine, theirs = random.Random(seed), random.Random(seed)
+        count = rng.randint(1, 3)
+        points = sphere.sample_points(count, mine)
+        assert points == reference_sample_points(sphere, count, theirs)
+        assert mine.getstate() == theirs.getstate()
+
+        p = points[0]
+        assert sphere.contains(p) and reference_contains(sphere, p)
+        assert centered_inversion_plane(sphere, p) == reference_centered_inversion_plane(sphere, p)
+
+        # off the sphere: 2p in the carrier space, and a random point
+        for q in (tuple(2 * x for x in p), rand_point(rng, n, bound=9)):
+            assert sphere.contains(q) == reference_contains(sphere, q)
+            if not sphere.contains(q):
+                with pytest.raises(CertifyError):
+                    pullback_through_centered_inversion(f[n], sphere, q)
+
+        # the sphere's center, where c - 2p is orthogonal to the carrier
+        # space: no direction space
+        b = mat(sphere.basis)
+        a = tuple(dot(sphere.c, v) for v in b)
+        center = tuple(x / 2 for x in carrier_to_ambient(solve(matmul(b, transpose(b)), a), b))
+        want = _outcome(reference_centered_inversion_plane, sphere, center)
+        assert want is DegenerateSphereError
+        assert _outcome(centered_inversion_plane, sphere, center) is want
+
+        # a coefficient vector orthogonal to the carrier space, which the
+        # constructor refuses, reaches sphere_to_plane only around it
+        flat = object.__new__(SphereThroughOrigin)
+        object.__setattr__(flat, "c", tuple(Fraction(0) for _ in range(n)))
+        object.__setattr__(flat, "basis", sphere.basis)
+        want = _outcome(reference_sphere_to_plane, flat)
+        assert want is DegenerateSphereError
+        assert _outcome(sphere_to_plane, flat) is want
 
 
 def test_sphere_contains_its_samples():

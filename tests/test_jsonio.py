@@ -17,7 +17,6 @@ from analytica.jsonio import (
     format_float,
     format_fraction,
     restrictions_from_data,
-    restrictions_to_data,
     scan_report_to_data,
     tower_result_to_data,
     vector_from_data,
@@ -27,7 +26,7 @@ from analytica.certify import sphere_scan
 from analytica.oracle import oracle_from_text
 from analytica.taylor import build_tower
 
-from conftest import rand_form, rand_hyperplane_set
+from conftest import rand_form, rand_hyperplane_set, restrictions_to_data
 
 
 def test_float_formatting_round_trips():

@@ -19,6 +19,7 @@ from analytica.certify import (
 )
 from analytica.geometry import PoleError
 from analytica.oracle import (
+    _pow_each,
     Add,
     Const,
     Div,
@@ -41,7 +42,7 @@ from analytica.oracle import (
     translate,
 )
 
-from conftest import rand_point, scalar_float
+from conftest import _float_pow, rand_point, scalar_float
 
 
 def test_parser_arithmetic():
@@ -684,6 +685,31 @@ def _random_points(rng, n, count):
 def test_grid_evaluates_like_scalar_float_evaluation(name, chart):
     g = _pullback(name, chart)
     _assert_grid_is_scalar(g, _random_points(random.Random(321), 3, 3000))
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_pow_each_is_python_float_pow_bit_for_bit(k):
+    """The object-dtype np.power against x ** k, element by element, on
+    moderate, huge and tiny inputs, +-0, +-inf, nan and subnormals; an
+    overflowing element sends the whole array through the scalar fallback,
+    which goes to +-inf as x ** k's OverflowError says."""
+    rng = np.random.default_rng(1000 + k)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]
+    finite = np.concatenate([
+        rng.uniform(-4, 4, 3000),
+        np.exp(rng.uniform(-30, 30, 3000)) * rng.choice([-1.0, 1.0], 3000),
+        rng.uniform(-1, 1, 500) * 1e-310,
+        np.array(special),
+    ])
+    assert _hex(_pow_each(finite, k).tolist()) == _hex(x**k for x in finite.tolist())
+    overflowing = np.concatenate([finite, [1e300, -1e300, 2.0**600]])
+    want = [_float_pow(x, k) for x in overflowing.tolist()]
+    assert _hex(_pow_each(overflowing, k).tolist()) == _hex(want)
+    assert float.hex(_pow_each(1e300, k)) == float.hex(_float_pow(1e300, k))
 
 
 def test_grid_shapes_and_dimension():
