@@ -1,30 +1,30 @@
 """Analyticity verdicts for restrictions of a function to planes and
 2-spheres.
 
-`check_plane_analytic` is the one chart check, and it has two routes.
-A polynomial function (every divisor folds to a nonzero constant) is
-settled exactly, without sampling: its restriction to a plane is a
-polynomial, so only a guard value can break it.  The guard point is
+`check_plane_analytic` is the one chart check, and it settles a chart
+exactly wherever it can.  A polynomial function (every divisor folds to a
+nonzero constant) is settled without sampling: its restriction to a plane
+is a polynomial, so only a guard value can break it.  The guard point is
 located on the plane exactly; when it lies in the window and the guard
 value is not the polynomial's value there, the restriction is not even
 continuous, and the report is a "fail" with the guard point as witness.
-Otherwise the pass is a proof.
-Everything else goes through a float route, whose pass is a diagnostic: a
-total-degree Chebyshev fit over a window by discrete Chebyshev projection
-(a truncated DCT-I under the Lobatto weights), a held-out residual, and a
-falsifier that walks valleys of the pulled-back denominator looking for
-blow-ups the fit grid missed.  The falsifier is settled before it walks
-where that is possible: a pullback whose array shapes outgrow the size cap
-is skipped before any array is multiplied, and an unguarded chart whose
-divisors are all bounded away from zero on the window box (by center
-dominance, or on each of its four quarters), with an exact enclosure of
-the pullback below the blow-up bar, is certified, since no walk there can
-fire.  Only the charts the certificate leaves open fold the float
-denominator and walk.  The shapes, the certificate's integer arrays and
-the float arrays are three rings of `oracle.fold_fraction`, whose
-denominators are products of powers of divisor atoms, so the |y|^2 of an
-inversion does not pile up: hartogs-f's origin-inversion denominators are
-7x7, and curve-g's 19x19.
+Otherwise the pass is a proof.  Every other program is a rational
+function, and a chart on which each divisor of the exact pullback is
+bounded away from zero on the window box (by center dominance, or on each
+of its four quarters) is proven the same way before any fit: the
+restriction is analytic on the box, and only the guard rule above can fail
+it.  A chart over the size cap, or whose guard point in the window is a
+pole of the unguarded program, is not folded exactly.
+The charts left open go through a float route, whose pass is a
+diagnostic: a total-degree Chebyshev fit over a window by discrete
+Chebyshev projection (a truncated DCT-I under the Lobatto weights), a
+held-out residual, and a falsifier that walks valleys of the pulled-back
+denominator looking for blow-ups the fit grid missed, unless the size cap
+or a constant or unusable float denominator settles it first.  The shapes,
+the proof's integer arrays and the float arrays are three rings of
+`oracle.fold_fraction`, whose denominators are products of powers of
+divisor atoms, so the |y|^2 of an inversion does not pile up: hartogs-f's
+origin-inversion denominators are 7x7, and curve-g's 19x19.
 
 Sphere restrictions are reduced to plane checks through inversions: one
 centered at the origin (covering the sphere away from 0) and one centered
@@ -54,6 +54,7 @@ from .geometry import (
     AffinePlane2,
     DegenerateSphereError,
     GeometryError,
+    PoleError,
     SphereThroughOrigin,
     centered_inversion_plane,
     float_point,
@@ -84,7 +85,6 @@ from .oracle import (
 _FIT_GUARD = 4
 _VALLEY_SCALES = 15
 _BLOW_FACTOR = 1e6
-_CERTIFY_MARGIN = 2
 _GOLDEN_STEPS = 96
 
 
@@ -100,21 +100,22 @@ class PlaneReport:
     was encountered.
 
     `falsifier` says what became of the denominator-valley falsifier, in
-    the order it is settled: "skipped-cap" (the pullback's factored shapes
+    the order it is settled: "certified" (the chart was proven before any
+    fit: every divisor is bounded away from zero on the window box, so no
+    fit and no walk run); "skipped-cap" (the pullback's factored shapes
     outgrew the size cap, which the shapes alone decide);
-    "constant-denominator" (no valleys to walk); "certified" (an unguarded
-    chart whose every divisor is bounded away from zero on the window box,
-    and whose exact enclosure there stays below the blow-up bar, so the walk
-    is skipped: it could not fire); "skipped-zero-divisor" (a divisor pulled
-    back to zero in floats); "skipped-nonfinite" (a constant of the pullback
-    is beyond binary64 range); "ran"; or "off" (the exact route, or a fit
-    that already failed).  It is not part of the JSON reports, and neither
-    is the plane, which the caller holds.
+    "constant-denominator" (no valleys to walk); "skipped-zero-divisor" (a
+    divisor pulled back to zero in floats); "skipped-nonfinite" (a constant
+    of the pullback is beyond binary64 range); "ran"; or "off" (a
+    polynomial, or a fit that already failed).  It is not part of the JSON
+    reports, and neither is the plane, which the caller holds.
 
-    On the exact route `fit_degree` holds the degree bound (2d for a sphere
-    chart of a degree-d polynomial), a pass is a proof, and a "fail" carries
-    the guard point, where the guard value is not the restriction's limit,
-    with the relative gap there as the residual."""
+    A report with mode "exact" comes from a proof: a pass has residual 0,
+    and a "fail" carries the guard point, where the guard value is not the
+    restriction's limit, with the relative gap there as the residual.
+    `fit_degree` holds the degree bound for a polynomial (2d for a sphere
+    chart of a degree-d polynomial) and the requested fit degree for a
+    proven chart, though no fit ran."""
 
     verdict: str
     residual: float
@@ -130,13 +131,28 @@ class PlaneReport:
 
 
 # ---------------------------------------------------------------------------
-# exact route: a polynomial restriction can only be broken by its guard
+# exact route: a polynomial or proven restriction can only be broken by its guard
 
 
-def _exact_tensor_check(f: FunctionOracle, plane: AffinePlane2, bound: int, window) -> PlaneReport:
+def _guard_gap(f: FunctionOracle, plane: AffinePlane2, window):
+    """f(P) - v for f's guard point P and guard value v, with f(P) the
+    unguarded program's exact value, when P lies on the plane with |s|, |t|
+    <= window; else None.  A pole of the unguarded program at P raises
+    PoleError."""
+    if f.guard is None:
+        return None
+    point, value = f.guard
+    st = plane.coordinates_of(point)
+    if st is None or max(map(abs, st)) > frac(window):
+        return None
+    return evaluate_oracle(FunctionOracle(f.expression, f.dimension), point) - value
+
+
+def _exact_tensor_check(f: FunctionOracle, plane: AffinePlane2, bound: int, window, falsifier="off") -> PlaneReport:
     """The exact verdict over the chart square |s|, |t| <= window, for an
-    f whose unguarded expression is analytic on the whole plane: a
-    polynomial, or its pullback through an inversion centered off the plane.
+    f whose unguarded expression is analytic on the whole square: a
+    polynomial, its pullback through an inversion centered off the plane, or
+    a proven chart (`_proven`).
 
     The restriction is then analytic over the window unless the guard point
     P lies in it and the guard value v is not the unguarded value f(P), so
@@ -146,17 +162,14 @@ def _exact_tensor_check(f: FunctionOracle, plane: AffinePlane2, bound: int, wind
     tensor check this verdict replaced, under which the benchmark tracer
     hooks it.)"""
     wf = to_float(window)
-    if f.guard is not None:
+    gap = _guard_gap(f, plane, window)
+    if gap:
         point, value = f.guard
-        st = plane.coordinates_of(point)
-        if st is not None and max(map(abs, st)) <= frac(window):
-            gap = evaluate_oracle(FunctionOracle(f.expression, f.dimension), point) - value
-            if gap:
-                return PlaneReport(
-                    "fail", float(abs(gap)) / max(1.0, float(abs(value))), point,
-                    "exact", bound, wf, "guard value differs from the limit at the guard point",
-                )
-    return PlaneReport("pass", 0.0, None, "exact", bound, wf)
+        return PlaneReport(
+            "fail", float(abs(gap)) / max(1.0, float(abs(value))), point,
+            "exact", bound, wf, "guard value differs from the limit at the guard point", falsifier,
+        )
+    return PlaneReport("pass", 0.0, None, "exact", bound, wf, "", falsifier)
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +460,21 @@ def _exact_ring(plane: AffinePlane2, w: Fraction) -> FractionRing:
     )
 
 
-def _certified(e: Expression, plane: AffinePlane2, w: Fraction, bar: float) -> bool:
-    """A proof that the pullback of e to the plane stays below
-    bar / _CERTIFY_MARGIN on the box |s|, |t| <= w, so that no valley walk
-    there can find a blow-up over the bar.  The pullback is folded exactly;
-    every divisor must have a positive `_lower_bound` on the box, and |f| <=
-    sum |n_ij| w^(i+j) over the product of the atoms' lower bounds to their
-    powers.  The margin leaves room for the rounding of the walk's float
-    evaluations."""
+def _proven(f: FunctionOracle, plane: AffinePlane2, window) -> bool:
+    """A proof that f's unguarded program restricts to an analytic function
+    on the box |s|, |t| <= window of the plane.  The program is a rational
+    function, so it does when the exact pullback's every divisor has a
+    positive `_lower_bound` on the box.  Two cheap exits come first: a
+    pullback whose shapes outgrow the size cap is left to the fit, and so is
+    a chart whose guard point lies in the window at a pole of the unguarded
+    program, where some divisor vanishes, so no fold could succeed."""
     try:
-        (num, _), factors = fold_fraction(e, _exact_ring(plane, w))
-    except _Undominated:
+        _denominator_shape(f.expression, cap=65)
+        _guard_gap(f, plane, window)
+        fold_fraction(f.expression, _exact_ring(plane, frac(window)))
+    except (_ScanCap, PoleError, _Undominated):
         return False
-    low = math.prod(atom[1] ** k for atom, k in factors)
-    return math.isinf(bar) or _CERTIFY_MARGIN * _box_norm(num, w) < Fraction(bar) * low
+    return True
 
 
 def _golden_min(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -485,9 +499,7 @@ def _golden_min(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.n
     return 0.5 * (a + b)
 
 
-def _valley_scan(
-    f: FunctionOracle, plane: AffinePlane2, coords, window: float, grid_max: float, status: list[str]
-):
+def _valley_scan(f: FunctionOracle, coords, window: float, grid_max: float, status: list[str]):
     """The denominator-valley falsifier on the plane, whose float
     coordinates are `coords`.  Returns None, or ("fail"|"pole", witness,
     magnitude) on a blow-up.  The blow-up bar does not depend on the fit
@@ -495,26 +507,21 @@ def _valley_scan(
 
     Before it walks, the falsifier is settled where it can be: a pullback
     whose factored shapes outgrow the size cap is skipped, a constant
-    denominator has no valley, an unguarded chart that `_certified` bounds
-    below the bar cannot blow up, and a float pullback with a zero divisor
-    or a constant that is not finite is skipped.  Only then is the float
+    denominator has no valley, and a float pullback with a zero divisor or
+    a constant that is not finite is skipped.  Only then is the float
     denominator folded and walked.  The falsifier status is appended to
-    `status`: "ran", "certified", "skipped-cap", "skipped-zero-divisor",
+    `status`: "ran", "skipped-cap", "skipped-zero-divisor",
     "skipped-nonfinite" or "constant-denominator"."""
     try:
         if _denominator_shape(f.expression, cap=65) == (1, 1):
             status.append("constant-denominator")
-            return None
-        blow = _BLOW_FACTOR * max(1.0, grid_max)
-        if f.guard is None and _certified(f.expression, plane, Fraction(window), blow):
-            status.append("certified")
             return None
         den = _pullback_fraction(f.expression, coords)
     except _ScanCap as exc:
         status.append(exc.args[0])
         return None
     status.append("ran")
-    return _walk_valleys(f, coords, den, window, blow)
+    return _walk_valleys(f, coords, den, window, _BLOW_FACTOR * max(1.0, grid_max))
 
 
 def _walk_valleys(f: FunctionOracle, coords, den: np.ndarray, window: float, blow: float):
@@ -579,10 +586,11 @@ def check_plane_analytic(
 ) -> PlaneReport:
     """Is the restriction of f to the plane real-analytic over the window?
 
-    Polynomial functions (every divisor folds to a nonzero constant) are
-    settled exactly: a pass is a proof, and a "fail" carries the guard
-    point, where a guard value inside the window differs from the
-    polynomial's.
+    Polynomial functions (every divisor folds to a nonzero constant), and
+    charts whose every divisor is bounded away from zero on the window box
+    (`_proven`), are settled exactly: a pass is a proof, and a "fail"
+    carries the guard point, where a guard value inside the window differs
+    from the unguarded value.
     Otherwise a Chebyshev fit of total degree `fit_degree` (plus guard
     terms) must reproduce held-out samples within `tol` relative error, and
     a denominator-valley falsifier gets a chance to disprove the fit's
@@ -604,6 +612,8 @@ def check_plane_analytic(
     bound = degree_bound(f.expression)
     if bound is not None:
         return _exact_tensor_check(f, plane, bound, window)
+    if _proven(f, plane, window):
+        return _exact_tensor_check(f, plane, fit_degree, window, "certified")
 
     coords = plane.float_coordinates
     status, residual, witness, grid_max = _cheb_fit(f, coords, wf, fit_degree)
@@ -618,7 +628,7 @@ def check_plane_analytic(
             "fit does not reproduce held-out samples",
         )
     status: list[str] = []
-    hit = _valley_scan(f, plane, coords, wf, grid_max, status)
+    hit = _valley_scan(f, coords, wf, grid_max, status)
     falsifier = status[0]
     if hit is not None:
         verdict, where, magnitude = hit
@@ -769,7 +779,7 @@ def _scan_one(f, sphere, p, poly_degree, tol, fit_degree):
     most 2d, the bound its exact report carries; q vanishes only at the
     inversion center, which the chart plane misses.  On the float route a
     pullback divides by q wherever f has a variable, so
-    `check_plane_analytic` finds no degree bound and fits it."""
+    `check_plane_analytic` finds no degree bound, and proves or fits it."""
     g_far, plane_far = pullback_through_inversion(f, sphere)
     g_near, plane_near = pullback_through_centered_inversion(f, sphere, p)
 

@@ -366,11 +366,13 @@ def test_parameter_validation():
 
 
 def test_rational_pass_and_report_fields():
+    # 2 - x1 is bounded away from zero on the window box, so the pass is a
+    # proof: exact, residual 0, no fit run, and the requested fit degree kept
     f = oracle_from_text("1/(2-x1)", 3)
     rep = check_plane_analytic(f, XY)
     assert rep.verdict == "pass"
-    assert rep.mode == "float"
-    assert rep.residual <= 1e-9
+    assert (rep.mode, rep.residual, rep.witness, rep.falsifier) == ("exact", 0.0, None, "certified")
+    assert rep.fit_degree == 12 and rep.window == 0.1
     assert bool(rep)
 
 
@@ -480,7 +482,7 @@ def test_valley_scan_finds_interior_blowup():
     # a denominator valley far sharper than the fit grid spacing
     f = oracle_from_text("1/((x1 - 1/64)^2 + x2^2 + 1/100000000000000)", 3)
     status = []
-    hit = _valley_scan(f, XY, XY_COORDS, 0.1, 1.0, status)
+    hit = _valley_scan(f, XY_COORDS, 0.1, 1.0, status)
     assert status == ["ran"]
     assert hit is not None
     verdict, witness, magnitude = hit
@@ -490,10 +492,10 @@ def test_valley_scan_finds_interior_blowup():
 
 def test_valley_scan_reports_its_skips():
     status = []
-    assert _valley_scan(oracle_from_text("(x1 + 1)/3", 3), XY, XY_COORDS, 0.1, 1.0, status) is None
+    assert _valley_scan(oracle_from_text("(x1 + 1)/3", 3), XY_COORDS, 0.1, 1.0, status) is None
     assert status == ["constant-denominator"]
     status = []
-    assert _valley_scan(oracle_from_text("1/(x3 - x3)", 3), XY, XY_COORDS, 0.1, 1.0, status) is None
+    assert _valley_scan(oracle_from_text("1/(x3 - x3)", 3), XY_COORDS, 0.1, 1.0, status) is None
     assert status == ["skipped-zero-divisor"]
 
 
@@ -506,16 +508,18 @@ def test_valley_scan_reports_its_skips():
     ids=["infinite-constant", "overflowing-product"],
 )
 def test_valley_scan_skips_a_nonfinite_denominator(text, guarded):
-    # the exact certificate settles both unguarded charts before any float is
-    # folded.  With a guard off the plane the float pullback runs: a constant
-    # beyond binary64 range is skipped, and a product past it keeps its binary
-    # exponent, so the walk runs and finds nothing
-    for guard, want in ((None, "certified"), (((5, 5, 5), 0), guarded)):
-        status = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert _valley_scan(oracle_from_text(text, 3, guard), XY, XY_COORDS, 0.1, 1.0, status) is None
-        assert status == [want]
+    # the exact fold proves both charts before any float is folded, guarded
+    # off the plane or not.  Walked anyway, the float pullback runs: a
+    # constant beyond binary64 range is skipped, and a product past it keeps
+    # its binary exponent, so the walk runs and finds nothing
+    for guard in (None, ((5, 5, 5), 0)):
+        rep = check_plane_analytic(oracle_from_text(text, 3, guard), XY)
+        assert (rep.verdict, rep.mode, rep.falsifier) == ("pass", "exact", "certified")
+    status = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _valley_scan(oracle_from_text(text, 3, ((5, 5, 5), 0)), XY_COORDS, 0.1, 1.0, status) is None
+    assert status == [guarded]
 
 
 def test_plane_float_coordinates_match_point_at():
@@ -538,11 +542,12 @@ def test_falsifier_status_on_plane_reports():
         return [rep.falsifier for _, rep in report.outcomes[0].parts]
 
     # the factored denominators of curve-g's and hartogs-f's origin charts fit
-    # under the cap, and the certificate settles them; the fit fails the other
-    # chart first, so its falsifier never runs
+    # under the cap, and the exact fold proves them before any fit; the other
+    # chart's guard point is a pole, so it goes to the fit, which fails it
+    # first, and its falsifier never runs
     assert statuses(builtin_counterexample("curve-g")) == ["certified", "off"]
     assert statuses(builtin_counterexample("hartogs-f")) == ["certified", "off"]
-    # the rational function's divisors dominate on both charts, so neither walks
+    # the rational function's divisors dominate on both charts, so neither is fitted
     assert statuses(oracle_from_text("1/(2 - x1 - x2*x3)", 3)) == ["certified", "certified"]
     assert statuses(oracle_from_text("x1*x2", 3)) == ["off", "off"]
     f = oracle_from_text("1/(2-x1)", 3)
@@ -550,9 +555,14 @@ def test_falsifier_status_on_plane_reports():
     # an 81 x 81 denominator outgrows the cap, which the shapes alone decide
     f = oracle_from_text("1/(3 - x1^40*x2^40)", 3)
     assert check_plane_analytic(f, XY).falsifier == "skipped-cap"
-    # a guarded oracle is never certified: the walk would meet its guard value
+    # a guard off the plane does not stop the proof
     f = oracle_from_text("1/(2-x1)", 3, guard=((5, 5, 5), 0))
-    assert check_plane_analytic(f, XY).falsifier == "ran"
+    assert check_plane_analytic(f, XY).falsifier == "certified"
+    # a guard at a pole inside the window leaves the chart to the fit, and
+    # the removable singularity's fit passes, so the walk runs
+    f = oracle_from_text("(x1^2 + x2^2 + 1)*x1/(x1*(x1^2 + x2^2 + 1))", 3, guard=((0, 0, 0), 1))
+    rep = check_plane_analytic(f, XY)
+    assert (rep.verdict, rep.mode, rep.falsifier) == ("pass", "float", "ran")
 
 
 
@@ -672,7 +682,7 @@ def _rand_poly_text(rng):
 
 def _walk_charts():
     """Random rational functions on random planes and inversion charts, with
-    windows and blow-up bars that leave many charts uncertified and let
+    windows and blow-up bars that leave many charts unproven and let
     many walks hit: (g, plane, coords, den, window, bar) for each of 100
     draws, skipping a constant denominator."""
     rng = random.Random(11)
@@ -692,16 +702,33 @@ def _walk_charts():
             yield g, plane, coords, den, window, bar
 
 
+def _enclosure(e, plane, w):
+    """sum |n_ij| w^(i+j) over the product of the atoms' lower bounds to
+    their powers, which bounds the pullback's |value| on the box |s|, |t| <=
+    w, from its exact fold; None where a divisor is not bounded away from
+    zero on the box."""
+    try:
+        (num, _), factors = oracle.fold_fraction(e, certify._exact_ring(plane, w))
+    except certify._Undominated:
+        return None
+    return certify._box_norm(num, w) / math.prod(atom[1] ** k for atom, k in factors)
+
+
 def test_a_certified_chart_walks_to_no_blowup():
-    # a certified chart's walk never hits
-    certified = hits = 0
+    # a proven chart has no pole on the box, and its exact enclosure bounds
+    # |f| there, so a walk with a bar over twice the enclosure (room for the
+    # rounding of float evaluation) never hits
+    proven = hits = 0
     for g, plane, coords, den, window, bar in _walk_charts():
-        ok = certify._certified(g.expression, plane, Fraction(window), bar)
-        hit = certify._walk_valleys(g, coords, den, window, bar)
-        assert not (ok and hit is not None), (to_text(g.expression), plane, window, bar)
-        certified += ok
-        hits += hit is not None
-    assert certified > 30 and hits > 15
+        hits += certify._walk_valleys(g, coords, den, window, bar) is not None
+        bound = _enclosure(g.expression, plane, Fraction(window))
+        if bound is None:
+            continue
+        assert certify._proven(g, plane, window)
+        safe = max(bar, 2 * oracle.to_float(bound))
+        assert certify._walk_valleys(g, coords, den, window, safe) is None, (to_text(g.expression), plane, window)
+        proven += 1
+    assert proven > 30 and hits > 15, (proven, hits)
 
 
 def _probe_line_by_line(f, coords, minimisers, window, blow):
@@ -808,7 +835,7 @@ def _fold_cases(rng):
 
 
 def test_the_factored_fold_equals_the_unfactored_fold_at_rational_points():
-    # the certificate's integer ring, without its bounds, folds each program
+    # the proof's integer ring, without its bounds, folds each program
     # factored and unfactored; both fractions take the program's exact value
     # at random rational points of the plane, and the factored denominator is
     # never the larger
@@ -864,7 +891,7 @@ def test_the_builtins_origin_pullbacks_fold_to_one_small_atom():
     ids=["quarter-split", "center"],
 )
 def test_the_origin_charts_of_the_rational_builtins_are_certified(monkeypatch, c, split):
-    # each origin chart passes its fit and is certified, on one sphere after
+    # each origin chart is proven before any fit, on one sphere after
     # the quarter split for hartogs-f and curve-g, on the other at the center
     splits = []
     bound = certify._lower_bound
@@ -885,20 +912,20 @@ def test_the_origin_charts_of_the_rational_builtins_are_certified(monkeypatch, c
 
 
 def test_no_certified_chart_of_a_scan_walks_to_a_hit(monkeypatch):
-    # every chart the certificate settles in these scans is walked anyway,
-    # and no walk finds a blow-up
+    # every chart the exact fold proves in these scans is walked anyway, at
+    # the lowest blow-up bar a walk can have, and no walk finds a blow-up
     walks = []
-    certified = certify._certified
+    check = certify.check_plane_analytic
 
-    def certify_and_walk(e, plane, w, bar):
-        ok = certified(e, plane, w, bar)
-        if ok:
+    def check_and_walk(g, plane, **kwargs):
+        rep = check(g, plane, **kwargs)
+        if rep.falsifier == "certified":
             coords = plane.float_coordinates
-            den = certify._pullback_fraction(e, coords)
-            walks.append(certify._walk_valleys(FunctionOracle(e, 3), coords, den, float(w), bar))
-        return ok
+            den = certify._pullback_fraction(g.expression, coords)
+            walks.append(certify._walk_valleys(g, coords, den, rep.window, certify._BLOW_FACTOR))
+        return rep
 
-    monkeypatch.setattr(certify, "_certified", certify_and_walk)
+    monkeypatch.setattr(certify, "check_plane_analytic", check_and_walk)
     for f in (
         builtin_counterexample("hartogs-f"),
         builtin_counterexample("curve-g"),
@@ -907,6 +934,117 @@ def test_no_certified_chart_of_a_scan_walks_to_a_hit(monkeypatch):
     ):
         sphere_scan(f, count=8, seed=7)
     assert len(walks) > 25 and walks == [None] * len(walks), len(walks)
+
+
+def test_a_proven_chart_closes_the_guard_gap():
+    # the XY chart of 1/(2 - x1 - x2*x3) is proven, so its guard is judged by
+    # the exact rule: 7 is not the value 20/39 at (1/20, 1/30, 0), which the
+    # fit and the walk never land on
+    text, point = "1/(2 - x1 - x2*x3)", (Fraction(1, 20), Fraction(1, 30), 0)
+    rep = check_plane_analytic(oracle_from_text(text, 3, guard=(point, 7)), XY)
+    assert (rep.verdict, rep.mode, rep.falsifier) == ("fail", "exact", "certified")
+    assert rep.witness == point and rep.residual == float(abs(Fraction(20, 39) - 7) / 7)
+    assert check_plane_analytic(oracle_from_text(text, 3, guard=(point, Fraction(20, 39))), XY)
+    outside = check_plane_analytic(oracle_from_text(text, 3, guard=((Fraction(1, 5), 0, 0), 7)), XY)
+    assert (outside.verdict, outside.mode) == ("pass", "exact")
+
+
+_PROOF_SPHERES = [
+    SphereThroughOrigin((Fraction(1, 4), Fraction(3, 4), Fraction(-1, 2)), (E1, E2, E3)),
+    SphereThroughOrigin((Fraction(-3, 16), Fraction(-1, 32), Fraction(1, 2)), (E1, E2, E3)),
+]
+
+
+def _scan_charts(monkeypatch, f, sphere):
+    """part -> (g, plane, window, report) for the two charts of a one-sphere scan."""
+    charts = []
+    check = certify.check_plane_analytic
+
+    def spy(g, plane, **kwargs):
+        charts.append((g, plane, kwargs["window"], check(g, plane, **kwargs)))
+        return charts[-1][-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(certify, "check_plane_analytic", spy)
+        sphere_scan(f, spheres=[sphere], seed=1)
+    return dict(zip(("origin-inversion", "point-inversion"), charts))
+
+
+class _Refused(Exception):
+    """Raised by a stage of the check that a test patched out, when reached."""
+
+
+def _refuse(*args, **kwargs):
+    raise _Refused
+
+
+def test_a_proven_chart_runs_no_fit(monkeypatch):
+    # the origin charts of the builtins and both charts of the rational
+    # function are proven before any Chebyshev fit
+    functions = {
+        "hartogs-f": (builtin_counterexample("hartogs-f"), ["origin-inversion"]),
+        "curve-g": (builtin_counterexample("curve-g"), ["origin-inversion"]),
+        "rational": (oracle_from_text("1/(2 - x1 - x2*x3)", 3), ["origin-inversion", "point-inversion"]),
+    }
+    for sphere in _PROOF_SPHERES:
+        for name, (f, parts) in functions.items():
+            charts = _scan_charts(monkeypatch, f, sphere)
+            with monkeypatch.context() as patched:
+                patched.setattr(certify, "_cheb_fit", _refuse)
+                for part in parts:
+                    g, plane, window, scanned = charts[part]
+                    rep = check_plane_analytic(g, plane, window=window)
+                    assert rep == scanned, (name, part)
+                    assert (rep.verdict, rep.mode, rep.residual, rep.falsifier) == ("pass", "exact", 0.0, "certified")
+
+
+def test_the_pole_shortcut_skips_only_folds_that_would_fail(monkeypatch):
+    # a builtin's point-inversion chart carries the guard at its base point,
+    # a pole of the unguarded pullback: the chart goes to the fit without the
+    # exact fold, with the fit's verdict, and the fold would have found an
+    # undominated divisor anyway
+    for sphere in _PROOF_SPHERES:
+        for name in ("hartogs-f", "curve-g"):
+            charts = _scan_charts(monkeypatch, builtin_counterexample(name), sphere)
+            g, plane, window, scanned = charts["point-inversion"]
+            assert plane.coordinates_of(g.guard[0]) == (0, 0)
+            with monkeypatch.context() as patched:
+                patched.setattr(certify, "_exact_ring", _refuse)
+                rep = check_plane_analytic(g, plane, window=window)
+            assert rep == scanned and rep.mode == "float" and rep.verdict != "pass", name
+            with pytest.raises(certify._Undominated):
+                oracle.fold_fraction(g.expression, certify._exact_ring(plane, Fraction(window)))
+
+
+def test_a_proven_chart_has_no_pole_on_its_box(monkeypatch):
+    # random rational programs on random rational planes: wherever the check
+    # proves a chart, the exact program has no pole at a 9 x 9 grid of
+    # rational points of the box, its edges and corners included
+    monkeypatch.setattr(certify, "_cheb_fit", _refuse)
+    rng = random.Random(61)
+    proven = open_charts = 0
+    programs = divisor_programs() + [_rand_program(rng, rng.randint(1, 5)) for _ in range(600)]
+    for e in programs:
+        if degree_bound(e) is not None:
+            continue
+        f = FunctionOracle(e, 3)
+        for _ in range(3):
+            base = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3))
+            slope = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2))
+            plane = AffinePlane2(base, (E1, slope + (1,)))
+            window = Fraction(rng.randint(1, 8), rng.randint(1, 8))
+            try:
+                rep = check_plane_analytic(f, plane, window=window)
+            except _Refused:
+                open_charts += 1
+                continue
+            assert (rep.verdict, rep.falsifier) == ("pass", "certified")
+            steps = [window * k / 4 for k in range(-4, 5)]
+            for s in steps:
+                for t in steps:
+                    oracle.evaluate_oracle(f, plane.point_at(s, t))
+            proven += 1
+    assert proven > 150 and open_charts > 300, (proven, open_charts)
 
 
 def _golden_min_scalar(fn, lo, hi, iters=96):
@@ -961,9 +1099,9 @@ def test_batched_golden_min_matches_scalar_search(family):
     ids=["hartogs-f", "rational", "shell"],
 )
 def test_valley_scan_evaluates_the_denominator_like_polyval2d(monkeypatch, text, sphere_seed):
-    # the shared inner Horner pass must reproduce per-line polyval2d bit for bit;
-    # the certificate settles the rational charts, so it is turned off to
-    # make the scan walk them
+    # the shared inner Horner pass must reproduce per-line polyval2d bit for
+    # bit; the scan is called directly, so it walks charts the exact fold
+    # would prove
     f = builtin_counterexample("hartogs-f") if text is None else oracle_from_text(text, 3)
     sphere = sample_spheres(3, 1, random.Random(sphere_seed))[0]
     g, plane = pullback_through_inversion(f, sphere)
@@ -975,10 +1113,9 @@ def test_valley_scan_evaluates_the_denominator_like_polyval2d(monkeypatch, text,
     monkeypatch.setattr(
         certify, "_golden_min", lambda fn, lo, hi: calls.append((fn, lo, hi)) or 0.5 * (lo + hi)
     )
-    monkeypatch.setattr(certify, "_certified", lambda *a: False)
     window = 0.05
     status = []
-    _valley_scan(g, plane, plane.float_coordinates, window, 1.0, status)
+    _valley_scan(g, plane.float_coordinates, window, 1.0, status)
     assert status == ["ran"]
     (den,), ((fn, lo, hi),) = dens, calls
     assert den.shape[0] > 2 and den.shape[1] > 2

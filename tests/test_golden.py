@@ -89,7 +89,9 @@ def test_report_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-# the reports that go through a Chebyshev fit: the float route's, or the fitted jets'
+# the float-route scans, whose charts the exact fold leaves open go through a
+# Chebyshev fit (probe-rational's are all proven, so it runs none), and the
+# fitted jets'
 FLOAT_ROUTE = (
     "counterexample-curve", "counterexample-hartogs", "probe-curve", "probe-hartogs", "probe-rational", "tower-float"
 )
